@@ -43,7 +43,7 @@ from .funcgraph import (
     Orbit,
     OrbitDecomposition,
     Subset,
-    is_star_free,
+    image_overlap,
     is_free,
     orbit_decomposition,
     random_fpf_function,

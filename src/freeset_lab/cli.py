@@ -4,19 +4,17 @@ Every subcommand prints a single JSON document with a stable key order
 and exits 0 when the independent verifier pass agrees with the
 construction, 1 when a property fails, 2 on malformed input. Verdicts
 are always recomputed from scratch; nothing trusts a constructor's own
-claim. Batch mode fans seeded instances across threads (capped by
-FREESET_LAB_THREADS) and reports them in index order, so identical
-seeds give byte-identical reports up to the timing field.
+claim. Batch mode runs seeded instances one after another and reports
+them in index order, so identical seeds give byte-identical reports up
+to the timing field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -45,7 +43,7 @@ from .freesets import (
 from .funcgraph import (
     FiniteFunction,
     Subset,
-    is_star_free,
+    image_overlap,
     orbit_decomposition,
     random_fpf_function,
     verify_orbits,
@@ -77,7 +75,7 @@ from .rosenthal import (
     verify_fragmentation,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _load_doc(text: str):
@@ -104,13 +102,6 @@ def _load_growth(text: str, depth: int) -> GrowthFunction:
     return constant_growth(int(stripped), depth)
 
 
-def _threads() -> int:
-    raw = os.environ.get("FREESET_LAB_THREADS", "")
-    if raw:
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
-
-
 # === single-construction handlers ===
 
 
@@ -119,15 +110,7 @@ def _run_orbits(args) -> tuple[bool, dict]:
     dec = orbit_decomposition(fn)
     complaints = verify_orbits(fn, dec)
     result = {
-        "orbits": [
-            {
-                "kind": o.kind,
-                "nodes": list(o.nodes),
-                "exits_window": o.exits_window,
-                "enters_window": o.enters_window,
-            }
-            for o in dec.orbits
-        ]
+        "orbits": [{"kind": o.kind, "nodes": list(o.nodes)} for o in dec.orbits]
     }
     return not complaints, {"result": result, "violations": list(complaints)}
 
@@ -137,7 +120,7 @@ def _run_free(args) -> tuple[bool, dict]:
     window = min(f.window for f in family)
     subset = _load_set(args.set, window)
     counts = free_report(subset, family)
-    overlaps = [list(is_star_free(subset, f).elements) for f in family]
+    overlaps = [list(image_overlap(subset, f).elements) for f in family]
     threshold = args.threshold
     violations = [
         {"function": i, "size": c}
@@ -390,7 +373,7 @@ def _run_oracle_freeset(args) -> tuple[bool, dict]:
     subset = max_free_subset(family, args.n, args.mode)
     violations = []
     for i, fn in enumerate(family):
-        hit = is_star_free(subset, fn).elements
+        hit = image_overlap(subset, fn).elements
         if hit:
             violations.append({"function": i, "intersection": list(hit)})
     if args.mode == "greedy" and not is_maximal_free(subset, family, args.n):
@@ -427,7 +410,6 @@ def _batch_instance(op: str, seed: int, n: int) -> dict:
             "ok": ok and not unexplained,
             "case": res.case,
             "uncovered": len(res.uncovered_edges),
-            "modified": len(res.modified_points),
         }
     if op == "katetov":
         fn = random_fpf_function(seed, n)
@@ -466,13 +448,7 @@ def _run_batch(args) -> tuple[bool, dict]:
     count = args.count
     if count <= 0:
         raise ValueError("count must be positive")
-    seeds = [args.seed + i for i in range(count)]
-    workers = _threads()
-    if workers <= 1 or count == 1:
-        rows = [_batch_instance(op, s, args.n) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: _batch_instance(op, s, args.n), seeds))
+    rows = [_batch_instance(op, args.seed + i, args.n) for i in range(count)]
     instances = [{"index": i, **row} for i, row in enumerate(rows)]
     failed = [i for i, row in enumerate(rows) if not row["ok"]]
     result = {

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .funcgraph import FiniteFunction, Subset, is_star_free
+from .funcgraph import FiniteFunction, Subset, image_overlap
 
 EXACT_WINDOW_CAP = 24
 
@@ -280,4 +280,4 @@ def free_report(
     subset: Subset, family: Sequence[FiniteFunction]
 ) -> tuple[int, ...]:
     """Size of f[A] intersected with A, per function in the family."""
-    return tuple(len(is_star_free(subset, fn).elements) for fn in family)
+    return tuple(len(image_overlap(subset, fn).elements) for fn in family)

@@ -152,17 +152,12 @@ class Orbit:
     kind is "cycle" or "path". Cycle nodes are rotated so the smallest node
     comes first; following the function from each node gives the next, and
     the last node maps back to the first. Path nodes run in function order
-    from the unique entry point; exits_window says whether the final node
-    maps past the window edge (the alternative is that the walk was cut by
-    the window in a larger ambient cycle, which cannot happen here, so it
-    is always True for paths), and enters_window marks a path whose first
-    node has no preimage inside the window.
+    from the unique entry point, which has no preimage inside the window,
+    and the final node maps past the window edge.
     """
 
     kind: str
     nodes: tuple[int, ...]
-    exits_window: bool
-    enters_window: bool
 
 
 @dataclass(frozen=True)
@@ -208,9 +203,7 @@ def orbit_decomposition(fn: FiniteFunction) -> OrbitDecomposition:
                 x = fn.values[x]
                 nodes.append(x)
                 seen[x] = True
-            orbits.append(
-                Orbit("path", tuple(nodes), exits_window=True, enters_window=True)
-            )
+            orbits.append(Orbit("path", tuple(nodes)))
     for start in range(n):
         if seen[start]:
             continue
@@ -224,9 +217,7 @@ def orbit_decomposition(fn: FiniteFunction) -> OrbitDecomposition:
             x = fn.values[x]
         k = nodes.index(min(nodes))
         nodes = nodes[k:] + nodes[:k]
-        orbits.append(
-            Orbit("cycle", tuple(nodes), exits_window=False, enters_window=False)
-        )
+        orbits.append(Orbit("cycle", tuple(nodes)))
     orbits.sort(key=lambda o: o.nodes[0])
     return OrbitDecomposition(n, tuple(orbits))
 
@@ -269,7 +260,7 @@ def verify_orbits(fn: FiniteFunction, dec: OrbitDecomposition) -> tuple[str, ...
     return tuple(complaints)
 
 
-def is_star_free(subset: Subset, fn: FiniteFunction) -> Subset:
+def image_overlap(subset: Subset, fn: FiniteFunction) -> Subset:
     """Elements of the subset hit by the function from inside the subset.
 
     Returns f[A] cap A as a subset, counting only edges that stay inside
@@ -283,7 +274,7 @@ def is_star_free(subset: Subset, fn: FiniteFunction) -> Subset:
 
 
 def is_free(subset: Subset, fn: FiniteFunction) -> bool:
-    return not is_star_free(subset, fn).elements
+    return not image_overlap(subset, fn).elements
 
 
 def random_fpf_function(

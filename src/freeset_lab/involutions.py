@@ -1,7 +1,7 @@
 """Covering a fixed-point-free injection by four involutions.
 
 Every fixed-point-free injective function on a window can have its graph
-covered by four fixed-point-free involutions, up to boundary leftovers:
+covered by four fixed-point-free involutions, each orbit on its own:
 
 * an even cycle splits into alternating pair swaps, two parts;
 * a path (an orbit cut off by the window edge) spreads its edges over
@@ -11,19 +11,16 @@ covered by four fixed-point-free involutions, up to boundary leftovers:
   second (dropping a_0), and the chord (a_0, a_k) into a third, which
   covers the closing edge.
 
-The surgery handles any number of odd cycles. When their count is odd
-and no path is present, the window is rerouted first: odd cycles merge
-pairwise into even ones, and the survivor is spliced into the lowest
-even cycle, each reroute touching exactly two points whose original
-edges are reported as the modification cost. Leftover points of each
-part are paired canonically, lowest first, with at most one exception
-when the window is odd.
+Orbits are disjoint, so the per-orbit pairs never collide and every
+in-window edge is covered. Leftover points of each part are paired
+canonically, lowest first, with at most one exception when the window
+is odd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .funcgraph import FiniteFunction, Orbit, Subset, orbit_decomposition
 from .partitions import IntervalPartition
@@ -100,23 +97,20 @@ class DecompositionResult:
     """Four involutions covering a function's graph, plus the bookkeeping.
 
     uncovered_edges lists in-window edges of the original function no
-    part covers; case is 1 when no rerouting was needed and 2 when odd
-    cycles were merged; modified_points are the points whose outgoing
-    edge the case-2 reroute replaced, and every uncovered edge must
-    start at one of them.
+    part covers, which is empty for every cover built here. case
+    classifies the input only: 2 when the count of odd cycles is odd and
+    no path is present, 1 otherwise.
     """
 
     parts: tuple[Involution, Involution, Involution, Involution]
     uncovered_edges: tuple[tuple[int, int], ...]
     case: int
-    modified_points: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
             "parts": [p.to_json() for p in self.parts],
             "uncovered": [list(e) for e in self.uncovered_edges],
             "case": self.case,
-            "modified": list(self.modified_points),
         }
 
 
@@ -178,50 +172,20 @@ def _orbit_pairs(
     return p0, p1, p2
 
 
-def _splice(values: list[int], src: tuple[int, ...], dst: tuple[int, ...]) -> list[int]:
-    """Merge two cycles by crossing their closing edges; returns modified points.
-
-    The last element of src is rerouted to the first element of dst, and
-    dst's last element to src's first, so the two cycles become one and
-    injectivity survives. Exactly the two closing-edge sources change.
-    """
-    values[src[-1]] = dst[0]
-    values[dst[-1]] = src[0]
-    return [src[-1], dst[-1]]
-
-
 def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     """Cover the function's in-window edges with four involutions.
 
     Orbits are covered independently: two parts for even cycles, three
     for paths and odd cycles, the fourth kept for the leftover pairing
-    slack. With an odd number of odd cycles and no path the orbit list
-    is first normalized by merging, and the two reroutes per merge are
-    the only edges the parts may miss.
+    slack.
     """
     if not fn.injective_on_window:
         raise ValueError("decomposition needs an injective function")
     dec = orbit_decomposition(fn)
-    odd_cycles = [o.nodes for o in dec.cycles if len(o.nodes) % 2 == 1]
-    case = 1 if (len(odd_cycles) % 2 == 0 or dec.paths) else 2
-    modified: list[int] = []
-    work = fn
-    if case == 2:
-        values = list(fn.values)
-        odds = sorted(odd_cycles, key=lambda nodes: nodes[0])
-        while len(odds) >= 2:
-            dst, src = odds[0], odds[1]
-            modified.extend(_splice(values, src, dst))
-            odds = odds[2:]
-        evens = [o.nodes for o in orbit_decomposition(
-            FiniteFunction(tuple(values))
-        ).cycles if len(o.nodes) % 2 == 0]
-        if evens:
-            dst = min(evens, key=lambda nodes: nodes[0])
-            modified.extend(_splice(values, odds[0], dst))
-        work = FiniteFunction(tuple(values))
+    odd_cycles = sum(len(o.nodes) % 2 for o in dec.cycles)
+    case = 2 if odd_cycles % 2 and not dec.paths else 1
     pair_lists: tuple[list[tuple[int, int]], ...] = ([], [], [], [])
-    for orbit in orbit_decomposition(work).orbits:
+    for orbit in dec.orbits:
         p0, p1, p2 = _orbit_pairs(orbit)
         pair_lists[0].extend(p0)
         pair_lists[1].extend(p1)
@@ -232,7 +196,7 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
         for x, y in fn.in_window_edges()
         if not any(p.pairing[x] == y for p in parts)
     )
-    return DecompositionResult(parts, uncovered, case, tuple(sorted(modified)))
+    return DecompositionResult(parts, uncovered, case)
 
 
 def verify_decomposition(
@@ -240,36 +204,24 @@ def verify_decomposition(
 ) -> tuple[bool, tuple[tuple[int, int], ...]]:
     """Re-check coverage from scratch; returns (ok, unexplained edges).
 
-    An in-window edge is explained when some part covers it, when its
-    source sits on a window-truncated path, or when its source is a
-    recorded modification point. The parts themselves are revalidated:
-    window match and at most one exception each.
+    Every in-window edge must be covered by some part, and the result
+    must claim no uncovered edge. The unexplained edges are the ones no
+    part covers together with any falsely claimed ones. The parts
+    themselves are revalidated: window match and at most one exception
+    each.
     """
     for p in result.parts:
         if p.window != fn.window:
             return False, tuple(fn.in_window_edges())
         if len(p.exceptions) > 1:
             return False, tuple(fn.in_window_edges())
-    on_path = set()
-    for orbit in orbit_decomposition(fn).paths:
-        on_path.update(orbit.nodes)
-    modified = set(result.modified_points)
-    unexplained = []
-    for x, y in fn.in_window_edges():
-        if any(p.pairing[x] == y for p in result.parts):
-            continue
-        if x in on_path or x in modified:
-            continue
-        unexplained.append((x, y))
-    claimed = set(result.uncovered_edges)
-    actual = {
+    uncovered = {
         (x, y)
         for x, y in fn.in_window_edges()
         if not any(p.pairing[x] == y for p in result.parts)
     }
-    if claimed != actual:
-        unexplained.extend(sorted(actual ^ claimed))
-    return not unexplained, tuple(unexplained)
+    unexplained = tuple(sorted(uncovered.union(result.uncovered_edges)))
+    return not unexplained, unexplained
 
 
 def patch_fixed_point(h: Involution, m: int) -> FiniteFunction:

@@ -15,7 +15,7 @@ from freeset_lab.funcgraph import (
     FiniteFunction,
     Lcg64,
     Subset,
-    is_star_free,
+    image_overlap,
     is_free,
     orbit_decomposition,
     random_fpf_function,
@@ -78,7 +78,7 @@ def test_subset_json_is_bare_array():
 def test_star_free_scan_lists_hits_in_order():
     fn = FiniteFunction([1, 2, 0])
     a = Subset.of(3, [0, 1])
-    assert is_star_free(a, fn).elements == (1,)
+    assert image_overlap(a, fn).elements == (1,)
     assert not is_free(a, fn)
     assert is_free(Subset.of(3, [0]), fn)
 
@@ -125,11 +125,12 @@ def test_two_cycles_decompose():
 
 
 def test_truncated_path_flags():
-    # 0 -> 1 -> 5 exits the window; 0 has no preimage
+    # 2 -> 0 -> 1 -> 5 exits the window; 2 has no preimage
     fn = FiniteFunction([1, 5, 0])
     dec = orbit_decomposition(fn)
     path = dec.paths[0]
-    assert path.exits_window and path.enters_window
+    assert path.kind == "path"
+    assert path.nodes == (2, 0, 1)
     assert verify_orbits(fn, dec) == ()
 
 

@@ -17,7 +17,7 @@ from freeset_lab.funcgraph import (
     FiniteFunction,
     Lcg64,
     Subset,
-    is_star_free,
+    image_overlap,
     random_fpf_function,
 )
 from freeset_lab.involutions import (
@@ -77,7 +77,6 @@ def test_successor_window_eight():
     res = decompose_into_involutions(fn)
     assert res.case == 1
     assert res.uncovered_edges == ()
-    assert res.modified_points == ()
     assert [p.pairing for p in res.parts] == [
         (1, 0, 3, 2, 5, 4, 7, 6),
         (3, 2, 1, 0, 7, 6, 5, 4),
@@ -100,28 +99,34 @@ def test_two_odd_cycles_stay_unmodified():
     fn = FiniteFunction([1, 2, 0, 4, 5, 3])
     res = decompose_into_involutions(fn)
     assert res.case == 1
-    assert res.modified_points == ()
     assert res.uncovered_edges == ()
     assert verify_decomposition(fn, res) == (True, ())
 
 
-def test_lone_odd_cycle_with_even_neighbor_merges():
+def test_lone_odd_cycle_with_even_neighbor_is_covered_in_place():
+    # the 3-cycle (0 1 2) gives (0,1) to part 0, (1,2) to part 1 and the
+    # chord (0,2) to part 2; the 4-cycle (3 4 5 6) gives (3,4), (5,6) to
+    # part 0 and (4,5), (6,3) to part 1; leftovers pair lowest first
     fn = FiniteFunction([1, 2, 0, 4, 5, 6, 3])
     res = decompose_into_involutions(fn)
     assert res.case == 2
-    assert res.modified_points == (2, 6)
-    assert res.uncovered_edges == ((2, 0), (6, 3))
+    assert res.uncovered_edges == ()
+    assert [(p.pairing, p.exceptions) for p in res.parts] == [
+        ((1, 0, 2, 4, 3, 6, 5), (2,)),
+        ((0, 2, 1, 6, 5, 4, 3), (0,)),
+        ((2, 3, 0, 1, 5, 4, 6), (6,)),
+        ((1, 0, 3, 2, 5, 4, 6), (6,)),
+    ]
     assert verify_decomposition(fn, res) == (True, ())
 
 
-def test_uncovered_edges_sit_at_modified_points():
+def test_case_two_derangements_leave_no_edge_uncovered():
     for seed in range(40):
         fn = _random_derangement(seed, 15)
         res = decompose_into_involutions(fn)
-        ok, unexplained = verify_decomposition(fn, res)
-        assert ok and unexplained == ()
-        for x, _ in res.uncovered_edges:
-            assert x in res.modified_points
+        assert res.case == 2
+        assert res.uncovered_edges == ()
+        assert verify_decomposition(fn, res) == (True, ())
 
 
 def test_window_parity_decides_the_case_for_derangements():
@@ -164,9 +169,38 @@ def test_free_for_all_parts_bounds_the_overlap():
             if not elems:
                 continue
             a = Subset.of(13, elems)
-            if any(is_star_free(a, p.as_function()).elements for p in res.parts):
+            if any(image_overlap(a, p.as_function()).elements for p in res.parts):
                 continue
-            assert len(is_star_free(a, fn).elements) <= len(res.uncovered_edges)
+            assert len(image_overlap(a, fn).elements) <= len(res.uncovered_edges)
+
+
+# === the verifier requires full coverage ===
+
+
+def test_verifier_rejects_a_partial_cover_of_a_path():
+    # x+1 on N = 8: pairing consecutive points covers only the even-start
+    # edges, and the result claims nothing is left over
+    fn = FiniteFunction([k + 1 for k in range(8)])
+    p = Involution(8, (1, 0, 3, 2, 5, 4, 7, 6), ())
+    res = DecompositionResult((p, p, p, p), (), 1)
+    assert verify_decomposition(fn, res) == (False, ((1, 2), (3, 4), (5, 6)))
+
+
+def test_verifier_rejects_a_false_uncovered_claim():
+    fn = FiniteFunction([1, 2, 0, 4, 5, 6, 3])
+    res = decompose_into_involutions(fn)
+    claimed = DecompositionResult(res.parts, ((2, 0),), res.case)
+    assert verify_decomposition(fn, claimed) == (False, ((2, 0),))
+
+
+def test_verifier_rejects_parts_with_two_exceptions():
+    fn = FiniteFunction([1, 2, 3, 0])
+    good = decompose_into_involutions(fn)
+    bad = Involution(4, (1, 0, 2, 3), (2, 3))
+    res = DecompositionResult((bad,) + good.parts[1:], (), good.case)
+    ok, unexplained = verify_decomposition(fn, res)
+    assert not ok
+    assert unexplained == tuple(fn.in_window_edges())
 
 
 def test_rejects_non_injective_input():
@@ -177,7 +211,7 @@ def test_rejects_non_injective_input():
 def test_result_json_shape():
     fn = FiniteFunction([1, 2, 0, 4, 5, 6, 3])
     doc = decompose_into_involutions(fn).to_json()
-    assert set(doc) == {"parts", "uncovered", "case", "modified"}
+    assert set(doc) == {"parts", "uncovered", "case"}
     assert len(doc["parts"]) == 4
 
 
@@ -237,8 +271,8 @@ def test_patch_overlap_shift_is_bounded():
             if not elems:
                 continue
             a = Subset.of(10, elems)
-            before = len(is_star_free(a, h.as_function()).elements)
-            after = len(is_star_free(a, fn).elements)
+            before = len(image_overlap(a, h.as_function()).elements)
+            after = len(image_overlap(a, fn).elements)
             assert abs(after - before) <= 2
 
 
