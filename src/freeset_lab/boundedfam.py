@@ -19,6 +19,7 @@ not (F(2) is already around 10^20 for g constant 2) and stay implicit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -90,10 +91,9 @@ class BlockSystem:
         return self.j_starts[n], self.j_starts[n + 1]
 
     def block_of_point(self, e: int) -> int:
-        for n in range(self.depth):
-            if self.j_starts[n] <= e < self.j_starts[n + 1]:
-                return n
-        raise ValueError(f"{e} outside every coded block")
+        if e < 0 or e >= self.j_starts[self.depth]:
+            raise ValueError(f"{e} outside every coded block")
+        return bisect_right(self.j_starts, e) - 1
 
     def encode(self, n: int, values: Sequence[int]) -> int:
         """Mixed-radix code of a tuple on I_n, lowest position least significant."""
@@ -184,6 +184,13 @@ class ShadowSet:
         return len(self.elements) <= self.size_bound < self.capacity
 
 
+def _touched_by_prefix(fn: FiniteFunction, lo: int, hi: int) -> tuple[int, ...]:
+    """Images and preimages of the prefix [0, lo) inside [lo, hi), sorted."""
+    elems = {v for v in fn.values[:lo] if lo <= v < hi}
+    elems.update(x for x in range(lo, hi) if fn.values[x] < lo)
+    return tuple(sorted(elems))
+
+
 def shadow_set(system: BlockSystem, fn: FiniteFunction, n: int) -> ShadowSet:
     """S_f(n): images and preimages of the earlier J-prefix inside J_n.
 
@@ -198,21 +205,8 @@ def shadow_set(system: BlockSystem, fn: FiniteFunction, n: int) -> ShadowSet:
         raise ValueError("function window does not cover the coded prefix")
     if not fn.injective_on_window:
         raise ValueError("shadow sets need an injective function")
-    elems = set()
-    for x in range(lo):
-        v = fn.values[x]
-        if lo <= v < hi:
-            elems.add(v)
-    for x in range(lo, hi):
-        if fn.values[x] < lo:
-            elems.add(x)
     size = system.interval(n)
-    return ShadowSet(
-        n,
-        tuple(sorted(elems)),
-        2 * lo,
-        size[1] - size[0],
-    )
+    return ShadowSet(n, _touched_by_prefix(fn, lo, hi), 2 * lo, size[1] - size[0])
 
 
 def meeting_function(
@@ -336,10 +330,9 @@ class MeasuredBlocks:
         return self.sizes[n] * self.unit_masses[n]
 
     def block_of_point(self, x: int) -> int:
-        for n in range(len(self.sizes)):
-            if self.starts[n] <= x < self.starts[n + 1]:
-                return n
-        raise ValueError(f"{x} outside every block")
+        if x < 0 or x >= self.starts[-1]:
+            raise ValueError(f"{x} outside every block")
+        return bisect_right(self.starts, x) - 1
 
     def to_json(self) -> dict:
         return {
@@ -402,17 +395,8 @@ def bad_set(blocks: MeasuredBlocks, fn: FiniteFunction, n: int) -> BadSetBlock:
         raise ValueError("function window does not cover the block prefix")
     if not fn.injective_on_window:
         raise ValueError("bad sets need an injective function")
-    elems = set()
-    for x in range(lo):
-        v = fn.values[x]
-        if lo <= v < hi:
-            elems.add(v)
-    for x in range(lo, hi):
-        if fn.values[x] < lo:
-            elems.add(x)
-    return BadSetBlock(
-        n, tuple(sorted(elems)), len(elems) * blocks.unit_masses[n]
-    )
+    elems = _touched_by_prefix(fn, lo, hi)
+    return BadSetBlock(n, elems, len(elems) * blocks.unit_masses[n])
 
 
 def ed_membership(

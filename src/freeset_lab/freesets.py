@@ -212,32 +212,33 @@ def max_free_subset(
 def is_maximal_free(
     subset: Subset, family: Sequence[FiniteFunction], window: int
 ) -> bool:
-    """True when the set is free and no point of the window can join it."""
+    """True when the set is free and no point of the window can join it.
+
+    One scan over each function's in-window edges (x, f(x)): an edge
+    inside the set means it is not free, and an edge with one end in the
+    set blocks the other end. The set is maximal exactly when every point
+    of the window is in it or blocked. O(window * |family|).
+    """
+    if subset.window != window:
+        raise ValueError("subset window does not match search window")
     for fn in family:
         if fn.window < window:
             raise ValueError("family function window smaller than search window")
-    members = set(subset.elements)
+    member = [False] * window
+    for x in subset.elements:
+        member[x] = True
+    covered = member.copy()
     for fn in family:
-        for x in subset.elements:
-            y = fn.values[x]
-            if y < window and y in members:
-                return False
-    for v in range(window):
-        if v in members:
-            continue
-        grown = members | {v}
-        blocked = False
-        for fn in family:
-            for x in grown:
-                y = fn.values[x]
-                if y < window and y in grown and y != x:
-                    blocked = True
-                    break
-            if blocked:
-                break
-        if not blocked:
-            return False
-    return True
+        for x, y in zip(range(window), fn.values):
+            if y >= window:
+                continue
+            if member[x]:
+                if member[y]:
+                    return False
+                covered[y] = True
+            elif member[y]:
+                covered[x] = True
+    return all(covered)
 
 
 def find_unsplit_set(

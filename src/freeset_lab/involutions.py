@@ -70,8 +70,9 @@ class Involution:
         fixed-point-free, and the exits are boundary edges that freeness
         checks already ignore.
         """
+        exceptions = set(self.exceptions)
         vals = tuple(
-            self.window if x in set(self.exceptions) else y
+            self.window if x in exceptions else y
             for x, y in enumerate(self.pairing)
         )
         return FiniteFunction(vals)

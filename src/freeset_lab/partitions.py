@@ -133,50 +133,80 @@ def escape_intervals(fn: FiniteFunction) -> IntervalPartition:
     f^{-1}[0..h(n)] and h(n) itself, truncated at the window edge. The
     recurrence is minimal, so the blocks are the shortest ones with the
     escape property.
+
+    One pass fills the in-window preimage pre[y]; a second keeps the
+    running maximum reach(h) = max(h, f[0..h], pre[0..h]) and reads each
+    endpoint h(n+1) = min(reach(h(n)) + 1, N) off it as h passes h(n).
+    O(N) in all, with no rescan per block.
     """
     if not fn.injective_on_window:
         raise ValueError("escape intervals need an injective function")
     n = fn.window
+    pre = [0] * n
+    for x, y in enumerate(fn.values):
+        if y < n:
+            pre[y] = x
     ends = [0]
-    while ends[-1] < n:
-        h = ends[-1]
-        top = h
-        for x in range(h + 1):
-            if fn.values[x] > top:
-                top = fn.values[x]
-        for x in range(n):
-            if fn.values[x] <= h and x > top:
-                top = x
-        ends.append(min(top + 1, n))
+    # f[0..h] holds h + 1 distinct values, so the maximum is already >= h
+    reach = 0
+    for h, (y, x) in enumerate(zip(fn.values, pre)):
+        if y > reach:
+            reach = y
+        if x > reach:
+            reach = x
+        if h == ends[-1]:
+            if reach + 1 >= n:
+                ends.append(n)
+                break
+            ends.append(reach + 1)
     return IntervalPartition(tuple(ends))
 
 
 def verify_escape(
     partition: IntervalPartition, fn: FiniteFunction
 ) -> tuple[tuple[int, int, int], ...]:
-    """Direct scan of the escape property, independent of the recurrence.
+    """Direct check of the escape property, independent of the recurrence.
 
     For every endpoint pair (h_i, h_{i+1}) with h_{i+1} strictly inside
     the window: points up to h_i must map below h_{i+1}, and points
     mapping to or below h_i must sit below h_{i+1}. Violations are
-    reported as (block index, point, its image). The final endpoint is
-    exempt when it reaches the window edge, where truncation cuts the
+    reported as (block index, point, its image), ordered by block, then
+    forward before backward, then point. The final endpoint is exempt
+    when it reaches the window edge, where truncation cuts the
     recurrence short.
+
+    The tightest pair a point z must respect is the first i with z <= h_i,
+    so bound[z] = h_{i+1} is filled block by block with slice assignment.
+    Each point x then makes two checks, f(x) < bound[x] and, for an
+    in-window image, x < bound[f(x)]; only a failing point walks its
+    further violated pairs. O(N + blocks + violations).
     """
     n = fn.window
+    vals = fn.values
     ends = partition.endpoints
+    # pairs 0 .. checked - 1 are the ones whose h_{i+1} lies inside the window
+    checked = bisect_left(ends, n) - 1
+    bound = [max(n, max(vals) + 1)] * n
+    lo = 0
+    for i in range(checked):
+        bound[lo : ends[i] + 1] = [ends[i + 1]] * (ends[i] + 1 - lo)
+        lo = ends[i] + 1
     bad = []
-    for i in range(len(ends) - 1):
-        h, nxt = ends[i], ends[i + 1]
-        if nxt >= n:
-            continue
-        for x in range(min(h, n - 1) + 1):
-            if fn.values[x] >= nxt:
-                bad.append((i, x, fn.values[x]))
-        for x in range(n):
-            if fn.values[x] <= h and x >= nxt:
-                bad.append((i, x, fn.values[x]))
-    return tuple(bad)
+    for x, y in enumerate(vals):
+        if y >= bound[x]:
+            # forward: x <= h_i forces f(x) < h_{i+1}
+            i = bisect_left(ends, x)
+            while i < checked and y >= ends[i + 1]:
+                bad.append((i, 0, x, y))
+                i += 1
+        if y < n and x >= bound[y]:
+            # backward: f(x) <= h_i forces x < h_{i+1}
+            i = bisect_left(ends, y)
+            while i < checked and x >= ends[i + 1]:
+                bad.append((i, 1, x, y))
+                i += 1
+    bad.sort()
+    return tuple((i, x, y) for i, _, x, y in bad)
 
 
 def localized_function(g: FiniteFunction, subset: Subset) -> FiniteFunction:

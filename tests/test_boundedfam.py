@@ -235,6 +235,24 @@ def test_fin_blocks_use_counting_measure():
     assert all(m == 1 for m in blocks.unit_masses)
 
 
+def test_block_lookup_skips_empty_blocks():
+    blocks = ed_fin_blocks(3)
+    assert blocks.starts == (0, 0, 1, 3, 6)
+    # block 0 is empty, so point 0 sits in block 1
+    assert [blocks.block_of_point(x) for x in range(6)] == [1, 2, 2, 3, 3, 3]
+    for outside in (-1, 6):
+        with pytest.raises(ValueError):
+            blocks.block_of_point(outside)
+
+
+def test_coded_block_lookup_bounds():
+    system = build_block_system(constant_growth(2, 2), 2)
+    assert [system.block_of_point(e) for e in (0, 1, 2, 33)] == [0, 0, 1, 1]
+    for outside in (-1, 34):
+        with pytest.raises(ValueError):
+            system.block_of_point(outside)
+
+
 def test_measured_json_round_trip():
     blocks = build_ed_blocks(3)
     doc = blocks.to_json()

@@ -9,12 +9,15 @@ field is masked.
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import freeset_lab
 from freeset_lab.cli import main
 
 TIMING = re.compile(r'"elapsed_seconds": [0-9.e+-]+')
@@ -144,6 +147,9 @@ def test_batch_reruns_are_byte_identical_modulo_timing(capsys):
 
 
 def test_python_dash_m_runs():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(freeset_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -155,6 +161,7 @@ def test_python_dash_m_runs():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

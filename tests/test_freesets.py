@@ -25,6 +25,7 @@ from freeset_lab.freesets import (
 )
 from freeset_lab.funcgraph import (
     FiniteFunction,
+    Lcg64,
     Subset,
     image_overlap,
     is_free,
@@ -151,6 +152,72 @@ def test_greedy_is_free_and_maximal():
         got = max_free_subset(fam, 20, mode="greedy")
         assert all(is_free(got, fn) for fn in fam)
         assert is_maximal_free(got, fam, 20)
+
+
+def _maximal_free_oracle(elems, family, window) -> bool:
+    """Free, and every outside point closes an in-window edge when added."""
+
+    def free(points):
+        return not any(
+            fn.values[x] < window and fn.values[x] in points
+            for fn in family
+            for x in points
+        )
+
+    members = set(elems)
+    if not free(members):
+        return False
+    return all(not free(members | {v}) for v in range(window) if v not in members)
+
+
+def test_non_free_set_is_not_maximal():
+    fn = FiniteFunction([1, 2, 3, 0])
+    assert not is_maximal_free(Subset.of(4, [0, 1]), [fn], 4)
+
+
+def test_greedy_set_minus_a_point_is_not_maximal():
+    for seed in range(10):
+        fam = [random_fpf_function(seed, 16), random_fpf_function(seed + 3, 16)]
+        got = max_free_subset(fam, 16, mode="greedy")
+        for x in got.elements:
+            smaller = Subset(16, tuple(e for e in got.elements if e != x))
+            assert not is_maximal_free(smaller, fam, 16)
+
+
+def test_empty_set_is_not_maximal_under_an_in_window_edge():
+    fn = FiniteFunction([5, 0, 7, 9, 8])
+    assert not is_maximal_free(Subset(5, ()), [fn], 5)
+    assert not is_maximal_free(Subset(5, ()), [], 5)
+    # with every edge leaving the window, the whole window is free
+    exits = FiniteFunction([5, 6, 7, 8, 9])
+    assert is_maximal_free(Subset(5, tuple(range(5))), [exits], 5)
+
+
+def test_maximality_matches_brute_force_with_window_exits():
+    rng = Lcg64(77)
+    checked = 0
+    for seed in range(150):
+        n = 3 + seed % 10
+        # windows of n + 3 give exits past the search window, and the
+        # injective draw exits its own window as well
+        fam = [
+            random_fpf_function(seed, n + 3, injective=True),
+            random_fpf_function(seed + 500, n + 3),
+        ]
+        sets = [max_free_subset(fam, n, mode="greedy").elements]
+        for _ in range(6):
+            sets.append(tuple(x for x in range(n) if rng.below(2)))
+        for elems in sets:
+            got = is_maximal_free(Subset(n, elems), fam, n)
+            assert got == _maximal_free_oracle(elems, fam, n)
+            checked += got
+    assert checked >= 150
+
+
+def test_maximality_requires_the_search_window():
+    fn = FiniteFunction([1, 2, 3, 0])
+    with pytest.raises(ValueError):
+        is_maximal_free(Subset(3, (0, 2)), [fn], 4)
 
 
 def test_exact_refuses_oversized_window():

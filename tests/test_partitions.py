@@ -1,17 +1,23 @@
 """Interval partitions, escape blocks, and localization.
 
-verify_escape is a direct rescan of the defining inequality and serves
-as the oracle for escape_intervals; domination and localization get
-hand-checked frozen examples plus negative controls with planted
-violations.
+verify_escape rescans the defining inequality point by point, each point
+against its tightest endpoint pair, and serves as the oracle for
+escape_intervals. Both are also pinned to the plain O(N * blocks)
+recurrence and rescan kept below as references. Domination and
+localization get hand-checked frozen examples plus negative controls
+with planted violations.
 """
 
 from __future__ import annotations
+
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeset_lab.freesets import is_maximal_free, max_free_subset
 from freeset_lab.funcgraph import FiniteFunction, Subset, random_fpf_function
 from freeset_lab.partitions import (
     IntervalPartition,
@@ -145,6 +151,98 @@ def test_rescan_catches_planted_bad_block():
     too_fine = IntervalPartition((0, 3, 12, 18))
     bad = verify_escape(too_fine, fn)
     assert bad, "a block boundary inside an image range must be flagged"
+
+
+def _escape_reference(fn):
+    """The recurrence with a full rescan per block, O(N * blocks)."""
+    n = fn.window
+    ends = [0]
+    while ends[-1] < n:
+        h = ends[-1]
+        top = h
+        for x in range(h + 1):
+            top = max(top, fn.values[x])
+        for x in range(n):
+            if fn.values[x] <= h:
+                top = max(top, x)
+        ends.append(min(top + 1, n))
+    return tuple(ends)
+
+
+def _violations_reference(ends, fn):
+    """Every point against every endpoint pair inside the window."""
+    n = fn.window
+    bad = []
+    for i in range(len(ends) - 1):
+        h, nxt = ends[i], ends[i + 1]
+        if nxt >= n:
+            continue
+        for x in range(h + 1):
+            if fn.values[x] >= nxt:
+                bad.append((i, x, fn.values[x]))
+        for x in range(n):
+            if fn.values[x] <= h and x >= nxt:
+                bad.append((i, x, fn.values[x]))
+    return tuple(bad)
+
+
+def _shift(k, n):
+    return FiniteFunction([x + k for x in range(n)])
+
+
+def test_escape_matches_reference_on_seeded_functions():
+    for seed in range(300):
+        fn = random_fpf_function(seed, 2 + seed % 150, injective=True)
+        partition = escape_intervals(fn)
+        assert partition.endpoints == _escape_reference(fn)
+        assert verify_escape(partition, fn) == ()
+
+
+def test_escape_matches_reference_on_shifts():
+    for k in range(1, 6):
+        for n in (k + 1, 2 * k + 1, 37, 120):
+            fn = _shift(k, n)
+            partition = escape_intervals(fn)
+            assert partition.endpoints == _escape_reference(fn)
+            assert verify_escape(partition, fn) == ()
+
+
+def test_violations_match_reference_on_planted_partitions():
+    rng = random.Random(20240)
+    flagged = 0
+    for seed in range(400):
+        n = rng.randint(2, 60)
+        fn = random_fpf_function(seed, n, injective=True)
+        for _ in range(5):
+            # endpoints may run past the window, up to n + 3
+            inner = rng.sample(range(1, n + 4), rng.randint(1, min(n, 10)))
+            ends = (0, *sorted(inner))
+            got = verify_escape(IntervalPartition(ends), fn)
+            assert got == _violations_reference(ends, fn)
+            flagged += bool(got)
+    assert flagged > 1000
+
+
+def test_violations_match_reference_on_too_fine_shift_blocks():
+    for k in range(1, 6):
+        fn = _shift(k, 40)
+        ends = tuple(range(0, 41, k))
+        got = verify_escape(IntervalPartition(ends), fn)
+        assert got and got == _violations_reference(ends, fn)
+
+
+def test_escape_and_maximality_scale_linearly():
+    # the O(N * blocks) versions need tens of seconds here
+    n = 20000
+    fn = _shift(1, n)
+    start = time.perf_counter()
+    partition = escape_intervals(fn)
+    assert verify_escape(partition, fn) == ()
+    found = max_free_subset([fn], n, "greedy")
+    assert is_maximal_free(found, [fn], n)
+    assert time.perf_counter() - start < 5.0
+    assert partition.block_count == n // 2
+    assert found.elements == tuple(range(0, n, 2))
 
 
 # === localization ===
