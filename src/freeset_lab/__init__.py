@@ -31,7 +31,6 @@ from .boundedfam import (
 from .freesets import (
     Coloring,
     find_unsplit_set,
-    free_report,
     is_maximal_free,
     katetov_partition,
     max_free_subset,

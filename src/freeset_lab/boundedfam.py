@@ -270,7 +270,6 @@ def verify_freeness_claim(
     system: BlockSystem,
     fn: FiniteFunction,
     h: Sequence[int],
-    window: Optional[int] = None,
 ) -> ClaimReport:
     """Certify every edge of f inside the coded set of h by a shadow membership.
 
@@ -282,8 +281,6 @@ def verify_freeness_claim(
     """
     if len(h) != system.i_endpoints[-1]:
         raise ValueError("tuple must cover the whole interval prefix")
-    if window is None:
-        window = system.j_starts[-1]
     coded = []
     for n in range(system.depth):
         lo, hi = system.interval(n)
@@ -294,7 +291,7 @@ def verify_freeness_claim(
         if x >= fn.window:
             continue
         y = fn.values[x]
-        if y in members and y < window:
+        if y in members:
             edges.append((x, y))
     certified = []
     uncertified = []
@@ -475,18 +472,14 @@ def infinitely_equal(
     left: Sequence[int],
     right: Sequence[int],
     g: GrowthFunction,
-    window: Optional[int] = None,
 ) -> tuple[int, ...]:
-    """Positions where two g-bounded sequences agree.
+    """Positions where two g-bounded sequences agree, up to the shortest length.
 
     Many matches is the finite face of infinite equality, none beyond a
     prefix the face of eventual difference; the caller chooses the
     threshold, this only reports the positions.
     """
-    if window is None:
-        window = min(len(left), len(right), len(g.values))
-    if window > min(len(left), len(right), len(g.values)):
-        raise ValueError("window exceeds a sequence length")
+    window = min(len(left), len(right), len(g.values))
     for i in range(window):
         if not 0 <= left[i] < g.values[i]:
             raise ValueError(f"left sequence breaks the bound at {i}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .funcgraph import FiniteFunction, Subset, image_overlap
+from .funcgraph import FiniteFunction, Subset
 
 EXACT_WINDOW_CAP = 24
 
@@ -117,11 +117,12 @@ def verify_coloring(
 
 
 def _family_adjacency(family: Sequence[FiniteFunction], window: int) -> list[int]:
-    """Undirected adjacency bitmasks of the union edge graph on [0, window)."""
+    """Undirected adjacency bitmasks of the union edge graph on [0, window).
+
+    Every function must cover the window; max_free_subset checks that.
+    """
     adj = [0] * window
     for fn in family:
-        if fn.window < window:
-            raise ValueError("family function window smaller than search window")
         for x in range(window):
             y = fn.values[x]
             if y < window:
@@ -248,9 +249,10 @@ def find_unsplit_set(
 
     Points sharing the same color signature across all colorings are
     exactly the sets no coloring can split, so the largest signature
-    bucket is the answer. Returns the set and the per-coloring color
-    vector, or None when every bucket is smaller than min_size. Ties on
-    size break to the lexicographically smallest element list.
+    bucket is the answer, found in O(window * colorings). Returns the set
+    and the per-coloring color vector, or None when every bucket is
+    smaller than min_size. Ties on size break to the lexicographically
+    smallest element list.
     """
     if not colorings:
         raise ValueError("need at least one coloring")
@@ -258,8 +260,6 @@ def find_unsplit_set(
     for c in colorings:
         if c.window != window:
             raise ValueError("colorings disagree on the window")
-    if window > EXACT_WINDOW_CAP:
-        raise ValueError(f"unsplit search capped at window {EXACT_WINDOW_CAP}")
     buckets: dict[tuple[int, ...], list[int]] = {}
     for x in range(window):
         sig = tuple(c.colors[x] for c in colorings)
@@ -275,10 +275,3 @@ def find_unsplit_set(
     if best_sig is None or len(best_members) < min_size:
         return None
     return Subset(window, tuple(best_members)), best_sig
-
-
-def free_report(
-    subset: Subset, family: Sequence[FiniteFunction]
-) -> tuple[int, ...]:
-    """Size of f[A] intersected with A, per function in the family."""
-    return tuple(len(image_overlap(subset, fn).elements) for fn in family)

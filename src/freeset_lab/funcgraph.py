@@ -12,7 +12,7 @@ partition constructions consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
@@ -62,7 +62,6 @@ class FiniteFunction:
     """
 
     values: tuple[int, ...]
-    fixed_point_free: bool = field(init=False)
     injective_on_window: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -70,15 +69,15 @@ class FiniteFunction:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("empty window")
-        fpf = True
+        # one pass; a negative value anywhere is reported before a fixed point
+        fixed_point = False
         for x, v in enumerate(vals):
             if v < 0:
                 raise ValueError(f"negative value at {x}")
             if v == x:
-                fpf = False
-        if not fpf:
+                fixed_point = True
+        if fixed_point:
             raise ValueError("function has a fixed point")
-        object.__setattr__(self, "fixed_point_free", True)
         seen: set[int] = set()
         inj = True
         for v in vals:
@@ -278,7 +277,7 @@ def is_free(subset: Subset, fn: FiniteFunction) -> bool:
 
 
 def random_fpf_function(
-    seed: int, n: int, injective: bool = False, rng: Optional[Lcg64] = None
+    seed: int, n: int, injective: bool = False
 ) -> FiniteFunction:
     """Draw a fixed-point-free function on [0, n) from a seed.
 
@@ -292,7 +291,7 @@ def random_fpf_function(
     if n == 1:
         # the only fixed-point-free choice is a boundary exit
         return FiniteFunction((1,))
-    gen = rng if rng is not None else Lcg64(seed)
+    gen = Lcg64(seed)
     if not injective:
         vals = []
         for i in range(n):

@@ -98,9 +98,13 @@ class DecompositionResult:
     """Four involutions covering a function's graph, plus the bookkeeping.
 
     uncovered_edges lists in-window edges of the original function no
-    part covers, which is empty for every cover built here. case
-    classifies the input only: 2 when the count of odd cycles is odd and
-    no path is present, 1 otherwise.
+    part covers. The constructor covers every orbit in place, so it
+    always returns this empty without rescanning its own parts. The
+    field stays because the report schema carries it (the "uncovered"
+    key and the batch rows' count), and verify_decomposition recomputes
+    coverage on its own and rejects any claimed edge. case classifies
+    the input only: 2 when the count of odd cycles is odd and no path is
+    present, 1 otherwise.
     """
 
     parts: tuple[Involution, Involution, Involution, Involution]
@@ -192,12 +196,7 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
         pair_lists[1].extend(p1)
         pair_lists[2].extend(p2)
     parts = tuple(_canonical_pairing(pl, fn.window) for pl in pair_lists)
-    uncovered = tuple(
-        (x, y)
-        for x, y in fn.in_window_edges()
-        if not any(p.pairing[x] == y for p in parts)
-    )
-    return DecompositionResult(parts, uncovered, case)
+    return DecompositionResult(parts, (), case)
 
 
 def verify_decomposition(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .funcgraph import FiniteFunction, Subset
 
@@ -19,7 +19,14 @@ EXACT_DIM_CAP = 22
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    """An exact rational from text such as "3", "-1/2" or "0.25".
+
+    Malformed text, a zero denominator included, raises ValueError.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in fraction {text!r}") from None
 
 
 def format_fraction(value: Fraction) -> str:
@@ -171,7 +178,9 @@ def find_fragmenting_set(
     or None when even the best falls short of min_size. Greedy mode grows
     the set by repeatedly adding the index whose addition keeps the
     largest off-diagonal row sum smallest (ties to the lowest index),
-    stopping when nothing fits below eps. A finite window may simply have
+    stopping when nothing fits below eps; every running row sum stays
+    below eps, so the set fragments by construction and is left to
+    verify_fragmentation to check. A finite window may simply have
     no fragmenting set of the requested size; None is an answer, not an
     error.
     """
@@ -212,11 +221,9 @@ def find_fragmenting_set(
                 (matrix.entries[best_idx][u] for u in chosen), Fraction(0)
             )
             chosen.append(best_idx)
-        chosen.sort()
-        candidate = Subset(dim, tuple(chosen))
-        if len(chosen) < min_size or not fragments(matrix, candidate, eps).ok:
+        if len(chosen) < min_size:
             return None
-        return candidate
+        return Subset(dim, tuple(sorted(chosen)))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     if dim > EXACT_DIM_CAP:

@@ -50,13 +50,37 @@ def test_violation_exits_one(capsys):
     )
     assert code == 1
     assert doc["ok"] is False
-    assert doc["violations"]
+    assert doc["result"]["per_function"] == [{"intersection": [1], "size": 1}]
+    assert doc["violations"] == [{"function": 0, "size": 1}]
 
 
 def test_malformed_function_exits_two(capsys):
     code, doc, _ = _run(capsys, "orbits", "--fn", '{"n": 3, "values": [0, 1, 2]}')
     assert code == 2
     assert "error" in doc
+
+
+def _matrix(bound="1", entry="1") -> str:
+    rows = [["0", entry], ["1", "0"]]
+    return json.dumps({"k": 2, "n": 2, "row_bound": bound, "entries": rows})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rosenthal", "check", "--matrix", _matrix(), "--set", "[0]", "--eps", "1/0"],
+        ["rosenthal", "search", "--matrix", _matrix(), "--eps", "1/0"],
+        ["ed", "member", "--depth", "2", "--set", "[1, 2]", "--k", "1/0"],
+        ["rosenthal", "search", "--matrix", _matrix(entry="1/0"), "--eps", "1"],
+        ["rosenthal", "search", "--matrix", _matrix(bound="1/0"), "--eps", "1"],
+    ],
+    ids=["eps-check", "eps-search", "k", "matrix-entry", "row-bound"],
+)
+def test_zero_denominator_exits_two(capsys, argv):
+    code, doc, _ = _run(capsys, *argv)
+    assert code == 2
+    assert doc["ok"] is False
+    assert "'1/0'" in doc["error"]
 
 
 def test_missing_file_exits_two(capsys):

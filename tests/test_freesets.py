@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from freeset_lab.freesets import (
     Coloring,
     find_unsplit_set,
-    free_report,
     is_maximal_free,
     katetov_partition,
     max_free_subset,
@@ -231,12 +230,6 @@ def test_family_window_must_cover_search_window():
         max_free_subset(fam, 5, mode="greedy")
 
 
-def test_free_report_counts_hits():
-    fn = FiniteFunction([1, 2, 0])
-    a = Subset.of(3, [0, 1])
-    assert free_report(a, [fn]) == (1,)
-
-
 # === unsplit sets ===
 
 
@@ -287,6 +280,18 @@ def test_unsplit_matches_oracle_on_seeded_families():
             subset, choice = got
             assert table[choice] == subset.elements
             assert all(len(v) <= len(subset.elements) for v in table.values())
+
+
+def test_unsplit_search_runs_on_large_windows():
+    fns = [random_fpf_function(seed, 1000) for seed in (7, 8)]
+    cols = [katetov_partition(fn) for fn in fns]
+    got = find_unsplit_set(cols, 1)
+    assert got is not None
+    subset, choice = got
+    table = _unsplit_oracle(cols, 1)
+    assert table[choice] == subset.elements
+    best = max(len(v) for v in table.values())
+    assert subset.elements == min(v for v in table.values() if len(v) == best)
 
 
 def test_unsplit_requires_matching_windows():

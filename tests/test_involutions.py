@@ -60,7 +60,7 @@ def test_as_function_reroutes_exceptions_out_of_window():
     inv = Involution(3, (1, 0, 2), (2,))
     fn = inv.as_function()
     assert fn.values == (1, 0, 3)
-    assert fn.fixed_point_free
+    assert all(v != x for x, v in enumerate(fn.values))
 
 
 def test_involution_json_round_trip():
@@ -222,7 +222,8 @@ def test_patch_three_element_case():
     h = Involution(3, (1, 0, 2), (2,))
     fn = patch_fixed_point(h, 0)
     assert fn.values == (2, 0, 1)
-    assert fn.fixed_point_free and fn.injective_on_window
+    assert all(v != x for x, v in enumerate(fn.values))
+    assert fn.injective_on_window
 
 
 def test_patch_differs_only_at_two_points():
@@ -231,7 +232,8 @@ def test_patch_differs_only_at_two_points():
     fn = patch_fixed_point(h, 0)
     diff = [k for k in range(7) if fn.values[k] != h.pairing[k]]
     assert diff == [0, 4]
-    assert fn.fixed_point_free and fn.injective_on_window
+    assert all(v != x for x, v in enumerate(fn.values))
+    assert fn.injective_on_window
 
 
 def test_patch_rejects_two_fixed_points():

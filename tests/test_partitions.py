@@ -94,7 +94,7 @@ def test_parity_partition_function():
     part = PartitionIntoParts(10, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
     fn = partition_function(part)
     assert fn.values == (1, 2, 0, 1, 0, 1, 0, 1, 0, 1)
-    assert fn.fixed_point_free
+    assert all(v != x for x, v in enumerate(fn.values))
 
 
 def test_partition_function_finds_no_fixed_point_anywhere():

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeset_lab.funcgraph import FiniteFunction, Subset, is_free, random_fpf_function
+from freeset_lab.funcgraph import (
+    FiniteFunction,
+    Lcg64,
+    Subset,
+    is_free,
+    random_fpf_function,
+)
 from freeset_lab.rosenthal import (
     RosenthalMatrix,
     find_fragmenting_set,
@@ -179,6 +185,37 @@ def test_greedy_search_is_certified():
         if got is not None:
             assert verify_fragmentation(m, got, Fraction(1)).ok
             assert len(got.elements) >= 2
+
+
+def _rational_matrix(seed, dim):
+    """Rows with 3 positive entries in random off-diagonal columns, each a
+    random share (denominators 2..12) of at most half the row's remaining
+    budget, so every row sums below 1."""
+    rng = Lcg64(seed)
+    rows = []
+    for k in range(dim):
+        row = [Fraction(0)] * dim
+        budget = Fraction(1)
+        cols = [j for j in range(dim) if j != k]
+        rng.shuffle(cols)
+        for j in cols[:3]:
+            d = 2 + rng.below(11)
+            v = Fraction(1 + rng.below(d), d) * budget / 2
+            row[j] = v
+            budget -= v
+        rows.append(tuple(row))
+    return RosenthalMatrix(dim, dim, tuple(rows), Fraction(1))
+
+
+def test_greedy_search_on_rational_matrices_is_certified():
+    for seed in range(20):
+        m = _rational_matrix(seed, 6 + seed % 15)
+        for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            got = find_fragmenting_set(m, eps, 1, "greedy")
+            # every singleton fragments, so a set is always found
+            assert got is not None
+            assert len(got.elements) >= 1
+            assert verify_fragmentation(m, got, eps).ok
 
 
 def test_exact_refuses_oversized_instance():
