@@ -295,6 +295,7 @@ def verify_freeness_claim(
             edges.append((x, y))
     certified = []
     uncertified = []
+    shadows: dict[int, frozenset[int]] = {}
     for x, y in edges:
         mx = system.block_of_point(x)
         my = system.block_of_point(y)
@@ -303,7 +304,9 @@ def verify_freeness_claim(
             continue
         target = max(mx, my)
         witness = y if my == target else x
-        if witness in shadow_set(system, fn, target).elements:
+        if target not in shadows:
+            shadows[target] = frozenset(shadow_set(system, fn, target).elements)
+        if witness in shadows[target]:
             certified.append((x, y, target))
         else:
             uncertified.append((x, y))

@@ -43,6 +43,7 @@ from .funcgraph import (
     FiniteFunction,
     Subset,
     image_overlap,
+    json_ints,
     orbit_decomposition,
     random_fpf_function,
     verify_orbits,
@@ -89,7 +90,7 @@ def _load_fn(text: str) -> FiniteFunction:
 
 
 def _load_set(text: str, window: int) -> Subset:
-    return Subset.of(window, (int(x) for x in _load_doc(text)))
+    return Subset.of(window, json_ints(_load_doc(text), "set"))
 
 
 def _load_growth(text: str, depth: int) -> GrowthFunction:

@@ -11,6 +11,7 @@ partition constructions consume.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -106,10 +107,35 @@ class FiniteFunction:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteFunction":
-        vals = tuple(int(v) for v in doc["values"])
-        if int(doc["n"]) != len(vals):
+        if not isinstance(doc, dict):
+            raise ValueError(
+                'a function must be a JSON object {"n": N, "values": [...]}'
+            )
+        vals = json_ints(doc["values"], "values")
+        if json_int(doc["n"], "n") != len(vals):
             raise ValueError("declared window does not match value count")
         return cls(vals)
+
+
+def json_int(value: object, what: str) -> int:
+    """A JSON integer, refusing true/false and non-integral numbers.
+
+    bool is a subclass of int and int(1.5) truncates, so int() would
+    coerce both silently.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} is {json.dumps(value)}, not an integer")
+    return value
+
+
+def json_ints(items: object, what: str) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple; an error names the first bad index."""
+    if not isinstance(items, list):
+        raise ValueError(f"{what} must be a JSON array of integers")
+    if not all(type(v) is int for v in items):
+        i = next(i for i, v in enumerate(items) if type(v) is not int)
+        json_int(items[i], f"{what}[{i}]")
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -148,9 +174,9 @@ class Subset:
 class Orbit:
     """One orbit of an injective window function.
 
-    kind is "cycle" or "path". Cycle nodes are rotated so the smallest node
-    comes first; following the function from each node gives the next, and
-    the last node maps back to the first. Path nodes run in function order
+    kind is "cycle" or "path". Cycle nodes start at the smallest node;
+    following the function from each node gives the next, and the last
+    node maps back to the first. Path nodes run in function order
     from the unique entry point, which has no preimage inside the window,
     and the final node maps past the window edge.
     """
@@ -161,6 +187,8 @@ class Orbit:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
+    """The orbits of a window function, in ascending order of first node."""
+
     window: int
     orbits: tuple[Orbit, ...]
 
@@ -214,8 +242,7 @@ def orbit_decomposition(fn: FiniteFunction) -> OrbitDecomposition:
             nodes.append(x)
             seen[x] = True
             x = fn.values[x]
-        k = nodes.index(min(nodes))
-        nodes = nodes[k:] + nodes[:k]
+        # the scan ascends, so start is the cycle's least node
         orbits.append(Orbit("cycle", tuple(nodes)))
     orbits.sort(key=lambda o: o.nodes[0])
     return OrbitDecomposition(n, tuple(orbits))
@@ -224,9 +251,10 @@ def orbit_decomposition(fn: FiniteFunction) -> OrbitDecomposition:
 def verify_orbits(fn: FiniteFunction, dec: OrbitDecomposition) -> tuple[str, ...]:
     """Re-check a decomposition against the function; returns complaints.
 
-    Confirms the orbits partition the window, consecutive nodes are
-    f-edges, cycles close, paths exit the window, and path heads have no
-    in-window preimage.
+    Confirms the orbits partition the window in ascending order of first
+    node, consecutive nodes are f-edges, cycles close and start at their
+    least node, paths exit the window, and path heads have no in-window
+    preimage.
     """
     n = fn.window
     complaints = []
@@ -235,7 +263,11 @@ def verify_orbits(fn: FiniteFunction, dec: OrbitDecomposition) -> tuple[str, ...
         return tuple(complaints)
     seen: set[int] = set()
     image = {v for v in fn.values if v < n}
+    prev_first = -1
     for idx, orbit in enumerate(dec.orbits):
+        if orbit.nodes[0] <= prev_first:
+            complaints.append(f"orbit {idx} is out of order")
+        prev_first = orbit.nodes[0]
         for node in orbit.nodes:
             if node in seen:
                 complaints.append(f"node {node} repeats")
@@ -247,6 +279,8 @@ def verify_orbits(fn: FiniteFunction, dec: OrbitDecomposition) -> tuple[str, ...
         if orbit.kind == "cycle":
             if fn.values[last] != orbit.nodes[0]:
                 complaints.append(f"cycle {idx} does not close")
+            if orbit.nodes[0] != min(orbit.nodes):
+                complaints.append(f"cycle {idx} does not start at its least node")
         elif orbit.kind == "path":
             if fn.values[last] < n:
                 complaints.append(f"path {idx} does not exit the window")

@@ -1,15 +1,16 @@
 """Covering a fixed-point-free injection by four involutions.
 
 Every fixed-point-free injective function on a window can have its graph
-covered by four fixed-point-free involutions, each orbit on its own:
+covered by four fixed-point-free involutions, each orbit on its own.
+Each path is walked from its head (the point with no in-window
+preimage), then each cycle from its least node, and edge t of the walk,
+from its t-th node to the next, goes straight into one part:
 
-* an even cycle splits into alternating pair swaps, two parts;
-* a path (an orbit cut off by the window edge) spreads its edges over
-  three parts: even positions, positions 1 mod 4, positions 3 mod 4;
-* an odd cycle a_0 .. a_k takes every second edge starting at a_0 into
-  one part (dropping a_k), every second edge starting at a_1 into a
-  second (dropping a_0), and the chord (a_0, a_k) into a third, which
-  covers the closing edge.
+* a path sends even t to part 0, t = 1 mod 4 to part 1 and t = 3 mod 4
+  to part 2, so no two edges of one part share a node;
+* a cycle sends even t to part 0 and odd t to part 1, except that the
+  closing edge of an odd cycle a_0 .. a_k, whose t = k is even, goes to
+  part 2: that is the chord (a_0, a_k).
 
 Orbits are disjoint, so the per-orbit pairs never collide and every
 in-window edge is covered. Leftover points of each part are paired
@@ -20,9 +21,11 @@ is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, not_
 from typing import Sequence
 
-from .funcgraph import FiniteFunction, Orbit, Subset, orbit_decomposition
+from .funcgraph import FiniteFunction, Subset, json_int, json_ints
 from .partitions import IntervalPartition
 
 
@@ -86,10 +89,15 @@ class Involution:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Involution":
+        if not isinstance(doc, dict):
+            raise ValueError(
+                "an involution must be a JSON object "
+                '{"n": N, "pairing": [...], "exceptions": [...]}'
+            )
         return cls(
-            int(doc["n"]),
-            tuple(int(v) for v in doc["pairing"]),
-            tuple(int(e) for e in doc["exceptions"]),
+            json_int(doc["n"], "n"),
+            json_ints(doc["pairing"], "pairing"),
+            json_ints(doc["exceptions"], "exceptions"),
         )
 
 
@@ -119,83 +127,101 @@ class DecompositionResult:
         }
 
 
-def _canonical_pairing(
-    pairs: Sequence[tuple[int, int]], window: int
-) -> Involution:
-    """Extend explicit pairs to the window: leftovers pair consecutively.
+def _place(pairing: list[int], x: int, y: int) -> None:
+    """Pair x with y in a partial pairing; both must still be free."""
+    if pairing[x] != -1 or pairing[y] != -1:
+        raise ValueError(f"point reused by pair ({x}, {y})")
+    pairing[x] = y
+    pairing[y] = x
 
-    Leftover points are sorted ascending and paired in order; an odd
-    count leaves the last one as the single exception.
+
+def _complete(pairing: list[int]) -> Involution:
+    """Pair the points a partial pairing leaves free, consecutively.
+
+    Free points are taken ascending and paired in order; an odd count
+    leaves the last one as the single exception.
     """
-    pairing = [-1] * window
-    for x, y in pairs:
-        if pairing[x] != -1 or pairing[y] != -1:
-            raise ValueError(f"point reused by pair ({x}, {y})")
-        pairing[x] = y
-        pairing[y] = x
-    leftovers = [x for x in range(window) if pairing[x] == -1]
-    exceptions = []
-    for i in range(0, len(leftovers) - 1, 2):
-        a, b = leftovers[i], leftovers[i + 1]
+    leftovers = [x for x, y in enumerate(pairing) if y == -1]
+    for a, b in zip(leftovers[::2], leftovers[1::2]):
         pairing[a] = b
         pairing[b] = a
+    exceptions = ()
     if len(leftovers) % 2:
         last = leftovers[-1]
         pairing[last] = last
-        exceptions.append(last)
-    return Involution(window, tuple(pairing), tuple(exceptions))
+        exceptions = (last,)
+    return Involution(len(pairing), tuple(pairing), exceptions)
 
 
-def _orbit_pairs(
-    orbit: Orbit,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """Distribute one orbit's edges over the first three parts."""
-    a = orbit.nodes
-    s = len(a)
-    p0: list[tuple[int, int]] = []
-    p1: list[tuple[int, int]] = []
-    p2: list[tuple[int, int]] = []
-    if orbit.kind == "path":
-        for t in range(0, s - 1, 2):
-            p0.append((a[t], a[t + 1]))
-        for t in range(1, s - 1, 4):
-            p1.append((a[t], a[t + 1]))
-        for t in range(3, s - 1, 4):
-            p2.append((a[t], a[t + 1]))
-    elif s % 2 == 0:
-        for t in range(0, s - 1, 2):
-            p0.append((a[t], a[t + 1]))
-        for t in range(1, s, 2):
-            p1.append((a[t], a[(t + 1) % s]))
-    else:
-        k = s - 1
-        for t in range(0, k - 1, 2):
-            p0.append((a[t], a[t + 1]))
-        for t in range(1, k, 2):
-            p1.append((a[t], a[t + 1]))
-        p2.append((a[0], a[k]))
-    return p0, p1, p2
+def _canonical_pairing(
+    pairs: Sequence[tuple[int, int]], window: int
+) -> Involution:
+    """Extend explicit pairs to the window: leftovers pair consecutively."""
+    pairing = [-1] * window
+    for x, y in pairs:
+        _place(pairing, x, y)
+    return _complete(pairing)
+
+
+def _walk(
+    values: tuple[int, ...], state: bytearray, parts: Sequence[list[int]], x: int
+) -> tuple[int, int]:
+    """Pair edge t of the orbit from x in parts[t % 4], marking its nodes walked.
+
+    Stops when the next node leaves the window or is x again, and
+    returns the last node and, mod 4, the position of the edge leaving it.
+    """
+    n = len(values)
+    start, y, t = x, values[x], 0
+    while y < n and y != start:
+        state[y] = 2
+        p = parts[t]
+        if p[x] != -1 or p[y] != -1:
+            raise ValueError(f"point reused by pair ({x}, {y})")
+        p[x] = y
+        p[y] = x
+        x, y, t = y, values[y], (t + 1) & 3
+    return x, t
 
 
 def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     """Cover the function's in-window edges with four involutions.
 
-    Orbits are covered independently: two parts for even cycles, three
-    for paths and odd cycles, the fourth kept for the leftover pairing
-    slack.
+    One walk per orbit, paths from their heads and then cycles from
+    their least node, writes edge t of the orbit straight into a part's
+    pairing: paths by t mod 4 into parts 0, 1, 0, 2; cycles by the
+    parity of t into parts 0 and 1, with an odd cycle's closing edge in
+    part 2. The ascending scan reaches every cycle first at its least
+    node. The fourth part keeps only the leftover pairing.
     """
     if not fn.injective_on_window:
         raise ValueError("decomposition needs an injective function")
-    dec = orbit_decomposition(fn)
-    odd_cycles = sum(len(o.nodes) % 2 for o in dec.cycles)
-    case = 2 if odd_cycles % 2 and not dec.paths else 1
-    pair_lists: tuple[list[tuple[int, int]], ...] = ([], [], [], [])
-    for orbit in dec.orbits:
-        p0, p1, p2 = _orbit_pairs(orbit)
-        pair_lists[0].extend(p0)
-        pair_lists[1].extend(p1)
-        pair_lists[2].extend(p2)
-    parts = tuple(_canonical_pairing(pl, fn.window) for pl in pair_lists)
+    values = fn.values
+    n = len(values)
+    # 0: no in-window preimage (a path head); 1: not walked yet; 2: walked
+    state = bytearray(n)
+    for y in values:
+        if y < n:
+            state[y] = 1
+    pairings = [[-1] * n for _ in range(4)]
+    p0, p1, p2 = pairings[:3]
+    head = state.find(0)
+    has_path = head != -1
+    while head != -1:
+        _walk(values, state, (p0, p1, p0, p2), head)
+        head = state.find(0, head + 1)
+    odd_cycles = 0
+    start = state.find(1)
+    while start != -1:
+        state[start] = 2
+        last, t = _walk(values, state, (p0, p1, p0, p1), start)
+        # the closing edge has odd t on an even cycle and even t on an
+        # odd one a_0 .. a_k, where it is the chord (a_0, a_k)
+        _place(p1 if t & 1 else p2, last, start)
+        odd_cycles += not t & 1
+        start = state.find(1, start + 1)
+    case = 2 if odd_cycles % 2 and not has_path else 1
+    parts = tuple(_complete(p) for p in pairings)
     return DecompositionResult(parts, (), case)
 
 
@@ -207,18 +233,21 @@ def verify_decomposition(
     Every in-window edge must be covered by some part, and the result
     must claim no uncovered edge. The unexplained edges are the ones no
     part covers together with any falsely claimed ones. The parts
-    themselves are revalidated: window match and at most one exception
-    each.
+    themselves are revalidated: exactly four, window match and at most
+    one exception each. Coverage is one pass that zips the function's
+    values against the four pairings.
     """
-    for p in result.parts:
-        if p.window != fn.window:
-            return False, tuple(fn.in_window_edges())
-        if len(p.exceptions) > 1:
-            return False, tuple(fn.in_window_edges())
+    values = fn.values
+    n = len(values)
+    if len(result.parts) != 4 or any(
+        p.window != n or len(p.exceptions) > 1 for p in result.parts
+    ):
+        return False, tuple(fn.in_window_edges())
+    covered = map(any, zip(*[map(eq, p.pairing, values) for p in result.parts]))
     uncovered = {
-        (x, y)
-        for x, y in fn.in_window_edges()
-        if not any(p.pairing[x] == y for p in result.parts)
+        (x, values[x])
+        for x in compress(range(n), map(not_, covered))
+        if values[x] < n
     }
     unexplained = tuple(sorted(uncovered.union(result.uncovered_edges)))
     return not unexplained, unexplained

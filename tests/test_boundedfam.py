@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeset_lab import boundedfam
 from freeset_lab.boundedfam import (
     GrowthFunction,
     bad_set,
@@ -202,6 +203,24 @@ def test_claim_certificates_point_into_the_shadow():
         not verify_freeness_claim(system, fn, list(h)).edges
         for h in product(range(2), repeat=6)
     )
+
+
+def test_claim_builds_each_target_shadow_once(monkeypatch):
+    # 0 -> 2 and 2 -> 0 both cross from J_0 into J_1, so both are
+    # certified by the shadow of block 1
+    system = build_block_system(constant_growth(2, 2), 2)
+    fn = FiniteFunction([2, 3, 0, 1] + [x ^ 1 for x in range(4, 34)])
+    calls = []
+
+    def counting_shadow_set(system, fn, n):
+        calls.append(n)
+        return shadow_set(system, fn, n)
+
+    monkeypatch.setattr(boundedfam, "shadow_set", counting_shadow_set)
+    claim = verify_freeness_claim(system, fn, [0] * 6)
+    assert claim.edges == ((0, 2), (2, 0))
+    assert claim.certified == ((0, 2, 1), (2, 0, 1))
+    assert calls == [1]
 
 
 def test_claim_requires_full_h():

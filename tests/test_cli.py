@@ -60,6 +60,47 @@ def test_malformed_function_exits_two(capsys):
     assert "error" in doc
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["orbits", "--fn", '{"n": 2, "values": [1.5, 0]}'],
+            "values[0] is 1.5, not an integer",
+        ),
+        (
+            ["orbits", "--fn", '{"n": 2, "values": [true, 0]}'],
+            "values[0] is true, not an integer",
+        ),
+        (
+            ["orbits", "--fn", "[1,0]"],
+            'a function must be a JSON object {"n": N, "values": [...]}',
+        ),
+        (
+            ["free", "--set", "[0, 1.0]", "--fn", '{"n": 3, "values": [1, 2, 0]}'],
+            "set[1] is 1.0, not an integer",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", '{"n": 2, "pairing": [1, false], "exceptions": []}'] * 4,
+                "--blocks",
+                '{"endpoints": [0, 1]}',
+                "--colors",
+                "[0]",
+            ],
+            "pairing[1] is false, not an integer",
+        ),
+    ],
+    ids=["float-value", "bool-value", "array-function", "float-set", "bool-pairing"],
+)
+def test_non_integer_input_exits_two(capsys, argv, error):
+    code, doc, _ = _run(capsys, *argv)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"] == error
+
+
 def _matrix(bound="1", entry="1") -> str:
     rows = [["0", entry], ["1", "0"]]
     return json.dumps({"k": 2, "n": 2, "row_bound": bound, "entries": rows})

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from freeset_lab.funcgraph import (
     FiniteFunction,
     Lcg64,
+    Orbit,
+    OrbitDecomposition,
     Subset,
     image_overlap,
     is_free,
@@ -141,6 +143,18 @@ def test_orbits_match_walk_oracle_on_seeded_instances():
         assert verify_orbits(fn, dec) == ()
         got = {frozenset(o.nodes) for o in dec.orbits}
         assert got == _walk_orbit_oracle(fn)
+
+
+def test_verifier_rejects_a_cycle_not_listed_from_its_least_node():
+    fn = FiniteFunction([1, 2, 0])
+    dec = OrbitDecomposition(3, (Orbit("cycle", (1, 2, 0)),))
+    assert verify_orbits(fn, dec) == ("cycle 0 does not start at its least node",)
+
+
+def test_verifier_rejects_orbits_out_of_order():
+    fn = FiniteFunction([1, 0, 3, 2])
+    dec = OrbitDecomposition(4, (Orbit("cycle", (2, 3)), Orbit("cycle", (0, 1))))
+    assert verify_orbits(fn, dec) == ("orbit 1 is out of order",)
 
 
 def test_orbit_rejects_non_injective():

@@ -18,6 +18,7 @@ from freeset_lab.funcgraph import (
     Lcg64,
     Subset,
     image_overlap,
+    orbit_decomposition,
     random_fpf_function,
 )
 from freeset_lab.involutions import (
@@ -39,6 +40,49 @@ def _random_derangement(seed: int, n: int) -> FiniteFunction:
         rng.shuffle(vals)
         if all(vals[i] != i for i in range(n)):
             return FiniteFunction(tuple(vals))
+
+
+def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
+    """The cover built orbit by orbit from orbit_decomposition.
+
+    Paths put even positions in part 0 and positions 1 and 3 mod 4 in
+    parts 1 and 2; even cycles alternate parts 0 and 1; an odd cycle
+    a_0 .. a_k puts every second edge from a_0 in part 0, every second
+    edge from a_1 in part 1 and the chord (a_0, a_k) in part 2. Each
+    part's leftovers are then paired consecutively, lowest first.
+    """
+    dec = orbit_decomposition(fn)
+    pairs: list[list[tuple[int, int]]] = [[], [], [], []]
+    for orbit in dec.orbits:
+        a = orbit.nodes
+        s = len(a)
+        if orbit.kind == "path":
+            pairs[0] += [(a[t], a[t + 1]) for t in range(0, s - 1, 2)]
+            pairs[1] += [(a[t], a[t + 1]) for t in range(1, s - 1, 4)]
+            pairs[2] += [(a[t], a[t + 1]) for t in range(3, s - 1, 4)]
+        elif s % 2 == 0:
+            pairs[0] += [(a[t], a[t + 1]) for t in range(0, s - 1, 2)]
+            pairs[1] += [(a[t], a[(t + 1) % s]) for t in range(1, s, 2)]
+        else:
+            k = s - 1
+            pairs[0] += [(a[t], a[t + 1]) for t in range(0, k - 1, 2)]
+            pairs[1] += [(a[t], a[t + 1]) for t in range(1, k, 2)]
+            pairs[2].append((a[0], a[k]))
+    parts = []
+    for part_pairs in pairs:
+        pairing = [-1] * fn.window
+        for x, y in part_pairs:
+            pairing[x], pairing[y] = y, x
+        leftovers = [x for x in range(fn.window) if pairing[x] == -1]
+        for a0, b0 in zip(leftovers[::2], leftovers[1::2]):
+            pairing[a0], pairing[b0] = b0, a0
+        exceptions = leftovers[-1:] if len(leftovers) % 2 else []
+        for e in exceptions:
+            pairing[e] = e
+        parts.append(Involution(fn.window, tuple(pairing), tuple(exceptions)))
+    odd_cycles = sum(len(o.nodes) % 2 for o in dec.cycles)
+    case = 2 if odd_cycles % 2 and not dec.paths else 1
+    return DecompositionResult(tuple(parts), (), case)
 
 
 # === involution objects ===
@@ -137,6 +181,23 @@ def test_window_parity_decides_the_case_for_derangements():
         assert decompose_into_involutions(_random_derangement(s, 14)).case == 1
 
 
+def test_walk_matches_the_orbit_by_orbit_reference():
+    injections = [
+        random_fpf_function(seed, 1 + seed % 60, injective=True) for seed in range(300)
+    ]
+    assert any(v >= fn.window for fn in injections for v in fn.values)
+    shifts = [FiniteFunction(range(k, n + k)) for k in (1, 2, 3) for n in (1, 2, 5, 9, 30)]
+    small = [FiniteFunction([1]), FiniteFunction([1, 0]), FiniteFunction([2, 0])]
+    derangements = [
+        _random_derangement(seed, n) for n in range(5, 62) for seed in range(3)
+    ] + [_random_derangement(7, 10001)]
+    for fn in derangements + injections + shifts + small:
+        res = decompose_into_involutions(fn)
+        ref = _cover_reference(fn)
+        assert res.to_json() == ref.to_json()
+        assert res.case == ref.case
+
+
 # === randomized coverage ===
 
 
@@ -201,6 +262,14 @@ def test_verifier_rejects_parts_with_two_exceptions():
     ok, unexplained = verify_decomposition(fn, res)
     assert not ok
     assert unexplained == tuple(fn.in_window_edges())
+
+
+def test_verifier_rejects_fewer_than_four_parts():
+    # x+1 on N = 8 is covered by the first three parts alone
+    fn = FiniteFunction([k + 1 for k in range(8)])
+    res = decompose_into_involutions(fn)
+    three = DecompositionResult(res.parts[:3], (), res.case)
+    assert verify_decomposition(fn, three) == (False, tuple(fn.in_window_edges()))
 
 
 def test_rejects_non_injective_input():
