@@ -72,7 +72,6 @@ from .rosenthal import (
     Fragmentation,
     RosenthalMatrix,
     find_fragmenting_set,
-    format_fraction,
     fragments,
     function_to_matrix,
     parse_fraction,

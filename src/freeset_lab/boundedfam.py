@@ -27,6 +27,17 @@ from typing import Optional, Sequence
 from .funcgraph import FiniteFunction, Subset
 
 MAX_MATERIALIZED_POSITIONS = 10_000_000
+# Python prints no int of more than 4300 decimal digits (about 14,284
+# bits), so a size past this cap could be built but never reported.
+MAX_REPORTED_BITS = 14_000
+
+
+def _check_reportable(what: str, bits: int) -> None:
+    if bits > MAX_REPORTED_BITS:
+        raise ValueError(
+            f"{what} is too large to report: {bits} bits against "
+            f"a cap of {MAX_REPORTED_BITS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,11 +71,12 @@ def constant_growth(c: int, depth: int) -> GrowthFunction:
         raise ValueError("depth must be positive")
     length = 0
     total = 0
-    for _ in range(depth):
+    for n in range(depth):
         size = 2 * total + 1
         length += size
         if length > MAX_MATERIALIZED_POSITIONS:
             raise ValueError("interval prefix too large to materialize")
+        _check_reportable(f"F({n})", size * (c - 1).bit_length())
         total += c**size
     return GrowthFunction((c,) * length)
 
@@ -132,17 +144,6 @@ class BlockSystem:
             "F": [str(f) for f in self.f_sizes],
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "BlockSystem":
-        system = build_block_system(
-            GrowthFunction(tuple(int(v) for v in doc["g"])), int(doc["depth"])
-        )
-        if list(system.i_endpoints) != [int(e) for e in doc["I_endpoints"]]:
-            raise ValueError("declared interval endpoints are not the minimal ones")
-        if [str(f) for f in system.f_sizes] != [str(f) for f in doc["F"]]:
-            raise ValueError("declared tuple counts do not match the intervals")
-        return system
-
 
 def build_block_system(g: GrowthFunction, depth: int) -> BlockSystem:
     """Minimal intervals satisfying |I_n| > 2 * sum of earlier F values."""
@@ -151,13 +152,17 @@ def build_block_system(g: GrowthFunction, depth: int) -> BlockSystem:
     i_ends = [0]
     f_sizes: list[int] = []
     total = 0
-    for _ in range(depth):
+    for n in range(depth):
         size = 2 * total + 1
         lo, hi = i_ends[-1], i_ends[-1] + size
         if hi > len(g.values):
             raise ValueError(
                 f"growth function covers {len(g.values)} positions, need {hi}"
             )
+        # g <= 2 ** (g - 1).bit_length(), so this bounds F(n) before the product
+        _check_reportable(
+            f"F({n})", sum((v - 1).bit_length() for v in g.values[lo:hi])
+        )
         f = 1
         for i in range(lo, hi):
             f *= g.values[i]
@@ -365,6 +370,9 @@ def build_ed_blocks(depth: int) -> MeasuredBlocks:
         sizes.append(size)
         units.append(Fraction(1, total))
         total += size
+        _check_reportable(
+            f"the total size through J_{n + 1}", total.bit_length()
+        )
     return _with_starts(sizes, units)
 
 
@@ -372,6 +380,8 @@ def ed_fin_blocks(depth: int) -> MeasuredBlocks:
     """Counting-measure blocks of sizes 0, 1, ..., depth."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if depth * (depth + 1) // 2 > MAX_MATERIALIZED_POSITIONS:
+        raise ValueError("blocks too large to materialize")
     sizes = list(range(depth + 1))
     units = [Fraction(1)] * (depth + 1)
     return _with_starts(sizes, units)

@@ -2,7 +2,8 @@
 
 Every subcommand prints a single JSON document with a stable key order
 and exits 0 when the independent verifier pass agrees with the
-construction, 1 when a property fails, 2 on malformed input. Verdicts
+construction, 1 when a property fails, 2 on malformed input (loaders
+raise ValueError for all of it) and 3 on any other exception. Verdicts
 are always recomputed from scratch; nothing trusts a constructor's own
 claim. Batch mode runs seeded instances one after another and reports
 them in index order, so identical seeds give byte-identical reports up
@@ -16,7 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .boundedfam import (
     GrowthFunction,
@@ -43,6 +44,7 @@ from .funcgraph import (
     FiniteFunction,
     Subset,
     image_overlap,
+    json_int,
     json_ints,
     orbit_decomposition,
     random_fpf_function,
@@ -67,7 +69,6 @@ from .partitions import (
 from .rosenthal import (
     RosenthalMatrix,
     find_fragmenting_set,
-    format_fraction,
     fragments,
     parse_fraction,
     verify_fragmentation,
@@ -79,10 +80,13 @@ SCHEMA = 2
 def _load_doc(text: str):
     """Inline JSON if it looks like JSON, otherwise a path to a JSON file."""
     stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if stripped.startswith(("{", "[")):
+            return json.loads(stripped)
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 def _load_fn(text: str) -> FiniteFunction:
@@ -94,10 +98,11 @@ def _load_set(text: str, window: int) -> Subset:
 
 
 def _load_growth(text: str, depth: int) -> GrowthFunction:
+    """An inline array of bounds, or one integer (a scalar, which cannot nest)."""
     stripped = text.strip()
-    if stripped.startswith("["):
-        return GrowthFunction(tuple(int(v) for v in json.loads(stripped)))
-    return constant_growth(int(stripped), depth)
+    if stripped.startswith(("{", "[")):
+        return GrowthFunction(json_ints(_load_doc(stripped), "g"))
+    return constant_growth(json_int(json.loads(stripped), "g"), depth)
 
 
 # === single-construction handlers ===
@@ -151,7 +156,7 @@ def _run_inv_decompose(args) -> tuple[bool, dict]:
 def _run_inv_combine(args) -> tuple[bool, dict]:
     parts = [Involution.from_json(_load_doc(t)) for t in args.part]
     blocks = IntervalPartition.from_json(_load_doc(args.blocks))
-    colors = [int(c) for c in _load_doc(args.colors)]
+    colors = json_ints(_load_doc(args.colors), "colors")
     d, combined = combine_on_blocks(parts, blocks, colors)
     violations = []
     members = set(d.elements)
@@ -185,10 +190,10 @@ def _run_ros_check(args) -> tuple[bool, dict]:
         violations.append(
             {
                 "row": check.witness_row,
-                "sum": format_fraction(check.witness_sum),
+                "sum": str(check.witness_sum),
             }
         )
-    result = {"fragments": check.ok, "eps": format_fraction(eps)}
+    result = {"fragments": check.ok, "eps": str(eps)}
     return check.ok and frag.ok == check.ok, {
         "result": result,
         "violations": violations,
@@ -201,7 +206,7 @@ def _run_ros_search(args) -> tuple[bool, dict]:
     found = find_fragmenting_set(matrix, eps, args.min_size, args.mode)
     if found is None:
         return True, {
-            "result": {"set": None, "eps": format_fraction(eps)},
+            "result": {"set": None, "eps": str(eps)},
             "violations": [],
         }
     check = verify_fragmentation(matrix, found, eps)
@@ -210,10 +215,10 @@ def _run_ros_search(args) -> tuple[bool, dict]:
         violations.append(
             {
                 "row": check.witness_row,
-                "sum": format_fraction(check.witness_sum),
+                "sum": str(check.witness_sum),
             }
         )
-    result = {"set": list(found.elements), "eps": format_fraction(eps)}
+    result = {"set": list(found.elements), "eps": str(eps)}
     return check.ok, {"result": result, "violations": violations}
 
 
@@ -290,7 +295,7 @@ def _run_blocks_verify(args) -> tuple[bool, dict]:
     g = _load_growth(args.g, args.depth)
     system = build_block_system(g, args.depth)
     fn = _load_fn(args.fn)
-    h = [int(v) for v in _load_doc(args.h)]
+    h = json_ints(_load_doc(args.h), "h")
     shadows = [shadow_set(system, fn, n) for n in range(system.depth)]
     violations = []
     for s in shadows:
@@ -336,7 +341,7 @@ def _run_ed_badset(args) -> tuple[bool, dict]:
     violations = []
     for n in range(blocks.block_count()):
         b = bad_set(blocks, fn, n)
-        mass = format_fraction(b.mass)
+        mass = str(b.mass)
         per_block.append(
             {"block": n, "elements": list(b.elements), "mass": mass}
         )
@@ -355,15 +360,15 @@ def _run_ed_member(args) -> tuple[bool, dict]:
     member, worst = ed_membership(blocks, subset, bound)
     result = {
         "member": member,
-        "max_block_mass": format_fraction(worst),
-        "k": format_fraction(bound),
+        "max_block_mass": str(worst),
+        "k": str(bound),
     }
-    violations = [] if member else [{"max_block_mass": format_fraction(worst)}]
+    violations = [] if member else [{"max_block_mass": str(worst)}]
     return member, {"result": result, "violations": violations}
 
 
 def _run_oracle_freeset(args) -> tuple[bool, dict]:
-    family = [_load_fn(t) for t in args.fn] if args.fn else []
+    family = [_load_fn(t) for t in args.fn]
     subset = max_free_subset(family, args.n, args.mode)
     violations = []
     for i, fn in enumerate(family):
@@ -470,7 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_out(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--out", help="also write the report to this path")
+        p.add_argument(
+            "--out", type=_out_file, help="also write the report to this path"
+        )
         return p
 
     p = with_out(sub.add_parser("orbits", help="orbit decomposition"))
@@ -565,7 +572,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
     p = with_out(oracle_sub.add_parser("freeset"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fn", action="append", default=[])
+    # required: with no function every set is free, and --n alone is unbounded
+    p.add_argument("--fn", action="append", required=True)
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.set_defaults(handler=_run_oracle_freeset, op="oracle-freeset")
     p = with_out(oracle_sub.add_parser("unsplit"))
@@ -587,12 +595,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2)
-    print(text)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _out_file(path: str) -> TextIO:
+    """--out, opened while parsing so an unwritable path is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -607,27 +615,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         ok, payload = args.handler(args)
-    except (ValueError, KeyError, TypeError, IndexError, OSError) as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": argv,
-            "op": getattr(args, "op", args.command),
-            "ok": False,
-            "error": str(exc) or exc.__class__.__name__,
-            "elapsed_seconds": time.perf_counter() - started,
-        }
-        _emit(report, getattr(args, "out", None))
-        return 2
-    report = {
-        "schema": SCHEMA,
-        "command": argv,
-        "op": args.op,
-        "ok": ok,
-        "result": payload.get("result"),
-        "violations": payload.get("violations", []),
-    }
-    if "instances" in payload:
-        report["instances"] = payload["instances"]
+    except (ValueError, OSError) as exc:
+        ok, payload, code = False, {"error": str(exc) or type(exc).__name__}, 2
+    except Exception as exc:
+        error = f"internal fault: {type(exc).__name__}: {exc}"
+        ok, payload, code = False, {"error": error}, 3
+    else:
+        code = 0 if ok else 1
+    report = {"schema": SCHEMA, "command": argv, "op": args.op, "ok": ok, **payload}
     report["elapsed_seconds"] = time.perf_counter() - started
-    _emit(report, args.out)
-    return 0 if ok else 1
+    text = json.dumps(report, indent=2)
+    print(text)
+    if args.out is not None:
+        with args.out:
+            args.out.write(text + "\n")
+    return code

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .funcgraph import FiniteFunction, Subset
+from .funcgraph import FiniteFunction, Subset, json_fields, json_int, json_ints
 
 EXACT_WINDOW_CAP = 24
 
@@ -45,7 +45,9 @@ class Coloring:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
-        return cls(int(doc["n"]), tuple(int(c) for c in doc["colors"]))
+        shape = 'a coloring must be a JSON object {"n": N, "colors": [...]}'
+        n, colors = json_fields(doc, shape, "n", "colors")
+        return cls(json_int(n, "n"), json_ints(colors, "colors"))
 
 
 def katetov_partition(fn: FiniteFunction) -> Coloring:

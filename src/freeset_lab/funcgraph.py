@@ -107,14 +107,19 @@ class FiniteFunction:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteFunction":
-        if not isinstance(doc, dict):
-            raise ValueError(
-                'a function must be a JSON object {"n": N, "values": [...]}'
-            )
-        vals = json_ints(doc["values"], "values")
-        if json_int(doc["n"], "n") != len(vals):
+        shape = 'a function must be a JSON object {"n": N, "values": [...]}'
+        n, values = json_fields(doc, shape, "n", "values")
+        vals = json_ints(values, "values")
+        if json_int(n, "n") != len(vals):
             raise ValueError("declared window does not match value count")
         return cls(vals)
+
+
+def json_fields(doc: object, message: str, *keys: str) -> tuple:
+    """The values at keys of a JSON object; anything else raises ValueError(message)."""
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        raise ValueError(message)
+    return tuple(doc[k] for k in keys)
 
 
 def json_int(value: object, what: str) -> int:

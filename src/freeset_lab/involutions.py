@@ -25,7 +25,7 @@ from itertools import compress
 from operator import eq, not_
 from typing import Sequence
 
-from .funcgraph import FiniteFunction, Subset, json_int, json_ints
+from .funcgraph import FiniteFunction, Subset, json_fields, json_int, json_ints
 from .partitions import IntervalPartition
 
 
@@ -89,15 +89,15 @@ class Involution:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Involution":
-        if not isinstance(doc, dict):
-            raise ValueError(
-                "an involution must be a JSON object "
-                '{"n": N, "pairing": [...], "exceptions": [...]}'
-            )
+        shape = (
+            "an involution must be a JSON object "
+            '{"n": N, "pairing": [...], "exceptions": [...]}'
+        )
+        n, pairing, exceptions = json_fields(doc, shape, "n", "pairing", "exceptions")
         return cls(
-            json_int(doc["n"], "n"),
-            json_ints(doc["pairing"], "pairing"),
-            json_ints(doc["exceptions"], "exceptions"),
+            json_int(n, "n"),
+            json_ints(pairing, "pairing"),
+            json_ints(exceptions, "exceptions"),
         )
 
 

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .funcgraph import FiniteFunction, Subset
+from .funcgraph import FiniteFunction, Subset, json_fields, json_int, json_ints
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,9 @@ class IntervalPartition:
 
     @classmethod
     def from_json(cls, doc: dict) -> "IntervalPartition":
-        return cls(tuple(int(e) for e in doc["endpoints"]))
+        shape = 'an interval partition must be a JSON object {"endpoints": [...]}'
+        (endpoints,) = json_fields(doc, shape, "endpoints")
+        return cls(json_ints(endpoints, "endpoints"))
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,10 @@ class PartitionIntoParts:
         object.__setattr__(self, "part_of", labels)
         if len(labels) != self.window or not labels:
             raise ValueError("labeling length must match a positive window")
-        count = max(labels) + 1
-        seen = [False] * count
-        for p in labels:
-            if p < 0:
-                raise ValueError("part indices must be nonnegative")
-            seen[p] = True
-        if not all(seen):
+        if min(labels) < 0:
+            raise ValueError("part indices must be nonnegative")
+        # labels in [0, max] use every index exactly when max + 1 are distinct
+        if len(set(labels)) != max(labels) + 1:
             raise ValueError("every part index up to the maximum must be used")
 
     @property
@@ -85,7 +84,9 @@ class PartitionIntoParts:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PartitionIntoParts":
-        return cls(int(doc["n"]), tuple(int(p) for p in doc["parts"]))
+        shape = 'a partition must be a JSON object {"n": N, "parts": [...]}'
+        n, parts = json_fields(doc, shape, "n", "parts")
+        return cls(json_int(n, "n"), json_ints(parts, "parts"))
 
 
 def dominates(

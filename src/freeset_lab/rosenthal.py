@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .funcgraph import FiniteFunction, Subset
+from .funcgraph import FiniteFunction, Subset, json_fields, json_int
 
 EXACT_DIM_CAP = 22
 
@@ -27,11 +27,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in fraction {text!r}") from None
-
-
-def format_fraction(value: Fraction) -> str:
-    """Lowest terms, bare integer when the denominator is 1."""
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -77,17 +72,22 @@ class RosenthalMatrix:
         return {
             "k": self.rows,
             "n": self.cols,
-            "row_bound": format_fraction(self.row_bound),
-            "entries": [[format_fraction(e) for e in row] for row in self.entries],
+            "row_bound": str(self.row_bound),
+            "entries": [[str(e) for e in row] for row in self.entries],
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "RosenthalMatrix":
-        entries = tuple(
-            tuple(parse_fraction(str(e)) for e in row) for row in doc["entries"]
+        shape = (
+            'a matrix must be a JSON object '
+            '{"k": K, "n": N, "row_bound": B, "entries": [[...], ...]}'
         )
+        k, n, bound, rows = json_fields(doc, shape, "k", "n", "row_bound", "entries")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("entries must be a JSON array of arrays")
+        entries = tuple(tuple(parse_fraction(str(e)) for e in row) for row in rows)
         return cls(
-            int(doc["k"]), int(doc["n"]), entries, parse_fraction(str(doc["row_bound"]))
+            json_int(k, "k"), json_int(n, "n"), entries, parse_fraction(str(bound))
         )
 
 

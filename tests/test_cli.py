@@ -2,7 +2,7 @@
 
 Reports go to stdout as a single JSON document; 0 means the verifier
 agreed, 1 means a property failed, 2 means the input never got that
-far. Batch reports must be reproducible byte for byte once the timing
+far, 3 means the program itself failed. Batch reports must be reproducible byte for byte once the timing
 field is masked.
 """
 
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import freeset_lab
+from freeset_lab import cli
 from freeset_lab.cli import main
 
 TIMING = re.compile(r'"elapsed_seconds": [0-9.e+-]+')
@@ -99,6 +100,204 @@ def test_non_integer_input_exits_two(capsys, argv, error):
     assert code == 2
     assert doc["ok"] is False
     assert doc["error"] == error
+
+
+_PART = '{"n": 1, "pairing": [0], "exceptions": [0]}'
+_SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["oracle", "unsplit", "--coloring", '{"n": 3, "colors": [true, 0.5, 2]}'],
+            "colors[0] is true, not an integer",
+        ),
+        (
+            ["oracle", "unsplit", "--coloring", "[1,2]"],
+            'a coloring must be a JSON object {"n": N, "colors": [...]}',
+        ),
+        (
+            ["orbits", "--fn", '{"n": 3}'],
+            'a function must be a JSON object {"n": N, "values": [...]}',
+        ),
+        (
+            [
+                "rosenthal",
+                "search",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": ["01", "10"]}',
+                "--eps",
+                "1",
+            ],
+            "entries must be a JSON array of arrays",
+        ),
+        (
+            [
+                "rosenthal",
+                "search",
+                "--matrix",
+                '{"k": 2.0, "n": 2, "row_bound": "1", "entries": [["0", "1"], ["1", "0"]]}',
+                "--eps",
+                "1",
+            ],
+            "k is 2.0, not an integer",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART] * 4,
+                "--blocks",
+                '{"endpoints": [0, 1]}',
+                "--colors",
+                "[true]",
+            ],
+            "colors[0] is true, not an integer",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART] * 4,
+                "--blocks",
+                '{"endpoints": [0, 1.5]}',
+                "--colors",
+                "[0]",
+            ],
+            "endpoints[1] is 1.5, not an integer",
+        ),
+        (
+            ["partition", "fp", "--partition", '{"n": 2, "parts": [1, false]}'],
+            "parts[1] is false, not an integer",
+        ),
+        (
+            [
+                "blocks",
+                "verify",
+                "--g",
+                "2",
+                "--depth",
+                "2",
+                "--fn",
+                _SUCC34,
+                "--h",
+                "[0, 0, 0, 0, 0, 1.5]",
+            ],
+            "h[5] is 1.5, not an integer",
+        ),
+        (["blocks", "build", "--g", "true", "--depth", "2"], "g is true, not an integer"),
+        (["blocks", "build", "--g", "1.5", "--depth", "2"], "g is 1.5, not an integer"),
+        (
+            ["blocks", "build", "--g", "[2, true]", "--depth", "1"],
+            "g[1] is true, not an integer",
+        ),
+        (["orbits", "--fn", "[" * 100_000], "JSON document nested too deeply"),
+    ],
+    ids=[
+        "coloring-entries",
+        "coloring-shape",
+        "function-missing-key",
+        "matrix-string-row",
+        "matrix-size",
+        "colors",
+        "endpoints",
+        "parts",
+        "h",
+        "g-bool",
+        "g-float",
+        "g-array",
+        "deep-nesting",
+    ],
+)
+def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
+    code, doc, _ = _run(capsys, *argv)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["partition", "fp", "--partition", '{"n": 2, "parts": [1, 1000000000000]}'],
+            "every part index up to the maximum must be used",
+        ),
+        (
+            ["ed", "build", "--fin", "--depth", "1000000000000"],
+            "blocks too large to materialize",
+        ),
+        (
+            ["ed", "member", "--fin", "--depth", "1000000000000", "--set", "[0]", "--k", "1"],
+            "blocks too large to materialize",
+        ),
+        (
+            ["blocks", "build", "--g", "100000", "--depth", "2"],
+            "F(1) is too large to report",
+        ),
+        (
+            [
+                "blocks",
+                "verify",
+                "--g",
+                "100000",
+                "--depth",
+                "2",
+                "--fn",
+                _SUCC34,
+                "--h",
+                "[0]",
+            ],
+            "F(1) is too large to report",
+        ),
+        (
+            ["blocks", "build", "--g", json.dumps([2] + [2**3000] * 5), "--depth", "2"],
+            "F(1) is too large to report",
+        ),
+        (["ed", "build", "--depth", "30000"], "is too large to report"),
+    ],
+    ids=[
+        "part-label",
+        "fin-build",
+        "fin-member",
+        "g-constant",
+        "g-verify",
+        "g-array",
+        "ed-depth",
+    ],
+)
+def test_oversized_input_is_refused_before_the_work(capsys, argv, error):
+    code, doc, _ = _run(capsys, *argv)
+    assert code == 2
+    assert error in doc["error"]
+    assert doc["elapsed_seconds"] < 1
+
+
+def test_unbounded_or_unwritable_arguments_are_usage_errors(tmp_path, capsys):
+    # with no --fn every set is free and nothing bounds --n
+    assert main(["oracle", "freeset", "--n", "100000000", "--mode", "greedy"]) == 2
+    out = tmp_path / "missing" / "report.json"
+    fn = '{"n": 2, "values": [1, 0]}'
+    assert main(["orbits", "--fn", fn, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    def broken(fn):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(cli, "orbit_decomposition", broken)
+    code = main(["orbits", "--fn", '{"n": 2, "values": [1, 0]}'])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 3
+    assert list(doc) == ["schema", "command", "op", "ok", "error", "elapsed_seconds"]
+    assert doc["ok"] is False
+    assert doc["error"] == "internal fault: TypeError: boom"
+    assert captured.err == ""
 
 
 def _matrix(bound="1", entry="1") -> str:

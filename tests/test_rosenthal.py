@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeset_lab.freesets import max_free_subset
 from freeset_lab.funcgraph import (
     FiniteFunction,
     Lcg64,
@@ -25,7 +26,6 @@ from freeset_lab.funcgraph import (
 from freeset_lab.rosenthal import (
     RosenthalMatrix,
     find_fragmenting_set,
-    format_fraction,
     fragments,
     function_to_matrix,
     parse_fraction,
@@ -66,8 +66,6 @@ def test_json_round_trip():
 
 def test_fraction_helpers():
     assert parse_fraction("3/6") == Fraction(1, 2)
-    assert format_fraction(Fraction(4, 2)) == "2"
-    assert format_fraction(Fraction(1, 3)) == "1/3"
 
 
 # === fragmentation predicate ===
@@ -162,6 +160,16 @@ def test_exact_search_finds_max_and_lex_min():
                 ):
                     best = elems
         assert got.elements == best
+
+
+def test_exact_search_at_eps_one_is_the_exact_max_free_set():
+    # at ε = 1 a function's 0-1 matrix fragments exactly on its free sets,
+    # so both exact searches must return the same lex-smallest optimum
+    for dim in range(10, 15):
+        for seed in range(4):
+            fn = random_fpf_function(seed, dim, injective=seed % 2 == 0)
+            got = find_fragmenting_set(function_to_matrix(fn), Fraction(1), 1, "exact")
+            assert got.elements == max_free_subset([fn], dim, "exact").elements
 
 
 def test_all_epsilon_matrix_has_no_pair():
