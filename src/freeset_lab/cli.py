@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .boundedfam import (
+    MAX_MATERIALIZED_POSITIONS,
     GrowthFunction,
     bad_set,
     build_block_system,
@@ -447,6 +448,11 @@ def _run_batch(args) -> tuple[bool, dict]:
     count = args.count
     if count <= 0:
         raise ValueError("count must be positive")
+    if count * args.n > MAX_MATERIALIZED_POSITIONS:
+        raise ValueError(
+            f"batch of {count} x {args.n} points is past the cap of "
+            f"{MAX_MATERIALIZED_POSITIONS}"
+        )
     rows = [_batch_instance(op, args.seed + i, args.n) for i in range(count)]
     instances = [{"index": i, **row} for i, row in enumerate(rows)]
     failed = [i for i, row in enumerate(rows) if not row["ok"]]

@@ -13,11 +13,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Iterable, Iterator
 
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
+_TWO32 = 1 << 32
+
+
+def _draw_limit(n: int) -> int:
+    """Raw 32-bit draws below this give an unbiased residue mod n."""
+    if n <= 0 or n > _TWO32:
+        raise ValueError(f"below() needs 1 <= n <= 2**32, got {n}")
+    return _TWO32 - _TWO32 % n
 
 
 class Lcg64:
@@ -39,18 +48,28 @@ class Lcg64:
 
     def below(self, n: int) -> int:
         """Uniform draw from [0, n). Requires 1 <= n <= 2**32."""
-        if n <= 0 or n > (1 << 32):
-            raise ValueError(f"below() needs 1 <= n <= 2**32, got {n}")
-        limit = (1 << 32) - ((1 << 32) % n)
+        limit = _draw_limit(n)
         while True:
             v = self.next_u32()
             if v < limit:
                 return v % n
 
     def shuffle(self, items: list) -> None:
+        """Fisher-Yates from the top: the draws below(i + 1), inlined."""
+        _draw_limit(max(1, len(items)))  # refuse what below(len(items)) would
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            n = i + 1
+            state = (state * _MULT + _INC) & _MASK64
+            v = state >> 32
+            if v > _TWO32 - n:  # the limit is above 2**32 - n, so only these may fail
+                limit = _TWO32 - _TWO32 % n
+                while v >= limit:
+                    state = (state * _MULT + _INC) & _MASK64
+                    v = state >> 32
+            j = v % n
             items[i], items[j] = items[j], items[i]
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -70,22 +89,13 @@ class FiniteFunction:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("empty window")
-        # one pass; a negative value anywhere is reported before a fixed point
-        fixed_point = False
-        for x, v in enumerate(vals):
-            if v < 0:
-                raise ValueError(f"negative value at {x}")
-            if v == x:
-                fixed_point = True
-        if fixed_point:
+        # a negative value anywhere is reported before a fixed point
+        if min(vals) < 0:
+            x = next(x for x, v in enumerate(vals) if v < 0)
+            raise ValueError(f"negative value at {x}")
+        if any(map(eq, vals, range(len(vals)))):
             raise ValueError("function has a fixed point")
-        seen: set[int] = set()
-        inj = True
-        for v in vals:
-            if v in seen:
-                inj = False
-                break
-            seen.add(v)
+        inj = len(set(vals)) == len(vals)
         object.__setattr__(self, "injective_on_window", inj)
 
     @property
@@ -332,9 +342,18 @@ def random_fpf_function(
         return FiniteFunction((1,))
     gen = Lcg64(seed)
     if not injective:
+        # n draws of gen.below(n - 1), inlined, each shifted past the diagonal
+        span = n - 1
+        limit = _draw_limit(span)
+        state = gen.state
         vals = []
         for i in range(n):
-            v = gen.below(n - 1)
+            while True:
+                state = (state * _MULT + _INC) & _MASK64
+                v = state >> 32
+                if v < limit:
+                    break
+            v %= span
             if v >= i:
                 v += 1
             vals.append(v)
@@ -343,5 +362,5 @@ def random_fpf_function(
     while True:
         pool = list(range(m))
         gen.shuffle(pool)
-        if all(pool[i] != i for i in range(n)):
+        if not any(map(eq, pool, range(n))):
             return FiniteFunction(tuple(pool[:n]))

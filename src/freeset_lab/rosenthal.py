@@ -9,6 +9,7 @@ fixed-point-free functions tie fragmentation at ε = 1 to freeness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -16,13 +17,25 @@ from typing import Optional
 from .funcgraph import FiniteFunction, Subset, json_fields, json_int
 
 EXACT_DIM_CAP = 22
+# Fraction builds 10**e exactly, which takes seconds for e in the millions;
+# Python prints no int of more than 4300 digits, so the cap sits there.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_fraction(text: str) -> Fraction:
-    """An exact rational from text such as "3", "-1/2" or "0.25".
+    """An exact rational from text such as "3", "-1/2", "0.25" or "1e-3".
 
-    Malformed text, a zero denominator included, raises ValueError.
+    Malformed text, a zero denominator included, raises ValueError, and so
+    does an exponent of magnitude past MAX_EXPONENT, before any work.
     """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or "0") > MAX_EXPONENT:
+            raise ValueError(
+                f"exponent in {text!r} is past the cap of {MAX_EXPONENT}"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -217,6 +217,9 @@ def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
     assert doc["error"] == error
 
 
+_BATCH = ["batch", "--op", "katetov", "--seed", "1"]
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -256,6 +259,15 @@ def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
             "F(1) is too large to report",
         ),
         (["ed", "build", "--depth", "30000"], "is too large to report"),
+        (
+            ["ed", "member", "--depth", "2", "--set", "[1, 2]", "--k", "1e10000000"],
+            "past the cap of 4300",
+        ),
+        (
+            _BATCH + ["--count", "99999999999999999999", "--n", "10"],
+            "past the cap of 10000000",
+        ),
+        (_BATCH + ["--count", "1", "--n", "400000000"], "past the cap of 10000000"),
     ],
     ids=[
         "part-label",
@@ -265,6 +277,9 @@ def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
         "g-verify",
         "g-array",
         "ed-depth",
+        "k-exponent",
+        "batch-count",
+        "batch-n",
     ],
 )
 def test_oversized_input_is_refused_before_the_work(capsys, argv, error):

@@ -66,6 +66,17 @@ def test_json_round_trip():
 
 def test_fraction_helpers():
     assert parse_fraction("3/6") == Fraction(1, 2)
+    assert parse_fraction("3") == 3
+    assert parse_fraction("-1/2") == Fraction(-1, 2)
+    assert parse_fraction("0.25") == Fraction(1, 4)
+    assert parse_fraction("1e-3") == Fraction(1, 1000)
+    assert parse_fraction("2E+0004300") == 2 * 10**4300
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+1_0000", " 5e99999999999 "])
+def test_exponent_past_the_cap_is_refused(text):
+    with pytest.raises(ValueError, match="past the cap of 4300"):
+        parse_fraction(text)
 
 
 # === fragmentation predicate ===
