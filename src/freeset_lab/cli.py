@@ -180,7 +180,7 @@ def _run_inv_combine(args) -> tuple[bool, dict]:
 
 def _run_ros_check(args) -> tuple[bool, dict]:
     matrix = RosenthalMatrix.from_json(_load_doc(args.matrix))
-    subset = _load_set(args.set, max(matrix.dim, 1))
+    subset = _load_set(args.set, matrix.dim)
     eps = parse_fraction(args.eps)
     frag = fragments(matrix, subset, eps)
     check = verify_fragmentation(matrix, subset, eps)
@@ -596,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_run_batch, op="batch")
+    p.set_defaults(handler=_run_batch)
 
     return parser
 

@@ -12,34 +12,44 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Optional
 
 from .funcgraph import FiniteFunction, Subset, json_fields, json_int
 
 EXACT_DIM_CAP = 22
-# Fraction builds 10**e exactly, which takes seconds for e in the millions;
-# Python prints no int of more than 4300 digits, so the cap sits there.
-MAX_EXPONENT = 4300
+# Python prints no int of more than 4300 digits, so no numerator or
+# denominator may have more. Exponents and digit runs past the cap are
+# refused before Fraction builds 10**e, which takes seconds for e in the
+# millions.
+MAX_DIGITS = 4300
+_PAST_MAX_DIGITS = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def parse_fraction(text: str) -> Fraction:
     """An exact rational from text such as "3", "-1/2", "0.25" or "1e-3".
 
     Malformed text, a zero denominator included, raises ValueError, and so
-    does an exponent of magnitude past MAX_EXPONENT, before any work.
+    does a value whose numerator or denominator has more than MAX_DIGITS
+    digits; an exponent or a run of digits past the cap is refused before
+    any work.
     """
     exponent = _EXPONENT.search(text)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
-        if len(digits) > 4 or int(digits or "0") > MAX_EXPONENT:
-            raise ValueError(
-                f"exponent in {text!r} is past the cap of {MAX_EXPONENT}"
-            )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in fraction {text!r}") from None
+        if len(digits) > 4 or int(digits or "0") > MAX_DIGITS:
+            raise ValueError(f"exponent in {text!r} is past the cap of {MAX_DIGITS}")
+    runs = _DIGIT_RUN.findall(text.replace("_", ""))
+    if max(map(len, runs), default=0) <= MAX_DIGITS:
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in fraction {text!r}") from None
+        if max(abs(value.numerator), value.denominator) < _PAST_MAX_DIGITS:
+            return value
+    raise ValueError(f"digits of {text!r} are past the cap of {MAX_DIGITS}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +187,16 @@ def function_to_matrix(fn: FiniteFunction) -> RosenthalMatrix:
     return RosenthalMatrix(n, n, entries, one)
 
 
+def _join(rows, v: int, chosen: list[int], sums: list, own: list) -> tuple:
+    """The search state once index v joins: the chosen indices, each chosen
+    row summed over the other chosen columns, every row over all of them."""
+    return (
+        chosen + [v],
+        [s + rows[k][v] for k, s in zip(chosen, sums)] + [own[v]],
+        [o + row[v] for o, row in zip(own, rows)],
+    )
+
+
 def find_fragmenting_set(
     matrix: RosenthalMatrix,
     eps: Fraction,
@@ -201,77 +221,56 @@ def find_fragmenting_set(
         raise ValueError("eps must be positive")
     dim = matrix.dim
     if mode == "greedy":
-        chosen: list[int] = []
-        sums: dict[int, Fraction] = {}
+        rows = matrix.entries
+        state: tuple = ([], [], [Fraction(0)] * dim)
         while True:
-            best_idx = None
-            best_score: Optional[Fraction] = None
-            for v in range(dim):
-                if v in sums:
-                    continue
-                own = sum((matrix.entries[v][u] for u in chosen), Fraction(0))
-                if own >= eps:
-                    continue
-                score = own
-                feasible = True
-                for k in chosen:
-                    s = sums[k] + matrix.entries[k][v]
-                    if s >= eps:
-                        feasible = False
-                        break
-                    if s > score:
-                        score = s
-                if not feasible:
-                    continue
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best_idx = v
-            if best_idx is None:
+            chosen, sums, own = state
+            scores = [
+                (max([own[v], *(s + rows[k][v] for k, s in zip(chosen, sums))]), v)
+                for v in range(dim)
+                if v not in chosen
+            ]
+            joinable = [pick for pick in scores if pick[0] < eps]
+            if not joinable:
                 break
-            for k in chosen:
-                sums[k] += matrix.entries[k][best_idx]
-            sums[best_idx] = sum(
-                (matrix.entries[best_idx][u] for u in chosen), Fraction(0)
-            )
-            chosen.append(best_idx)
-        if len(chosen) < min_size:
-            return None
-        return Subset(dim, tuple(sorted(chosen)))
-    if mode != "exact":
+            state = _join(rows, min(joinable)[1], *state)
+        best = state[0]
+    elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if dim > EXACT_DIM_CAP:
+    elif dim > EXACT_DIM_CAP:
         raise ValueError(f"exact mode capped at dimension {EXACT_DIM_CAP}")
-    best: list[int] = []
-    chosen = []
-    sums_list: list[Fraction] = []
+    else:
+        # integer sums: row k scaled by the LCM L of its denominators sums
+        # below eps * L exactly when it sums below ceil(eps * L)
+        square = [row[:dim] for row in matrix.entries[:dim]]
+        scales = [lcm(*(e.denominator for e in row)) for row in square]
+        rows = [
+            [e.numerator * (scale // e.denominator) for e in row]
+            for row, scale in zip(square, scales)
+        ]
+        limits = [ceil(eps * scale) for scale in scales]
+        best = []
 
-    def extend(start: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen.copy()
-        for v in range(start, dim):
-            if len(chosen) + (dim - v) <= len(best):
-                break
-            own = Fraction(0)
-            feasible = True
-            for i, k in enumerate(chosen):
-                own += matrix.entries[v][k]
-                if own >= eps or sums_list[i] + matrix.entries[k][v] >= eps:
-                    feasible = False
-                    break
-            if not feasible or own >= eps:
-                continue
-            for i, k in enumerate(chosen):
-                sums_list[i] += matrix.entries[k][v]
-            chosen.append(v)
-            sums_list.append(own)
-            extend(v + 1)
-            chosen.pop()
-            sums_list.pop()
-            for i, k in enumerate(chosen):
-                sums_list[i] -= matrix.entries[k][v]
+        def extend(chosen, sums, own, fits: int) -> None:
+            # fits: the indices past chosen[-1] that can still join, as bits
+            nonlocal best
+            if len(chosen) > len(best):
+                best = chosen
+            # a branch that can at most tie comes later in lexicographic order
+            while len(chosen) + fits.bit_count() > len(best):
+                v = (fits & -fits).bit_length() - 1
+                fits &= fits - 1
+                chosen_v, sums_v, own_v = state = _join(rows, v, chosen, sums, own)
+                slack = [limits[k] - s for k, s in zip(chosen_v, sums_v)]
+                extend(*state, sum(
+                    1 << u
+                    for u in range(v + 1, dim)
+                    if fits >> u & 1
+                    and own_v[u] < limits[u]
+                    and all(rows[k][u] < t for k, t in zip(chosen_v, slack))
+                ))
 
-    extend(0)
+        extend([], [], [0] * dim, (1 << dim) - 1)
     if len(best) < min_size:
         return None
-    return Subset(dim, tuple(best))
+    return Subset(dim, tuple(sorted(best)))

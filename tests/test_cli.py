@@ -264,6 +264,14 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
             "past the cap of 4300",
         ),
         (
+            ["ed", "member", "--depth", "2", "--set", "[1, 2]", "--k", "1e4300"],
+            "past the cap of 4300",
+        ),
+        (
+            ["ed", "member", "--depth", "2", "--set", "[1, 2]", "--k", "1" * 4400],
+            "past the cap of 4300",
+        ),
+        (
             _BATCH + ["--count", "99999999999999999999", "--n", "10"],
             "past the cap of 10000000",
         ),
@@ -278,6 +286,8 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
         "g-array",
         "ed-depth",
         "k-exponent",
+        "k-value",
+        "k-literal",
         "batch-count",
         "batch-n",
     ],
@@ -383,6 +393,7 @@ def test_batch_report_carries_instances(capsys):
         "30",
     )
     assert code == 0
+    assert doc["op"] == "katetov"
     assert [row["index"] for row in doc["instances"]] == list(range(6))
     assert [row["seed"] for row in doc["instances"]] == list(range(5, 11))
     assert doc["result"]["passed"] == 6

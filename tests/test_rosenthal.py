@@ -8,13 +8,16 @@ by their own bookkeeping.
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeset_lab import rosenthal
 from freeset_lab.freesets import max_free_subset
 from freeset_lab.funcgraph import (
     FiniteFunction,
@@ -24,6 +27,7 @@ from freeset_lab.funcgraph import (
     random_fpf_function,
 )
 from freeset_lab.rosenthal import (
+    EXACT_DIM_CAP,
     RosenthalMatrix,
     find_fragmenting_set,
     fragments,
@@ -70,10 +74,21 @@ def test_fraction_helpers():
     assert parse_fraction("-1/2") == Fraction(-1, 2)
     assert parse_fraction("0.25") == Fraction(1, 4)
     assert parse_fraction("1e-3") == Fraction(1, 1000)
-    assert parse_fraction("2E+0004300") == 2 * 10**4300
+    assert parse_fraction("2E+0004299") == 2 * 10**4299
 
 
-@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1E+1_0000", " 5e99999999999 "])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e4301",
+        "1e-4301",
+        "1E+1_0000",
+        " 5e99999999999 ",
+        "2E+4300",
+        "1e-4300",
+        "12345e4296",
+    ],
+)
 def test_exponent_past_the_cap_is_refused(text):
     with pytest.raises(ValueError, match="past the cap of 4300"):
         parse_fraction(text)
@@ -152,31 +167,67 @@ def test_fragmentation_is_downward_closed(seed, n):
 # === search ===
 
 
+def _prime_matrix():
+    """Rows over distinct prime denominators, so a row's LCM is not its
+    largest denominator; at ε = 5/6, row 3 sums to exactly 1/2 + 1/3 over
+    (0, 1, 3, 4), which is the maximum just above 5/6 but not at it."""
+    return _matrix(
+        [
+            ["0", "1/2", "1/3", "1/5", "0"],
+            ["1/3", "0", "1/5", "0", "1/7"],
+            ["1/5", "1/7", "0", "1/11", "1/2"],
+            ["1/2", "0", "1/13", "0", "1/3"],
+            ["1/7", "1/2", "1/3", "0", "0"],
+        ],
+        "2",
+    )
+
+
+# row 0 sums to exactly 1/2 over the whole set, so at ε = 1/2 it never fragments
+_EDGE = _matrix([["0", "1/3", "1/6"], ["0", "0", "0"], ["0", "0", "0"]])
+
+
+def _search_cases():
+    one = Fraction(1)
+    cases = [
+        (function_to_matrix(random_fpf_function(seed, 9, injective=True)), one)
+        for seed in range(15)
+    ]
+    for seed in range(10):
+        m = _rational_matrix(seed, 6 + seed % 5)
+        cases += [(m, eps) for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), one)]
+    for eps in (Fraction(1, 2), Fraction(8, 15), Fraction(5, 6), one):
+        cases.append((_prime_matrix(), eps))
+    cases.append((_EDGE, Fraction(1, 2)))
+    return cases
+
+
 def test_exact_search_finds_max_and_lex_min():
-    for seed in range(15):
-        fn = random_fpf_function(seed, 9, injective=True)
-        m = function_to_matrix(fn)
-        got = find_fragmenting_set(m, Fraction(1), 1, "exact")
+    for m, eps in _search_cases():
+        got = find_fragmenting_set(m, eps, 1, "exact")
         assert got is not None
-        assert verify_fragmentation(m, got, Fraction(1)).ok
+        assert verify_fragmentation(m, got, eps).ok
 
         # oracle: sweep all subsets for the largest, lex-smallest witness
+        dim = m.dim
         best = ()
-        for mask in range(1, 1 << 9):
-            elems = tuple(i for i in range(9) if mask >> i & 1)
-            a = Subset(9, elems)
-            if verify_fragmentation(m, a, Fraction(1)).ok:
+        for mask in range(1, 1 << dim):
+            elems = tuple(i for i in range(dim) if mask >> i & 1)
+            a = Subset(dim, elems)
+            if verify_fragmentation(m, a, eps).ok:
                 if len(elems) > len(best) or (
                     len(elems) == len(best) and elems < best
                 ):
                     best = elems
         assert got.elements == best
+    assert not verify_fragmentation(_EDGE, Subset(3, (0, 1, 2)), Fraction(1, 2)).ok
+    assert find_fragmenting_set(_EDGE, Fraction(1, 2), 1, "exact").elements == (0, 1)
 
 
 def test_exact_search_at_eps_one_is_the_exact_max_free_set():
     # at ε = 1 a function's 0-1 matrix fragments exactly on its free sets,
     # so both exact searches must return the same lex-smallest optimum
-    for dim in range(10, 15):
+    for dim in (*range(10, 15), EXACT_DIM_CAP):
         for seed in range(4):
             fn = random_fpf_function(seed, dim, injective=seed % 2 == 0)
             got = find_fragmenting_set(function_to_matrix(fn), Fraction(1), 1, "exact")
@@ -235,6 +286,27 @@ def test_greedy_search_on_rational_matrices_is_certified():
             assert got is not None
             assert len(got.elements) >= 1
             assert verify_fragmentation(m, got, eps).ok
+
+
+def _named_in(function: str) -> tuple[set, set]:
+    """The module-level functions of rosenthal that `function` names, and
+    the attributes it reads off `matrix`."""
+    tree = ast.parse(Path(rosenthal.__file__).read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    nodes = list(ast.walk(defs[function]))
+    named = {n.id for n in nodes if isinstance(n, ast.Name) and n.id in defs}
+    read = {
+        n.attr
+        for n in nodes
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "matrix"
+    }
+    return named, read
+
+
+def test_verifier_shares_no_code_with_the_searches():
+    # the dense verifier is the oracle for fragments and both search modes
+    assert _named_in("verify_fragmentation") == ({"_check_subset"}, {"entries"})
+    assert _named_in("fragments") == ({"_check_subset"}, {"entries", "nonzero_columns"})
 
 
 def test_exact_refuses_oversized_instance():
