@@ -13,16 +13,15 @@ from its t-th node to the next, goes straight into one part:
   part 2: that is the chord (a_0, a_k).
 
 Orbits are disjoint, so the per-orbit pairs never collide and every
-in-window edge is covered. Leftover points of each part are paired
+in-window edge is covered. Leftover points of parts 0 to 2 are paired
 canonically, lowest first, with at most one exception when the window
-is odd.
+is odd. No edge goes to part 3, so it is that canonical pairing of the
+whole window, built directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq, not_
 from typing import Sequence
 
 from .funcgraph import FiniteFunction, Subset, json_fields, json_int, json_ints
@@ -46,13 +45,24 @@ class Involution:
         exceptions = tuple(sorted(self.exceptions))
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "exceptions", exceptions)
-        if len(pairing) != self.window or self.window <= 0:
+        n = self.window
+        if len(pairing) != n or n <= 0:
             raise ValueError("pairing length must match a positive window")
         exc = set(exceptions)
         if len(exc) != len(exceptions):
             raise ValueError("duplicate exception")
+        # with every exception a fixed point in the window, a point is
+        # valid exactly when it swaps with its partner or is an exception
+        if all(0 <= e < n and pairing[e] == e for e in exceptions):
+            for x, y in enumerate(pairing):
+                if not (0 <= y < n and y != x and pairing[y] == x or y == x and x in exc):
+                    break
+            else:
+                return
+        # something fails: name the first failing point, or else the
+        # first exception outside the window
         for x, y in enumerate(pairing):
-            if y < 0 or y >= self.window:
+            if y < 0 or y >= n:
                 raise ValueError(f"pairing value {y} outside the window")
             if x in exc:
                 if y != x:
@@ -62,6 +72,9 @@ class Involution:
                     raise ValueError(f"{x} is fixed but not listed as an exception")
                 if pairing[y] != x:
                     raise ValueError(f"pairing is not self-inverse at {x}")
+        for e in exceptions:
+            if e < 0 or e >= n:
+                raise ValueError(f"exception {e} outside the window")
 
     def __call__(self, x: int) -> int:
         return self.pairing[x]
@@ -176,8 +189,6 @@ def _walk(
     while y < n and y != start:
         state[y] = 2
         p = parts[t]
-        if p[x] != -1 or p[y] != -1:
-            raise ValueError(f"point reused by pair ({x}, {y})")
         p[x] = y
         p[y] = x
         x, y, t = y, values[y], (t + 1) & 3
@@ -192,7 +203,9 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     pairing: paths by t mod 4 into parts 0, 1, 0, 2; cycles by the
     parity of t into parts 0 and 1, with an odd cycle's closing edge in
     part 2. The ascending scan reaches every cycle first at its least
-    node. The fourth part keeps only the leftover pairing.
+    node. The fourth part gets no edge: it pairs the window
+    consecutively, 0 with 1, 2 with 3 and so on, with n - 1 the
+    exception when n is odd.
     """
     if not fn.injective_on_window:
         raise ValueError("decomposition needs an injective function")
@@ -203,8 +216,8 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     for y in values:
         if y < n:
             state[y] = 1
-    pairings = [[-1] * n for _ in range(4)]
-    p0, p1, p2 = pairings[:3]
+    pairings = [[-1] * n for _ in range(3)]
+    p0, p1, p2 = pairings
     head = state.find(0)
     has_path = head != -1
     while head != -1:
@@ -221,7 +234,12 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
         odd_cycles += not t & 1
         start = state.find(1, start + 1)
     case = 2 if odd_cycles % 2 and not has_path else 1
-    parts = tuple(_complete(p) for p in pairings)
+    even = n - n % 2
+    p3 = list(range(n))
+    p3[0:even:2] = range(1, even, 2)
+    p3[1:even:2] = range(0, even, 2)
+    fourth = Involution(n, tuple(p3), (n - 1,) if n % 2 else ())
+    parts = (*map(_complete, pairings), fourth)
     return DecompositionResult(parts, (), case)
 
 
@@ -234,8 +252,9 @@ def verify_decomposition(
     must claim no uncovered edge. The unexplained edges are the ones no
     part covers together with any falsely claimed ones. The parts
     themselves are revalidated: exactly four, window match and at most
-    one exception each. Coverage is one pass that zips the function's
-    values against the four pairings.
+    one exception each. Coverage is one set comprehension that compares
+    each in-window value with the point's partner in each of the four
+    pairings.
     """
     values = fn.values
     n = len(values)
@@ -243,11 +262,11 @@ def verify_decomposition(
         p.window != n or len(p.exceptions) > 1 for p in result.parts
     ):
         return False, tuple(fn.in_window_edges())
-    covered = map(any, zip(*[map(eq, p.pairing, values) for p in result.parts]))
+    pairings = (p.pairing for p in result.parts)
     uncovered = {
-        (x, values[x])
-        for x in compress(range(n), map(not_, covered))
-        if values[x] < n
+        (x, y)
+        for x, y, pa, pb, pc, pd in zip(range(n), values, *pairings)
+        if y != pa and y != pb and y != pc and y != pd and y < n
     }
     unexplained = tuple(sorted(uncovered.union(result.uncovered_edges)))
     return not unexplained, unexplained
@@ -268,9 +287,7 @@ def patch_fixed_point(h: Involution, m: int) -> FiniteFunction:
     vals = list(h.pairing)
     vals[n0] = h.pairing[m]
     vals[m] = n0
-    out = FiniteFunction(tuple(vals))
-    assert out.injective_on_window
-    return out
+    return FiniteFunction(tuple(vals))
 
 
 def combine_on_blocks(

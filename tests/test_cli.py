@@ -193,6 +193,18 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             "g[1] is true, not an integer",
         ),
         (["orbits", "--fn", "[" * 100_000], "JSON document nested too deeply"),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", '{"n": 4, "pairing": [1, 0, 3, 2], "exceptions": [7]}'] * 4,
+                "--blocks",
+                '{"endpoints": [0, 3]}',
+                "--colors",
+                "[0]",
+            ],
+            "exception 7 outside the window",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -208,6 +220,7 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "g-float",
         "g-array",
         "deep-nesting",
+        "exception-outside-window",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):

@@ -9,10 +9,16 @@ pinned here.
 
 from __future__ import annotations
 
+import ast
+from itertools import compress
+from operator import eq, not_
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeset_lab import involutions
 from freeset_lab.funcgraph import (
     FiniteFunction,
     Lcg64,
@@ -105,6 +111,78 @@ def test_as_function_reroutes_exceptions_out_of_window():
     fn = inv.as_function()
     assert fn.values == (1, 0, 3)
     assert all(v != x for x, v in enumerate(fn.values))
+
+
+@pytest.mark.parametrize(
+    "window, pairing, exceptions",
+    [(4, (1, 0, 3, 2), (7,)), (4, (1, 0, 3, 2), (-1,)), (2, (1, 0), (5,))],
+)
+def test_exception_outside_the_window_is_refused(window, pairing, exceptions):
+    # (2, (1, 0), (5,)) used to reach patch_fixed_point and raise IndexError
+    with pytest.raises(ValueError, match=f"^exception {exceptions[0]} outside the window$"):
+        Involution(window, pairing, exceptions)
+
+
+def _validation_reference(window, pairing, exceptions) -> str | None:
+    """The per-point checks Involution made before its one-loop fast path.
+
+    Returns the ValueError message they raise, or None on acceptance.
+    They never looked at an exception outside the window.
+    """
+    exceptions = tuple(sorted(exceptions))
+    if len(pairing) != window or window <= 0:
+        return "pairing length must match a positive window"
+    exc = set(exceptions)
+    if len(exc) != len(exceptions):
+        return "duplicate exception"
+    for x, y in enumerate(pairing):
+        if y < 0 or y >= window:
+            return f"pairing value {y} outside the window"
+        if x in exc:
+            if y != x:
+                return f"exception {x} must map to itself"
+        else:
+            if y == x:
+                return f"{x} is fixed but not listed as an exception"
+            if pairing[y] != x:
+                return f"pairing is not self-inverse at {x}"
+    return None
+
+
+@st.composite
+def _near_involutions(draw):
+    """A valid pairing with a few entries and exceptions disturbed."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    swaps = 2 * draw(st.integers(0, n // 2))
+    pairing = list(range(n))
+    for a, b in zip(order[:swaps:2], order[1:swaps:2]):
+        pairing[a], pairing[b] = b, a
+    exceptions = list(order[swaps:])
+    for _ in range(draw(st.integers(0, 2))):
+        pairing[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n + 1))
+    if exceptions and draw(st.booleans()):
+        exceptions.remove(draw(st.sampled_from(exceptions)))
+    if draw(st.booleans()):
+        exceptions.append(draw(st.integers(-2, n + 1)))
+    window = draw(st.sampled_from([n, n, n, n + 1]))
+    return window, tuple(pairing), tuple(exceptions)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_near_involutions())
+def test_validation_matches_the_per_point_reference(case):
+    window, pairing, exceptions = case
+    try:
+        Involution(window, pairing, exceptions)
+        got = None
+    except ValueError as err:
+        got = str(err)
+    expected = _validation_reference(window, pairing, exceptions)
+    outside = [e for e in sorted(exceptions) if not 0 <= e < window]
+    if expected is None and outside:
+        expected = f"exception {outside[0]} outside the window"
+    assert got == expected
 
 
 def test_involution_json_round_trip():
@@ -236,6 +314,86 @@ def test_free_for_all_parts_bounds_the_overlap():
 
 
 # === the verifier requires full coverage ===
+
+
+def _coverage_reference(fn, result):
+    """verify_decomposition as one zipped pass of map(eq) over the parts."""
+    values = fn.values
+    n = len(values)
+    if len(result.parts) != 4 or any(
+        p.window != n or len(p.exceptions) > 1 for p in result.parts
+    ):
+        return False, tuple(fn.in_window_edges())
+    covered = map(any, zip(*[map(eq, p.pairing, values) for p in result.parts]))
+    uncovered = {
+        (x, values[x])
+        for x in compress(range(n), map(not_, covered))
+        if values[x] < n
+    }
+    unexplained = tuple(sorted(uncovered.union(result.uncovered_edges)))
+    return not unexplained, unexplained
+
+
+def _swap_a_pair(part: Involution, rng: Lcg64) -> Involution:
+    """Re-pair two pairs (a, b), (c, d) of a part as (a, d), (c, b)."""
+    heads = [x for x, y in enumerate(part.pairing) if x < y]
+    if len(heads) < 2:
+        return part
+    a = heads[rng.below(len(heads))]
+    c = heads[rng.below(len(heads))]
+    if a == c:
+        return part
+    pairing = list(part.pairing)
+    b, d = pairing[a], pairing[c]
+    pairing[a], pairing[d], pairing[c], pairing[b] = d, a, b, c
+    return Involution(part.window, tuple(pairing), part.exceptions)
+
+
+def test_verifier_matches_the_zipped_reference():
+    cases = []
+    for seed in range(60):
+        n = 2 + seed % 40
+        fn = random_fpf_function(seed, n, injective=True)
+        other = _random_derangement(seed + 1000, n)
+        res = decompose_into_involutions(fn)
+        rng = Lcg64(seed)
+        edge = next(iter(fn.in_window_edges()), (0, 1))
+        k = rng.below(4)
+        swapped = res.parts[:k] + (_swap_a_pair(res.parts[k], rng),) + res.parts[k + 1 :]
+        cases += [
+            (fn, res),
+            (other, decompose_into_involutions(other)),
+            (fn, decompose_into_involutions(other)),
+            (other, res),
+            (fn, DecompositionResult(res.parts, (edge,), res.case)),
+            (fn, DecompositionResult(res.parts, ((0, n),), res.case)),
+            (fn, DecompositionResult(swapped, (), res.case)),
+        ]
+    rejected = 0
+    for fn, res in cases:
+        got = verify_decomposition(fn, res)
+        assert got == _coverage_reference(fn, res)
+        rejected += not got[0]
+    assert rejected > len(cases) // 3
+
+
+def test_verifier_names_no_constructor_helper():
+    tree = ast.parse(Path(involutions.__file__).read_text(encoding="utf-8"))
+    defs = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    constructors = {
+        "_walk",
+        "_place",
+        "_complete",
+        "_canonical_pairing",
+        "decompose_into_involutions",
+    }
+    assert constructors <= defs
+    verifier = next(
+        n for n in tree.body
+        if isinstance(n, ast.FunctionDef) and n.name == "verify_decomposition"
+    )
+    named = {n.id for n in ast.walk(verifier) if isinstance(n, ast.Name)}
+    assert not named & constructors
 
 
 def test_verifier_rejects_a_partial_cover_of_a_path():
