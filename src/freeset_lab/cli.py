@@ -120,6 +120,8 @@ def _run_orbits(args) -> tuple[bool, dict]:
 
 
 def _run_free(args) -> tuple[bool, dict]:
+    if args.threshold < 0:
+        raise ValueError(f"--threshold is {args.threshold}, must be at least 0")
     family = [_load_fn(t) for t in args.fn]
     window = min(f.window for f in family)
     subset = _load_set(args.set, window)

@@ -173,18 +173,21 @@ def max_free_subset(
         if fn.window < window:
             raise ValueError("family function window smaller than search window")
     if mode == "greedy":
+        rows = [fn.values for fn in family]
         chosen: list[int] = []
         chosen_set: set[int] = set()
         images: set[int] = set()
         for v in range(window):
             if v in images:
                 continue
-            if any(fn.values[v] in chosen_set for fn in family):
-                continue
-            chosen.append(v)
-            chosen_set.add(v)
-            for fn in family:
-                images.add(fn.values[v])
+            for values in rows:
+                if values[v] in chosen_set:
+                    break
+            else:
+                chosen.append(v)
+                chosen_set.add(v)
+                for values in rows:
+                    images.add(values[v])
         return Subset(window, tuple(chosen))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")

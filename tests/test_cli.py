@@ -205,6 +205,18 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ],
             "exception 7 outside the window",
         ),
+        (
+            [
+                "free",
+                "--set",
+                "[0]",
+                "--fn",
+                '{"n": 4, "values": [1, 2, 3, 0]}',
+                "--threshold",
+                "-1",
+            ],
+            "--threshold is -1, must be at least 0",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -221,6 +233,7 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "g-array",
         "deep-nesting",
         "exception-outside-window",
+        "negative-threshold",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):

@@ -8,12 +8,15 @@ All frozen values below were produced by those oracles first.
 
 from __future__ import annotations
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeset_lab import freesets
 from freeset_lab.freesets import (
     Coloring,
     find_unsplit_set,
@@ -153,6 +156,57 @@ def test_greedy_is_free_and_maximal():
         assert is_maximal_free(got, fam, 20)
 
 
+def _greedy_reference(family, window) -> Subset:
+    """The greedy scan with one any() over a generator per point."""
+    chosen: list[int] = []
+    chosen_set: set[int] = set()
+    images: set[int] = set()
+    for v in range(window):
+        if v in images:
+            continue
+        if any(fn.values[v] in chosen_set for fn in family):
+            continue
+        chosen.append(v)
+        chosen_set.add(v)
+        for fn in family:
+            images.add(fn.values[v])
+    return Subset(window, tuple(chosen))
+
+
+def test_greedy_matches_the_reference_on_seeded_families():
+    for size in range(4):
+        for n in range(1, 61):
+            fam = [
+                random_fpf_function(1000 * size + 61 * j + n, n, injective=j % 2 == 1)
+                for j in range(size)
+            ]
+            assert max_free_subset(fam, n, mode="greedy") == _greedy_reference(fam, n)
+
+
+def test_greedy_matches_the_reference_past_the_search_window():
+    past = 0
+    for seed in range(120):
+        size = 1 + seed % 3
+        n = 1 + seed % 60
+        wide = [n + 1 + (seed + j) % 20 for j in range(size)]
+        fam = [
+            random_fpf_function(seed + 500 * j, w, injective=j != 1)
+            for j, w in enumerate(wide)
+        ]
+        past += any(y >= n for fn in fam for y in fn.values[:n])
+        assert max_free_subset(fam, n, mode="greedy") == _greedy_reference(fam, n)
+    assert past >= 100
+
+
+def test_greedy_matches_the_reference_on_shifts():
+    n = 8000
+    for k in (1, 2, 3):
+        fam = [FiniteFunction(tuple(range(k, n + k)))]
+        got = max_free_subset(fam, n, mode="greedy")
+        assert got == _greedy_reference(fam, n)
+        assert is_maximal_free(got, fam, n)
+
+
 def _maximal_free_oracle(elems, family, window) -> bool:
     """Free, and every outside point closes an in-window edge when added."""
 
@@ -217,6 +271,22 @@ def test_maximality_requires_the_search_window():
     fn = FiniteFunction([1, 2, 3, 0])
     with pytest.raises(ValueError):
         is_maximal_free(Subset(3, (0, 2)), [fn], 4)
+
+
+def test_verifiers_name_no_constructor_helper():
+    tree = ast.parse(Path(freesets.__file__).read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    constructors = {
+        "max_free_subset",
+        "katetov_partition",
+        "_family_adjacency",
+        "_mis_size",
+        "find_unsplit_set",
+    }
+    assert constructors <= defs.keys()
+    for name in ("is_maximal_free", "verify_coloring"):
+        named = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert not named & constructors, name
 
 
 def test_exact_refuses_oversized_window():
