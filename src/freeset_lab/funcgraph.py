@@ -316,13 +316,14 @@ def image_overlap(subset: Subset, fn: FiniteFunction) -> Subset:
     """
     if subset.window > fn.window:
         raise ValueError("subset window exceeds function window")
-    members = set(subset.elements)
-    hits = {fn.values[x] for x in subset.elements if fn.values[x] < subset.window}
-    return Subset(subset.window, tuple(sorted(hits & members)))
+    hits = {fn.values[x] for x in subset.elements}.intersection(subset.elements)
+    return Subset(subset.window, tuple(sorted(hits)))
 
 
 def is_free(subset: Subset, fn: FiniteFunction) -> bool:
-    return not image_overlap(subset, fn).elements
+    if subset.window > fn.window:
+        raise ValueError("subset window exceeds function window")
+    return set(subset.elements).isdisjoint(map(fn.values.__getitem__, subset.elements))
 
 
 def random_fpf_function(

@@ -10,6 +10,7 @@ fixed-point-free functions tie fragmentation at ε = 1 to freeness.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
@@ -54,37 +55,45 @@ def parse_fraction(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class RosenthalMatrix:
-    """A rows x cols matrix of nonnegative rationals with bounded row sums."""
+    """A rows x cols matrix of nonnegative rationals with bounded row sums;
+    scaled[k] maps each nonzero column of row k to its entry times
+    scales[k], the LCM of the row's denominators (other columns read 0)."""
 
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
     row_bound: Fraction
-    nonzero_columns: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    scaled: tuple[Counter, ...] = field(init=False, repr=False, compare=False)
+    scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
-        nonzero = []
+        scaled, scales, bound = [], [], self.row_bound
         for k, row in enumerate(self.entries):
             if len(row) != self.cols:
                 raise ValueError(f"row {k} has wrong length")
-            total = Fraction(0)
-            cols = []
-            for j, e in enumerate(row):
+            cells = [(j, e) for j, e in enumerate(row) if e]
+            scale = 1
+            for j, e in cells:
                 if e < 0:
                     raise ValueError(f"negative entry at ({k}, {j})")
-                if e:
-                    cols.append(j)
-                total += e
-            if total > self.row_bound:
-                raise ValueError(f"row {k} sum {total} exceeds bound {self.row_bound}")
-            nonzero.append(tuple(cols))
-        object.__setattr__(self, "nonzero_columns", tuple(nonzero))
+                scale = lcm(scale, e.denominator)
+                if scale >= _PAST_MAX_DIGITS:
+                    raise ValueError(f"row {k} scale is past the cap of {MAX_DIGITS}")
+            ints = Counter({j: e.numerator * scale // e.denominator for j, e in cells})
+            total = sum(ints.values())
+            if total >= _PAST_MAX_DIGITS:
+                raise ValueError(f"row {k} scaled sum is past the cap of {MAX_DIGITS}")
+            if total * bound.denominator > bound.numerator * scale:
+                total = Fraction(total, scale)
+                raise ValueError(f"row {k} sum {total} exceeds bound {bound}")
+            scaled.append(ints)
+            scales.append(scale)
+        object.__setattr__(self, "scaled", tuple(scaled))
+        object.__setattr__(self, "scales", tuple(scales))
 
     @property
     def dim(self) -> int:
@@ -136,20 +145,21 @@ def fragments(
     """Does every A-row sum to < eps over the other columns of A?
 
     Strict inequality; a sum exactly equal to eps fails. Walks only the
-    nonzero columns of each row, so zeros-and-ones function matrices cost
-    one lookup per row.
+    stored nonzero integers of each row, so zeros-and-ones function matrices
+    cost one lookup per row; only a witness sum becomes a Fraction.
     """
-    if eps <= 0:
+    num, den = eps.numerator, eps.denominator
+    if num <= 0:
         raise ValueError("eps must be positive")
     _check_subset(matrix, subset)
     members = set(subset.elements)
     for k in subset.elements:
-        total = Fraction(0)
-        for j in matrix.nonzero_columns[k]:
+        total = 0
+        for j, e in matrix.scaled[k].items():
             if j != k and j in members:
-                total += matrix.entries[k][j]
-        if total >= eps:
-            return Fragmentation(False, k, total)
+                total += e
+        if total * den >= num * matrix.scales[k]:
+            return Fragmentation(False, k, Fraction(total, matrix.scales[k]))
     return Fragmentation(True)
 
 
@@ -177,13 +187,8 @@ def function_to_matrix(fn: FiniteFunction) -> RosenthalMatrix:
     convention that boundary edges carry no obligations. For eps <= 1,
     fragmenting this matrix is the same as being free for f.
     """
-    n = fn.window
-    one = Fraction(1)
-    zero = Fraction(0)
-    entries = tuple(
-        tuple(one if (fn.values[k] == j and fn.values[k] < n) else zero for j in range(n))
-        for k in range(n)
-    )
+    n, one, zero = fn.window, Fraction(1), Fraction(0)
+    entries = tuple(tuple(one if v == j else zero for j in range(n)) for v in fn.values)
     return RosenthalMatrix(n, n, entries, one)
 
 
@@ -240,15 +245,9 @@ def find_fragmenting_set(
     elif dim > EXACT_DIM_CAP:
         raise ValueError(f"exact mode capped at dimension {EXACT_DIM_CAP}")
     else:
-        # integer sums: row k scaled by the LCM L of its denominators sums
-        # below eps * L exactly when it sums below ceil(eps * L)
-        square = [row[:dim] for row in matrix.entries[:dim]]
-        scales = [lcm(*(e.denominator for e in row)) for row in square]
-        rows = [
-            [e.numerator * (scale // e.denominator) for e in row]
-            for row, scale in zip(square, scales)
-        ]
-        limits = [ceil(eps * scale) for scale in scales]
+        # integer row k, scaled by L, sums below eps * L iff below ceil(eps * L)
+        rows = matrix.scaled
+        limits = [ceil(eps * scale) for scale in matrix.scales[:dim]]
         best = []
 
         def extend(chosen, sums, own, fits: int) -> None:
@@ -261,13 +260,13 @@ def find_fragmenting_set(
                 v = (fits & -fits).bit_length() - 1
                 fits &= fits - 1
                 chosen_v, sums_v, own_v = state = _join(rows, v, chosen, sums, own)
-                slack = [limits[k] - s for k, s in zip(chosen_v, sums_v)]
+                slack = [(rows[k].get, limits[k] - s) for k, s in zip(chosen_v, sums_v)]
                 extend(*state, sum(
                     1 << u
                     for u in range(v + 1, dim)
                     if fits >> u & 1
                     and own_v[u] < limits[u]
-                    and all(rows[k][u] < t for k, t in zip(chosen_v, slack))
+                    and all(entry(u, 0) < t for entry, t in slack)
                 ))
 
         extend([], [], [0] * dim, (1 << dim) - 1)

@@ -374,6 +374,25 @@ def test_zero_denominator_exits_two(capsys, argv):
     assert "'1/0'" in doc["error"]
 
 
+@pytest.mark.parametrize("command", [["check", "--set", "[0, 1, 2, 3]"], ["search"]])
+@pytest.mark.parametrize(
+    "row, bound",
+    [
+        (["0", f"1/{3**4000}", f"1/{7**2300}", f"1/{11**1800}"], "1"),
+        (["0", f"{10**4299 - 1}/{3**4000}", f"1/{7**2300}", "0"], str(10**4299)),
+        (["0", f"{10**4299 - 1}/{3**4000}", f"1/{7**2300}", "0"], "1"),
+    ],
+    ids=["scale", "sum", "sum-over-bound"],
+)
+def test_matrix_row_past_the_integer_cap_exits_two(capsys, command, row, bound):
+    doc = {"k": 4, "n": 4, "row_bound": bound, "entries": [row] + [["0"] * 4] * 3}
+    argv = ["rosenthal", command[0], "--matrix", json.dumps(doc), *command[1:]]
+    code, report, _ = _run(capsys, *argv, "--eps", "1e-4000")
+    assert code == 2
+    assert report["ok"] is False
+    assert "past the cap of 4300" in report["error"]
+
+
 def test_missing_file_exits_two(capsys):
     code, doc, _ = _run(capsys, "orbits", "--fn", "no-such-file.json")
     assert code == 2

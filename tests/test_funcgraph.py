@@ -131,6 +131,13 @@ def test_star_free_scan_ignores_boundary_edges():
     assert is_free(Subset.of(4, [3]), fn)
 
 
+def test_freeness_scans_refuse_a_wider_subset_window():
+    fn = FiniteFunction([1, 2, 0])
+    for scan in (is_free, image_overlap):
+        with pytest.raises(ValueError, match="subset window exceeds function window"):
+            scan(Subset.of(4, [0]), fn)
+
+
 # === orbit decomposition against a walk oracle ===
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -77,6 +76,23 @@ def test_fraction_helpers():
     assert parse_fraction("2E+0004299") == 2 * 10**4299
 
 
+# rows of valid entries whose integer form passes the cap: three denominators
+# with an LCM of about 5700 digits, and two with an LCM of about 3850 digits
+# under a scaled sum of about 6240 digits
+@pytest.mark.parametrize(
+    "row, bound",
+    [
+        (["0", f"1/{3**4000}", f"1/{7**2300}", f"1/{11**1800}"], "1"),
+        (["0", f"{10**4299 - 1}/{3**4000}", f"1/{7**2300}", "0"], str(10**4299)),
+        (["0", f"{10**4299 - 1}/{3**4000}", f"1/{7**2300}", "0"], "1"),
+    ],
+    ids=["scale", "sum", "sum-over-bound"],
+)
+def test_rows_past_the_integer_cap_are_refused(row, bound):
+    with pytest.raises(ValueError, match="past the cap of 4300"):
+        _matrix([row] + [["0"] * 4] * 3, bound)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -98,14 +114,24 @@ def test_exponent_past_the_cap_is_refused(text):
 
 
 def test_sparse_and_dense_checks_agree_everywhere():
-    for seed in range(20):
-        fn = random_fpf_function(seed, 8, injective=True)
-        m = function_to_matrix(fn)
-        for size in range(1, 4):
-            for elems in combinations(range(8), size):
-                a = Subset(8, elems)
-                for eps in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-                    assert fragments(m, a, eps).ok == verify_fragmentation(m, a, eps).ok
+    one = Fraction(1)
+    matrices = [
+        *(function_to_matrix(random_fpf_function(s, 8, True)) for s in range(20)),
+        *(_rational_matrix(seed, 6 + seed % 3) for seed in range(4)),
+        _prime_matrix(),
+    ]
+    for m in matrices:
+        for mask in range(1, 1 << m.dim):
+            a = Subset(m.dim, tuple(i for i in range(m.dim) if mask >> i & 1))
+            epss = [Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), one, Fraction(3, 2)]
+            # the first row's own off-diagonal sum as eps: a sum equal to eps fails
+            k = a.elements[0]
+            tie = sum((m.entries[k][j] for j in a.elements if j != k), Fraction(0))
+            if tie:
+                assert not fragments(m, a, tie).ok
+                epss.append(tie)
+            for eps in epss:
+                assert fragments(m, a, eps) == verify_fragmentation(m, a, eps)
 
 
 def test_failure_reports_offending_row():
@@ -199,7 +225,26 @@ def _search_cases():
     for eps in (Fraction(1, 2), Fraction(8, 15), Fraction(5, 6), one):
         cases.append((_prime_matrix(), eps))
     cases.append((_EDGE, Fraction(1, 2)))
+    for seed in range(4):
+        cases += [(m, eps) for m in _rectangular(seed) for eps in (Fraction(1, 4), one)]
     return cases
+
+
+def _rectangular(seed):
+    """A rational matrix grown by two columns past dim, whose entries carry
+    denominators (17 to 37) no square entry has, so each row's scale spans
+    more than the dim x dim square; and the same matrix grown by two rows."""
+    m = _rational_matrix(seed, 6 + seed)
+    fresh = [Fraction(1, p) for p in (17, 19, 23, 29, 31, 37)]
+    wide = tuple(
+        row + (fresh[k % 6], fresh[(k + 1) % 6]) for k, row in enumerate(m.entries)
+    )
+    extra = tuple(tuple(fresh[(k + j) % 6] for j in range(m.cols)) for k in range(2))
+    two = Fraction(2)
+    return (
+        RosenthalMatrix(m.rows, m.cols + 2, wide, two),
+        RosenthalMatrix(m.rows + 2, m.cols, m.entries + extra, two),
+    )
 
 
 def test_exact_search_finds_max_and_lex_min():
@@ -306,7 +351,7 @@ def _named_in(function: str) -> tuple[set, set]:
 def test_verifier_shares_no_code_with_the_searches():
     # the dense verifier is the oracle for fragments and both search modes
     assert _named_in("verify_fragmentation") == ({"_check_subset"}, {"entries"})
-    assert _named_in("fragments") == ({"_check_subset"}, {"entries", "nonzero_columns"})
+    assert _named_in("fragments") == ({"_check_subset"}, {"scaled", "scales"})
 
 
 def test_exact_refuses_oversized_instance():
