@@ -20,11 +20,10 @@ not (F(2) is already around 10^20 for g constant 2) and stay implicit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .funcgraph import FiniteFunction, Subset
+from .funcgraph import FiniteFunction, Record, Subset
 
 MAX_MATERIALIZED_POSITIONS = 10_000_000
 # Python prints no int of more than 4300 decimal digits (about 14,284
@@ -40,10 +39,10 @@ def _check_reportable(what: str, bits: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GrowthFunction:
+class GrowthFunction(Record):
     """Nondecreasing per-position bounds, each at least 2."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -81,8 +80,7 @@ def constant_growth(c: int, depth: int) -> GrowthFunction:
     return GrowthFunction((c,) * length)
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(Record):
     """Intervals I_n, their tuple counts F(n), and implicit coded blocks J_n.
 
     The J-blocks are only ever addressed as block index plus big-integer
@@ -90,6 +88,7 @@ class BlockSystem:
     j_starts[n+1]). Nothing below materializes a J-block.
     """
 
+    __slots__ = ("g", "depth", "i_endpoints", "f_sizes", "j_starts")
     g: GrowthFunction
     depth: int
     i_endpoints: tuple[int, ...]
@@ -175,14 +174,22 @@ def build_block_system(g: GrowthFunction, depth: int) -> BlockSystem:
     return BlockSystem(g, depth, tuple(i_ends), tuple(f_sizes), tuple(j_starts))
 
 
-@dataclass(frozen=True)
-class ShadowSet:
+class ShadowSet(Record):
     """Points of J_n reachable from earlier blocks in either direction."""
 
+    __slots__ = ("block", "elements", "size_bound", "capacity")
     block: int
     elements: tuple[int, ...]
     size_bound: int
     capacity: int
+
+    def __init__(
+        self, block: int, elements: tuple[int, ...], size_bound: int, capacity: int
+    ) -> None:
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "size_bound", size_bound)
+        object.__setattr__(self, "capacity", capacity)
 
     @property
     def within_bounds(self) -> bool:
@@ -257,14 +264,26 @@ def verify_meeting(
     return tuple(missed)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(Record):
     """Cross-block edges inside a coded set and their shadow certificates."""
 
+    __slots__ = ("coded_points", "edges", "certified", "uncertified")
     coded_points: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     certified: tuple[tuple[int, int, int], ...]
     uncertified: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self,
+        coded_points: tuple[int, ...],
+        edges: tuple[tuple[int, int], ...],
+        certified: tuple[tuple[int, int, int], ...],
+        uncertified: tuple[tuple[int, int], ...],
+    ) -> None:
+        object.__setattr__(self, "coded_points", coded_points)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "uncertified", uncertified)
 
     @property
     def ok(self) -> bool:
@@ -320,10 +339,10 @@ def verify_freeness_claim(
     )
 
 
-@dataclass(frozen=True)
-class MeasuredBlocks:
+class MeasuredBlocks(Record):
     """Materialized blocks with one exact rational mass per singleton."""
 
+    __slots__ = ("sizes", "unit_masses", "starts")
     sizes: tuple[int, ...]
     unit_masses: tuple[Fraction, ...]
     starts: tuple[int, ...]
@@ -387,13 +406,18 @@ def ed_fin_blocks(depth: int) -> MeasuredBlocks:
     return _with_starts(sizes, units)
 
 
-@dataclass(frozen=True)
-class BadSetBlock:
+class BadSetBlock(Record):
     """The part of a block touched by earlier blocks through f."""
 
+    __slots__ = ("block", "elements", "mass")
     block: int
     elements: tuple[int, ...]
     mass: Fraction
+
+    def __init__(self, block: int, elements: tuple[int, ...], mass: Fraction) -> None:
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "mass", mass)
 
 
 def bad_set(blocks: MeasuredBlocks, fn: FiniteFunction, n: int) -> BadSetBlock:
@@ -426,13 +450,23 @@ def ed_membership(
     return worst <= k, worst
 
 
-@dataclass(frozen=True)
-class SelectorReport:
+class SelectorReport(Record):
     """Freeness of a selector after discarding bad points."""
 
+    __slots__ = ("kept", "dropped", "cross_block_edges")
     kept: tuple[int, ...]
     dropped: tuple[int, ...]
     cross_block_edges: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self,
+        kept: tuple[int, ...],
+        dropped: tuple[int, ...],
+        cross_block_edges: tuple[tuple[int, int], ...],
+    ) -> None:
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "dropped", dropped)
+        object.__setattr__(self, "cross_block_edges", cross_block_edges)
 
     @property
     def ok(self) -> bool:

@@ -483,9 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_out(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument(
-            "--out", type=_out_file, help="also write the report to this path"
-        )
+        p.add_argument("--out", help="also write the report to this path")
+        p.set_defaults(out_parser=p)
         return p
 
     p = with_out(sub.add_parser("orbits", help="orbit decomposition"))
@@ -603,12 +602,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_file(path: str) -> TextIO:
-    """--out, opened while parsing so an unwritable path is a usage error."""
+def _out_file(args: argparse.Namespace) -> Optional[TextIO]:
+    """--out, opened only once the arguments parse, so a usage error leaves
+    the file as it was; an unwritable path is a usage error of its own."""
+    if args.out is None:
+        return None
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(args.out, "w", encoding="utf-8")
     except OSError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        args.out_parser.error(f"argument --out: {exc}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -618,6 +620,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        out = _out_file(args)
     except SystemExit as exc:
         return 2 if exc.code else 0
     started = time.perf_counter()
@@ -634,7 +637,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report["elapsed_seconds"] = time.perf_counter() - started
     text = json.dumps(report, indent=2)
     print(text)
-    if args.out is not None:
-        with args.out:
-            args.out.write(text + "\n")
+    if out is not None:
+        with out:
+            out.write(text + "\n")
     return code

@@ -11,18 +11,17 @@ sets that a family of colorings cannot split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .funcgraph import FiniteFunction, Subset, json_fields, json_int, json_ints
+from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
 
 EXACT_WINDOW_CAP = 24
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """An assignment of a color in {0, 1, 2} to every point of a window."""
 
+    __slots__ = ("window", "colors")
     window: int
     colors: tuple[int, ...]
 

@@ -12,7 +12,6 @@ partition constructions consume.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -72,17 +71,75 @@ class Lcg64:
         self.state = state
 
 
-@dataclass(frozen=True)
-class FiniteFunction:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in __slots__, or in _fields when further
+    slots hold values derived from the fields. A record is built from
+    positional arguments in field order and then checked by __post_init__.
+    It equals only a record of its own type with equal fields, hashes its
+    fields, prints as Name(field=value, ...) and refuses assignment and
+    deletion, so __post_init__ normalises a field with object.__setattr__.
+    Records built many times per call spell out their own __init__: the
+    generic loop below costs about twice as much per record.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
+    def __init__(self, *values: object) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(fields)} fields, got {len(values)}"
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalise the fields; a record without one takes any."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class FiniteFunction(Record):
     """A function on [0, N) given by its value tuple.
 
     values[x] is f(x); entries must be nonnegative and differ from their
     index (no fixed points). Entries >= N are allowed and mark edges that
-    exit the window.
+    exit the window. injective_on_window follows from values, so it
+    takes no part in equality or the repr.
     """
 
+    __slots__ = ("values", "injective_on_window")
+    _fields = ("values",)
     values: tuple[int, ...]
-    injective_on_window: bool = field(init=False)
+    injective_on_window: bool
 
     def __post_init__(self) -> None:
         vals = tuple(self.values)
@@ -153,22 +210,24 @@ def json_ints(items: object, what: str) -> tuple[int, ...]:
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """A subset of a window, kept as a strictly increasing tuple."""
 
+    __slots__ = ("window", "elements")
     window: int
     elements: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.window <= 0:
+    def __init__(self, window: int, elements: tuple[int, ...]) -> None:
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "elements", elements)
+        if window <= 0:
             raise ValueError("window must be positive")
         prev = -1
-        for e in self.elements:
+        for e in elements:
             if e <= prev:
                 raise ValueError("elements must be strictly increasing")
-            if e < 0 or e >= self.window:
-                raise ValueError(f"element {e} outside window [0, {self.window})")
+            if e < 0 or e >= window:
+                raise ValueError(f"element {e} outside window [0, {window})")
             prev = e
 
     @classmethod
@@ -185,8 +244,7 @@ class Subset:
         return list(self.elements)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     """One orbit of an injective window function.
 
     kind is "cycle" or "path". Cycle nodes start at the smallest node;
@@ -196,14 +254,15 @@ class Orbit:
     and the final node maps past the window edge.
     """
 
+    __slots__ = ("kind", "nodes")
     kind: str
     nodes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(Record):
     """The orbits of a window function, in ascending order of first node."""
 
+    __slots__ = ("window", "orbits")
     window: int
     orbits: tuple[Orbit, ...]
 

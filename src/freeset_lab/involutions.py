@@ -21,21 +21,20 @@ whole window, built directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .funcgraph import FiniteFunction, Subset, json_fields, json_int, json_ints
+from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
 from .partitions import IntervalPartition
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Record):
     """A self-inverse pairing of a window with explicit unpaired points.
 
     pairing[x] = y means x and y swap; points in exceptions map to
     themselves and are the only ones allowed to.
     """
 
+    __slots__ = ("window", "pairing", "exceptions")
     window: int
     pairing: tuple[int, ...]
     exceptions: tuple[int, ...]
@@ -114,8 +113,7 @@ class Involution:
         )
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Four involutions covering a function's graph, plus the bookkeeping.
 
     uncovered_edges lists in-window edges of the original function no
@@ -128,6 +126,7 @@ class DecompositionResult:
     present, 1 otherwise.
     """
 
+    __slots__ = ("parts", "uncovered_edges", "case")
     parts: tuple[Involution, Involution, Involution, Involution]
     uncovered_edges: tuple[tuple[int, int], ...]
     case: int

@@ -12,16 +12,15 @@ once is free for the function the intervals were built from.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Optional
 
-from .funcgraph import FiniteFunction, Subset, json_fields, json_int, json_ints
+from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(Record):
     """Consecutive blocks [e_i, e_{i+1}) given by increasing endpoints from 0."""
 
+    __slots__ = ("endpoints",)
     endpoints: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -57,10 +56,10 @@ class IntervalPartition:
         return cls(json_ints(endpoints, "endpoints"))
 
 
-@dataclass(frozen=True)
-class PartitionIntoParts:
+class PartitionIntoParts(Record):
     """A labeling of the window into finitely many nonempty parts."""
 
+    __slots__ = ("window", "part_of")
     window: int
     part_of: tuple[int, ...]
 

@@ -10,13 +10,12 @@ fixed-point-free functions tie fragmentation at ε = 1 to freeness.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm
+from operator import add
 from typing import Optional
 
-from .funcgraph import FiniteFunction, Subset, json_fields, json_int
+from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int
 
 EXACT_DIM_CAP = 22
 # Python prints no int of more than 4300 digits, so no numerator or
@@ -53,18 +52,20 @@ def parse_fraction(text: str) -> Fraction:
     raise ValueError(f"digits of {text!r} are past the cap of {MAX_DIGITS}")
 
 
-@dataclass(frozen=True)
-class RosenthalMatrix:
+class RosenthalMatrix(Record):
     """A rows x cols matrix of nonnegative rationals with bounded row sums;
     scaled[k] maps each nonzero column of row k to its entry times
-    scales[k], the LCM of the row's denominators (other columns read 0)."""
+    scales[k], the LCM of the row's denominators (absent columns are 0).
+    Both follow from entries, so they take no part in equality or the repr."""
 
+    __slots__ = ("rows", "cols", "entries", "row_bound", "scaled", "scales")
+    _fields = ("rows", "cols", "entries", "row_bound")
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
     row_bound: Fraction
-    scaled: tuple[Counter, ...] = field(init=False, repr=False, compare=False)
-    scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scaled: tuple[dict[int, int], ...]
+    scales: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -83,7 +84,7 @@ class RosenthalMatrix:
                 scale = lcm(scale, e.denominator)
                 if scale >= _PAST_MAX_DIGITS:
                     raise ValueError(f"row {k} scale is past the cap of {MAX_DIGITS}")
-            ints = Counter({j: e.numerator * scale // e.denominator for j, e in cells})
+            ints = {j: e.numerator * scale // e.denominator for j, e in cells}
             total = sum(ints.values())
             if total >= _PAST_MAX_DIGITS:
                 raise ValueError(f"row {k} scaled sum is past the cap of {MAX_DIGITS}")
@@ -123,13 +124,23 @@ class RosenthalMatrix:
         )
 
 
-@dataclass(frozen=True)
-class Fragmentation:
+class Fragmentation(Record):
     """Outcome of a fragmentation check; the witness is the first bad row."""
 
+    __slots__ = ("ok", "witness_row", "witness_sum")
     ok: bool
-    witness_row: Optional[int] = None
-    witness_sum: Optional[Fraction] = None
+    witness_row: Optional[int]
+    witness_sum: Optional[Fraction]
+
+    def __init__(
+        self,
+        ok: bool,
+        witness_row: Optional[int] = None,
+        witness_sum: Optional[Fraction] = None,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness_row", witness_row)
+        object.__setattr__(self, "witness_sum", witness_sum)
 
 
 def _check_subset(matrix: RosenthalMatrix, subset: Subset) -> None:
@@ -192,13 +203,14 @@ def function_to_matrix(fn: FiniteFunction) -> RosenthalMatrix:
     return RosenthalMatrix(n, n, entries, one)
 
 
-def _join(rows, v: int, chosen: list[int], sums: list, own: list) -> tuple:
-    """The search state once index v joins: the chosen indices, each chosen
-    row summed over the other chosen columns, every row over all of them."""
+def _join(column: list, v: int, chosen: list[int], sums: list, own: list) -> tuple:
+    """The search state once index v joins, given every row's entry in column
+    v: the chosen indices, each chosen row summed over the other chosen
+    columns, every row over all of them."""
     return (
         chosen + [v],
-        [s + rows[k][v] for k, s in zip(chosen, sums)] + [own[v]],
-        [o + row[v] for o, row in zip(own, rows)],
+        [s + column[k] for k, s in zip(chosen, sums)] + [own[v]],
+        list(map(add, own, column)),
     )
 
 
@@ -238,7 +250,8 @@ def find_fragmenting_set(
             joinable = [pick for pick in scores if pick[0] < eps]
             if not joinable:
                 break
-            state = _join(rows, min(joinable)[1], *state)
+            v = min(joinable)[1]
+            state = _join([row[v] for row in rows], v, *state)
         best = state[0]
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,7 +272,8 @@ def find_fragmenting_set(
             while len(chosen) + fits.bit_count() > len(best):
                 v = (fits & -fits).bit_length() - 1
                 fits &= fits - 1
-                chosen_v, sums_v, own_v = state = _join(rows, v, chosen, sums, own)
+                column = [row.get(v, 0) for row in rows]
+                chosen_v, sums_v, own_v = state = _join(column, v, chosen, sums, own)
                 slack = [(rows[k].get, limits[k] - s) for k, s in zip(chosen_v, sums_v)]
                 extend(*state, sum(
                     1 << u

@@ -336,6 +336,19 @@ def test_unbounded_or_unwritable_arguments_are_usage_errors(tmp_path, capsys):
     assert "--out" in captured.err
 
 
+def test_usage_error_leaves_the_out_file_untouched(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text('{"earlier": "report"}\n', encoding="utf-8")
+    assert main(["orbits", "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == '{"earlier": "report"}\n'
+    fresh = tmp_path / "fresh.json"
+    assert main(["orbits", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--fn" in captured.err
+
+
 def test_internal_fault_exits_three(capsys, monkeypatch):
     def broken(fn):
         raise TypeError("boom")
