@@ -23,9 +23,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .funcgraph import FiniteFunction, Record, Subset
+from .funcgraph import MAX_MATERIALIZED_POSITIONS, FiniteFunction, Record, Subset
 
-MAX_MATERIALIZED_POSITIONS = 10_000_000
 # Python prints no int of more than 4300 decimal digits (about 14,284
 # bits), so a size past this cap could be built but never reported.
 MAX_REPORTED_BITS = 14_000

@@ -16,32 +16,12 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
-from .boundedfam import (
-    MAX_MATERIALIZED_POSITIONS,
-    GrowthFunction,
-    bad_set,
-    build_block_system,
-    build_ed_blocks,
-    constant_growth,
-    ed_fin_blocks,
-    ed_membership,
-    meeting_function,
-    shadow_set,
-    verify_freeness_claim,
-    verify_meeting,
-)
-from .freesets import (
-    Coloring,
-    find_unsplit_set,
-    is_maximal_free,
-    katetov_partition,
-    max_free_subset,
-    verify_coloring,
-)
+# funcgraph is the one layer every subcommand uses; each handler imports
+# the rest of what it needs, so a call compiles only those modules.
 from .funcgraph import (
+    MAX_MATERIALIZED_POSITIONS,
     FiniteFunction,
     Subset,
     image_overlap,
@@ -51,29 +31,9 @@ from .funcgraph import (
     random_fpf_function,
     verify_orbits,
 )
-from .involutions import (
-    Involution,
-    combine_on_blocks,
-    decompose_into_involutions,
-    verify_decomposition,
-)
-from .partitions import (
-    IntervalPartition,
-    PartitionIntoParts,
-    dominates,
-    escape_intervals,
-    localization_agreement,
-    localized_function,
-    partition_function,
-    verify_escape,
-)
-from .rosenthal import (
-    RosenthalMatrix,
-    find_fragmenting_set,
-    fragments,
-    parse_fraction,
-    verify_fragmentation,
-)
+
+if TYPE_CHECKING:
+    from .boundedfam import GrowthFunction
 
 SCHEMA = 2
 
@@ -100,6 +60,8 @@ def _load_set(text: str, window: int) -> Subset:
 
 def _load_growth(text: str, depth: int) -> GrowthFunction:
     """An inline array of bounds, or one integer (a scalar, which cannot nest)."""
+    from .boundedfam import GrowthFunction, constant_growth
+
     stripped = text.strip()
     if stripped.startswith(("{", "[")):
         return GrowthFunction(json_ints(_load_doc(stripped), "g"))
@@ -138,6 +100,8 @@ def _run_free(args) -> tuple[bool, dict]:
 
 
 def _run_katetov(args) -> tuple[bool, dict]:
+    from .freesets import katetov_partition, verify_coloring
+
     fn = _load_fn(args.fn)
     coloring = katetov_partition(fn)
     bad = verify_coloring(coloring, fn)
@@ -147,6 +111,8 @@ def _run_katetov(args) -> tuple[bool, dict]:
 
 
 def _run_inv_decompose(args) -> tuple[bool, dict]:
+    from .involutions import decompose_into_involutions, verify_decomposition
+
     fn = _load_fn(args.fn)
     res = decompose_into_involutions(fn)
     ok, unexplained = verify_decomposition(fn, res)
@@ -157,6 +123,9 @@ def _run_inv_decompose(args) -> tuple[bool, dict]:
 
 
 def _run_inv_combine(args) -> tuple[bool, dict]:
+    from .involutions import Involution, combine_on_blocks
+    from .partitions import IntervalPartition
+
     parts = [Involution.from_json(_load_doc(t)) for t in args.part]
     blocks = IntervalPartition.from_json(_load_doc(args.blocks))
     colors = json_ints(_load_doc(args.colors), "colors")
@@ -181,6 +150,13 @@ def _run_inv_combine(args) -> tuple[bool, dict]:
 
 
 def _run_ros_check(args) -> tuple[bool, dict]:
+    from .rosenthal import (
+        RosenthalMatrix,
+        fragments,
+        parse_fraction,
+        verify_fragmentation,
+    )
+
     matrix = RosenthalMatrix.from_json(_load_doc(args.matrix))
     subset = _load_set(args.set, matrix.dim)
     eps = parse_fraction(args.eps)
@@ -204,6 +180,15 @@ def _run_ros_check(args) -> tuple[bool, dict]:
 
 
 def _run_ros_search(args) -> tuple[bool, dict]:
+    from .rosenthal import (
+        RosenthalMatrix,
+        find_fragmenting_set,
+        parse_fraction,
+        verify_fragmentation,
+    )
+
+    if args.min_size < 0:
+        raise ValueError(f"--min-size is {args.min_size}, must be at least 0")
     matrix = RosenthalMatrix.from_json(_load_doc(args.matrix))
     eps = parse_fraction(args.eps)
     found = find_fragmenting_set(matrix, eps, args.min_size, args.mode)
@@ -226,6 +211,8 @@ def _run_ros_search(args) -> tuple[bool, dict]:
 
 
 def _run_part_fp(args) -> tuple[bool, dict]:
+    from .partitions import PartitionIntoParts, partition_function
+
     partition = PartitionIntoParts.from_json(_load_doc(args.partition))
     fn = partition_function(partition)
     violations = []
@@ -238,6 +225,8 @@ def _run_part_fp(args) -> tuple[bool, dict]:
 
 
 def _run_part_escape(args) -> tuple[bool, dict]:
+    from .partitions import escape_intervals, verify_escape
+
     fn = _load_fn(args.fn)
     partition = escape_intervals(fn)
     bad = verify_escape(partition, fn)
@@ -248,6 +237,8 @@ def _run_part_escape(args) -> tuple[bool, dict]:
 
 
 def _run_part_localize(args) -> tuple[bool, dict]:
+    from .partitions import localization_agreement, localized_function
+
     g = _load_fn(args.fn)
     subset = _load_set(args.set, g.window)
     fn = localized_function(g, subset)
@@ -266,6 +257,8 @@ def _run_part_localize(args) -> tuple[bool, dict]:
 
 
 def _run_dominates(args) -> tuple[bool, dict]:
+    from .partitions import IntervalPartition, dominates
+
     outer = IntervalPartition.from_json(_load_doc(args.i))
     inner = IntervalPartition.from_json(_load_doc(args.j))
     count, last = dominates(outer, inner, args.n)
@@ -277,6 +270,8 @@ def _run_dominates(args) -> tuple[bool, dict]:
 
 
 def _run_blocks_build(args) -> tuple[bool, dict]:
+    from .boundedfam import build_block_system
+
     g = _load_growth(args.g, args.depth)
     system = build_block_system(g, args.depth)
     violations = []
@@ -295,6 +290,14 @@ def _run_blocks_build(args) -> tuple[bool, dict]:
 
 
 def _run_blocks_verify(args) -> tuple[bool, dict]:
+    from .boundedfam import (
+        build_block_system,
+        meeting_function,
+        shadow_set,
+        verify_freeness_claim,
+        verify_meeting,
+    )
+
     g = _load_growth(args.g, args.depth)
     system = build_block_system(g, args.depth)
     fn = _load_fn(args.fn)
@@ -321,6 +324,10 @@ def _run_blocks_verify(args) -> tuple[bool, dict]:
 
 
 def _run_ed_build(args) -> tuple[bool, dict]:
+    from fractions import Fraction
+
+    from .boundedfam import build_ed_blocks, ed_fin_blocks
+
     blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
     violations = []
     if args.fin:
@@ -338,6 +345,8 @@ def _run_ed_build(args) -> tuple[bool, dict]:
 
 
 def _run_ed_badset(args) -> tuple[bool, dict]:
+    from .boundedfam import bad_set, build_ed_blocks
+
     blocks = build_ed_blocks(args.depth)
     fn = _load_fn(args.fn)
     per_block = []
@@ -357,6 +366,9 @@ def _run_ed_badset(args) -> tuple[bool, dict]:
 
 
 def _run_ed_member(args) -> tuple[bool, dict]:
+    from .boundedfam import build_ed_blocks, ed_fin_blocks, ed_membership
+    from .rosenthal import parse_fraction
+
     blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
     subset = _load_set(args.set, blocks.starts[-1])
     bound = parse_fraction(args.k)
@@ -371,6 +383,8 @@ def _run_ed_member(args) -> tuple[bool, dict]:
 
 
 def _run_oracle_freeset(args) -> tuple[bool, dict]:
+    from .freesets import is_maximal_free, max_free_subset
+
     family = [_load_fn(t) for t in args.fn]
     subset = max_free_subset(family, args.n, args.mode)
     violations = []
@@ -385,6 +399,10 @@ def _run_oracle_freeset(args) -> tuple[bool, dict]:
 
 
 def _run_oracle_unsplit(args) -> tuple[bool, dict]:
+    from .freesets import Coloring, find_unsplit_set
+
+    if args.min_size < 0:
+        raise ValueError(f"--min-size is {args.min_size}, must be at least 0")
     colorings = [Coloring.from_json(_load_doc(t)) for t in args.coloring]
     found = find_unsplit_set(colorings, args.min_size)
     if found is None:
@@ -404,6 +422,8 @@ def _run_oracle_unsplit(args) -> tuple[bool, dict]:
 
 def _batch_instance(op: str, seed: int, n: int) -> dict:
     if op == "involutions-decompose":
+        from .involutions import decompose_into_involutions, verify_decomposition
+
         fn = random_fpf_function(seed, n, injective=True)
         res = decompose_into_involutions(fn)
         ok, _ = verify_decomposition(fn, res)
@@ -414,6 +434,8 @@ def _batch_instance(op: str, seed: int, n: int) -> dict:
             "uncovered": len(res.uncovered_edges),
         }
     if op == "katetov":
+        from .freesets import katetov_partition, verify_coloring
+
         fn = random_fpf_function(seed, n)
         coloring = katetov_partition(fn)
         bad = verify_coloring(coloring, fn)
@@ -434,6 +456,8 @@ def _batch_instance(op: str, seed: int, n: int) -> dict:
             "paths": len(dec.paths),
         }
     if op == "escape":
+        from .partitions import escape_intervals, verify_escape
+
         fn = random_fpf_function(seed, n, injective=True)
         partition = escape_intervals(fn)
         bad = verify_escape(partition, fn)

@@ -15,6 +15,10 @@ import json
 from operator import eq
 from typing import Iterable, Iterator
 
+# Most points any one call may hold in memory: a batch's seeded functions
+# together, or a block system's materialized positions.
+MAX_MATERIALIZED_POSITIONS = 10_000_000
+
 _MASK64 = (1 << 64) - 1
 _MULT = 6364136223846793005
 _INC = 1442695040888963407

@@ -21,10 +21,12 @@ whole window, built directly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
-from .partitions import IntervalPartition
+
+if TYPE_CHECKING:
+    from .partitions import IntervalPartition
 
 
 class Involution(Record):

@@ -97,6 +97,8 @@ def dominates(
     and the index of the last violating outer block, None when all outer
     blocks are satisfied.
     """
+    if window < 0:
+        raise ValueError(f"window is {window}, must be at least 0")
     if outer.endpoints[-1] < window or inner.endpoints[-1] < window:
         raise ValueError("both partitions must cover the window")
     violations = 0

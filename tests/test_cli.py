@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import freeset_lab
-from freeset_lab import cli
+from freeset_lab import cli, involutions
 from freeset_lab.cli import main
 
 TIMING = re.compile(r'"elapsed_seconds": [0-9.e+-]+')
@@ -217,6 +217,42 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ],
             "--threshold is -1, must be at least 0",
         ),
+        (
+            [
+                "rosenthal",
+                "search",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1"], ["1", "0"]]}',
+                "--eps",
+                "1",
+                "--min-size",
+                "-3",
+            ],
+            "--min-size is -3, must be at least 0",
+        ),
+        (
+            [
+                "oracle",
+                "unsplit",
+                "--coloring",
+                '{"n": 3, "colors": [0, 1, 2]}',
+                "--min-size",
+                "-1",
+            ],
+            "--min-size is -1, must be at least 0",
+        ),
+        (
+            [
+                "dominates",
+                "--i",
+                '{"endpoints": [0, 5]}',
+                "--j",
+                '{"endpoints": [0, 2, 5]}',
+                "--n",
+                "-7",
+            ],
+            "window is -7, must be at least 0",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -234,6 +270,9 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "deep-nesting",
         "exception-outside-window",
         "negative-threshold",
+        "search-negative-min-size",
+        "unsplit-negative-min-size",
+        "dominates-negative-window",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
@@ -362,6 +401,19 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert doc["ok"] is False
     assert doc["error"] == "internal fault: TypeError: boom"
     assert captured.err == ""
+
+
+def test_handlers_read_the_layer_module_at_call_time(capsys, monkeypatch):
+    # a handler imports its layer's names when it runs, so patching the
+    # layer module reaches the CLI
+    def broken(fn):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(involutions, "decompose_into_involutions", broken)
+    code = main(["involutions", "decompose", "--fn", '{"n": 2, "values": [1, 0]}'])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["error"] == "internal fault: TypeError: boom"
 
 
 def _matrix(bound="1", entry="1") -> str:

@@ -1,14 +1,17 @@
-"""Every module-level import in the package is used, and the CLI
-starts without the standard library's heavy record machinery.
+"""Every import in the package is used where it stands, and each CLI
+call loads only the modules its subcommand needs.
 
-The benchmark's CLI tracer wraps each library function cli.py imports,
-so an unused import there is a wrapper nothing calls; anywhere else it
-is dead code. __init__.py is exempt because it re-exports.
+cli.py imports funcgraph at its top and every other layer inside the
+handler that calls it, so an import a function never reads compiles a
+module for nothing; anywhere else it is dead code. The benchmark's CLI
+tracer wraps the library functions bound in cli's namespace, which are
+funcgraph's alone.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,21 +20,46 @@ import pytest
 
 import freeset_lab
 
-MODULES = sorted(
-    p for p in Path(freeset_lab.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(freeset_lab.__file__).parent.glob("*.py"))
+
+
+def _imports(node: ast.AST):
+    """The import statements in node's own scope, not in a nested def or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+        ):
+            yield from _imports(child)
+
+
+def _unused_in(scope: ast.AST) -> list[str]:
+    imported = []
+    for node in _imports(scope):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
 
 
 def _unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    imported = []
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [a.asname or a.name for a in node.names]
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(name for name in imported if name not in used)
+    """Names imported at module level, `if TYPE_CHECKING:` included, that
+    the module never reads."""
+    return sorted(_unused_in(ast.parse(source)))
+
+
+def _unused_local_imports(source: str) -> list[str]:
+    """`function.name` for each name imported inside a function that the
+    function itself never reads."""
+    return sorted(
+        f"{node.name}.{name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _unused_in(node)
+    )
 
 
 def test_checker_flags_only_unused_names():
@@ -45,14 +73,33 @@ def test_checker_flags_only_unused_names():
     assert _unused_imports(source) == ["Sequence", "os"]
 
 
+def test_checker_flags_a_function_import_its_function_never_reads():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from fractions import Fraction\n"
+        "def f():\n"
+        "    from json import dumps, loads\n"
+        "    return g()\n"
+        "def g():\n"
+        "    from json import dumps\n"
+        "    return dumps(1)\n"
+    )
+    assert _unused_imports(source) == ["Fraction"]
+    assert _unused_local_imports(source) == ["f.dumps", "f.loads"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(freeset_lab.__file__).parent.glob("*.py")), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_function_level_imports(path):
+    assert _unused_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_dataclasses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = set()
@@ -76,3 +123,78 @@ def test_cli_starts_without_dataclasses_or_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_FN = '{"n": 4, "values": [1, 2, 3, 0]}'
+_CLI = ["freeset_lab.cli", "freeset_lab.funcgraph"]
+# name: (argv, what the child has loaded after cli.main(argv)); an empty
+# argv reports after `import freeset_lab` and then `import freeset_lab.cli`
+_LOADS = {
+    "package-then-cli": ([], [[], _CLI]),
+    "orbits": (["orbits", "--fn", _FN], [_CLI]),
+    "free": (["free", "--set", "[0]", "--fn", _FN], [_CLI]),
+    "batch-orbits": (
+        ["batch", "--op", "orbits", "--seed", "1", "--count", "2", "--n", "8"],
+        [_CLI],
+    ),
+    "involutions-decompose": (
+        ["involutions", "decompose", "--fn", _FN],
+        [[*_CLI, "freeset_lab.involutions"]],
+    ),
+    "ed-member": (
+        ["ed", "member", "--depth", "2", "--set", "[0]", "--k", "1"],
+        [["fractions", "freeset_lab.boundedfam", *_CLI, "freeset_lab.rosenthal"]],
+    ),
+}
+_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+
+def loaded():
+    names = [m for m in sys.modules if m.startswith("freeset_lab.") or m == "fractions"]
+    print(json.dumps(sorted(names)))
+
+argv = {argv!r}
+if argv:
+    from freeset_lab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(code)
+else:
+    import freeset_lab
+    loaded()
+    import freeset_lab.cli
+loaded()
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded_modules() -> dict[str, list]:
+    """Each case's child output, one parsed JSON value a line. The children
+    run side by side, since each pays for a whole interpreter start."""
+    src = str(Path(freeset_lab.__file__).parent.parent)
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _CHILD.format(src=src, argv=argv)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for name, (argv, _) in _LOADS.items()
+    }
+    out = {}
+    for name, child in children.items():
+        stdout, stderr = child.communicate(timeout=60)
+        assert child.returncode == 0, stderr
+        out[name] = [json.loads(line) for line in stdout.splitlines()]
+    return out
+
+
+@pytest.mark.parametrize("name", list(_LOADS))
+def test_each_subcommand_loads_only_its_modules(loaded_modules, name):
+    argv, expected = _LOADS[name]
+    lines = loaded_modules[name]
+    if argv:
+        code, *lines = lines
+        assert code == 0
+    assert lines == expected

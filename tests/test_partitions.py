@@ -59,6 +59,14 @@ def test_interval_json_round_trip():
 # === domination ===
 
 
+def test_dominates_refuses_a_negative_window():
+    outer = IntervalPartition((0, 5))
+    inner = IntervalPartition((0, 2, 5))
+    with pytest.raises(ValueError, match="window is -1"):
+        dominates(outer, inner, -1)
+    assert dominates(outer, inner, 0) == (0, None)
+
+
 def test_coarse_dominates_fine():
     outer = IntervalPartition((0, 4, 8, 12))
     inner = IntervalPartition((0, 2, 4, 6, 8, 10, 12))
