@@ -1,21 +1,27 @@
 """Command-line surface: one JSON report per invocation.
 
-Every subcommand prints a single JSON document with a stable key order
-and exits 0 when the independent verifier pass agrees with the
-construction, 1 when a property fails, 2 on malformed input (loaders
-raise ValueError for all of it) and 3 on any other exception. Verdicts
-are always recomputed from scratch; nothing trusts a constructor's own
-claim. Batch mode runs seeded instances one after another and reports
-them in index order, so identical seeds give byte-identical reports up
-to the timing field.
+Every subcommand prints a single JSON document with a stable key order,
+exactly as `json.dumps(report, indent=2)` would print it, and exits 0
+when the independent verifier pass agrees with the construction, 1 when
+a property fails, 2 on malformed input (loaders raise ValueError for all
+of it) and 3 on any other exception. Malformed input includes a negative
+count or bound (`free --threshold`, `--min-size`, `dominates --n`, `ed
+member --k`) and a size past a cap, such as a batch of more than 10^7
+points or more than 10^5 instances. Verdicts are always recomputed from
+scratch; nothing trusts a constructor's own claim. Batch mode runs
+seeded instances one after another and reports them in index order, so
+identical seeds give byte-identical reports up to the timing field. A
+call builds the argument parsers of its own command alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 # funcgraph is the one layer every subcommand uses; each handler imports
@@ -36,6 +42,8 @@ if TYPE_CHECKING:
     from .boundedfam import GrowthFunction
 
 SCHEMA = 2
+# Each instance is a report row: 10^5 of them print about 11 MB.
+MAX_BATCH_COUNT = 100_000
 
 
 def _load_doc(text: str):
@@ -369,9 +377,12 @@ def _run_ed_member(args) -> tuple[bool, dict]:
     from .boundedfam import build_ed_blocks, ed_fin_blocks, ed_membership
     from .rosenthal import parse_fraction
 
+    bound = parse_fraction(args.k)
+    if bound < 0:
+        # masses are never negative, so no set could be a member
+        raise ValueError(f"--k is {bound}, must be at least 0")
     blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
     subset = _load_set(args.set, blocks.starts[-1])
-    bound = parse_fraction(args.k)
     member, worst = ed_membership(blocks, subset, bound)
     result = {
         "member": member,
@@ -479,6 +490,10 @@ def _run_batch(args) -> tuple[bool, dict]:
             f"batch of {count} x {args.n} points is past the cap of "
             f"{MAX_MATERIALIZED_POSITIONS}"
         )
+    if count > MAX_BATCH_COUNT:
+        raise ValueError(
+            f"batch of {count} instances is past the cap of {MAX_BATCH_COUNT}"
+        )
     rows = [_batch_instance(op, args.seed + i, args.n) for i in range(count)]
     instances = [{"index": i, **row} for i, row in enumerate(rows)]
     failed = [i for i, row in enumerate(rows) if not row["ok"]]
@@ -496,132 +511,213 @@ def _run_batch(args) -> tuple[bool, dict]:
     }
 
 
+# === report emission ===
+
+
+# Exact types, so a subclass of any of them, like any other value, takes
+# the member-by-member path.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """Encodes a container of scalars at `depth` with json.dumps(indent=2)'s
+    line breaks between its members, in one call of the C encoder."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2), byte for byte, as printed `depth` levels
+    down, for a document whose keys are strings. Only containers that hold
+    containers are walked in Python; a container of scalars is one C call."""
+    if isinstance(value, dict):
+        members = value.values()
+    elif isinstance(value, (list, tuple)):
+        members = value
+    else:
+        return _flat_encoder(depth).encode(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    outer = inner[:-2]
+    if _SCALARS.issuperset(map(type, members)):
+        text = _flat_encoder(depth).encode(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(value, dict):
+        items = [
+            encode_basestring_ascii(k) + ": " + _dumps(m, depth + 1)
+            for k, m in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_dumps(m, depth + 1) for m in value]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
 # === dispatch plumbing ===
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# every command, in the order the full parser lists them
+COMMANDS = (
+    "orbits",
+    "free",
+    "katetov",
+    "involutions",
+    "rosenthal",
+    "partition",
+    "dominates",
+    "blocks",
+    "ed",
+    "oracle",
+    "batch",
+)
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parsers: all of them, or when `command` names a command,
+    the top-level parser and that command's alone. Every usage line then
+    still lists all commands, so a parse prints the same text either way."""
     parser = argparse.ArgumentParser(
         prog="freeset-lab",
         description="Constructions and oracles for free sets of window functions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command not in COMMANDS:
+        command = None
+    # Only the full parser can fail on the command itself, and a metavar
+    # would rename it in that error ("required: command", "argument
+    # command: invalid choice").
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+
+    def wanted(name: str) -> bool:
+        return command is None or command == name
 
     def with_out(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--out", help="also write the report to this path")
         p.set_defaults(out_parser=p)
         return p
 
-    p = with_out(sub.add_parser("orbits", help="orbit decomposition"))
-    p.add_argument("--fn", required=True)
-    p.set_defaults(handler=_run_orbits, op="orbits")
+    if wanted("orbits"):
+        p = with_out(sub.add_parser("orbits", help="orbit decomposition"))
+        p.add_argument("--fn", required=True)
+        p.set_defaults(handler=_run_orbits, op="orbits")
 
-    p = with_out(sub.add_parser("free", help="intersection report for a set"))
-    p.add_argument("--set", required=True)
-    p.add_argument("--fn", action="append", required=True)
-    p.add_argument("--threshold", type=int, default=0)
-    p.set_defaults(handler=_run_free, op="free")
+    if wanted("free"):
+        p = with_out(sub.add_parser("free", help="intersection report for a set"))
+        p.add_argument("--set", required=True)
+        p.add_argument("--fn", action="append", required=True)
+        p.add_argument("--threshold", type=int, default=0)
+        p.set_defaults(handler=_run_free, op="free")
 
-    p = with_out(sub.add_parser("katetov", help="three-class free partition"))
-    p.add_argument("--fn", required=True)
-    p.set_defaults(handler=_run_katetov, op="katetov")
+    if wanted("katetov"):
+        p = with_out(sub.add_parser("katetov", help="three-class free partition"))
+        p.add_argument("--fn", required=True)
+        p.set_defaults(handler=_run_katetov, op="katetov")
 
-    inv = sub.add_parser("involutions", help="involution covers")
-    inv_sub = inv.add_subparsers(dest="subcommand", required=True)
-    p = with_out(inv_sub.add_parser("decompose"))
-    p.add_argument("--fn", required=True)
-    p.set_defaults(handler=_run_inv_decompose, op="involutions-decompose")
-    p = with_out(inv_sub.add_parser("combine"))
-    p.add_argument("--part", action="append", required=True)
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--colors", required=True)
-    p.set_defaults(handler=_run_inv_combine, op="involutions-combine")
+    if wanted("involutions"):
+        inv = sub.add_parser("involutions", help="involution covers")
+        inv_sub = inv.add_subparsers(dest="subcommand", required=True)
+        p = with_out(inv_sub.add_parser("decompose"))
+        p.add_argument("--fn", required=True)
+        p.set_defaults(handler=_run_inv_decompose, op="involutions-decompose")
+        p = with_out(inv_sub.add_parser("combine"))
+        p.add_argument("--part", action="append", required=True)
+        p.add_argument("--blocks", required=True)
+        p.add_argument("--colors", required=True)
+        p.set_defaults(handler=_run_inv_combine, op="involutions-combine")
 
-    ros = sub.add_parser("rosenthal", help="fragmentation checks")
-    ros_sub = ros.add_subparsers(dest="subcommand", required=True)
-    p = with_out(ros_sub.add_parser("check"))
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--eps", required=True)
-    p.set_defaults(handler=_run_ros_check, op="rosenthal-check")
-    p = with_out(ros_sub.add_parser("search"))
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--min-size", type=int, default=0)
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    p.set_defaults(handler=_run_ros_search, op="rosenthal-search")
+    if wanted("rosenthal"):
+        ros = sub.add_parser("rosenthal", help="fragmentation checks")
+        ros_sub = ros.add_subparsers(dest="subcommand", required=True)
+        p = with_out(ros_sub.add_parser("check"))
+        p.add_argument("--matrix", required=True)
+        p.add_argument("--set", required=True)
+        p.add_argument("--eps", required=True)
+        p.set_defaults(handler=_run_ros_check, op="rosenthal-check")
+        p = with_out(ros_sub.add_parser("search"))
+        p.add_argument("--matrix", required=True)
+        p.add_argument("--eps", required=True)
+        p.add_argument("--min-size", type=int, default=0)
+        p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
+        p.set_defaults(handler=_run_ros_search, op="rosenthal-search")
 
-    part = sub.add_parser("partition", help="partition machinery")
-    part_sub = part.add_subparsers(dest="subcommand", required=True)
-    p = with_out(part_sub.add_parser("fp"))
-    p.add_argument("--partition", required=True)
-    p.set_defaults(handler=_run_part_fp, op="partition-fp")
-    p = with_out(part_sub.add_parser("escape"))
-    p.add_argument("--fn", required=True)
-    p.set_defaults(handler=_run_part_escape, op="partition-escape")
-    p = with_out(part_sub.add_parser("localize"))
-    p.add_argument("--fn", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(handler=_run_part_localize, op="partition-localize")
+    if wanted("partition"):
+        part = sub.add_parser("partition", help="partition machinery")
+        part_sub = part.add_subparsers(dest="subcommand", required=True)
+        p = with_out(part_sub.add_parser("fp"))
+        p.add_argument("--partition", required=True)
+        p.set_defaults(handler=_run_part_fp, op="partition-fp")
+        p = with_out(part_sub.add_parser("escape"))
+        p.add_argument("--fn", required=True)
+        p.set_defaults(handler=_run_part_escape, op="partition-escape")
+        p = with_out(part_sub.add_parser("localize"))
+        p.add_argument("--fn", required=True)
+        p.add_argument("--set", required=True)
+        p.set_defaults(handler=_run_part_localize, op="partition-localize")
 
-    p = with_out(sub.add_parser("dominates", help="interval domination"))
-    p.add_argument("--i", required=True)
-    p.add_argument("--j", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_run_dominates, op="dominates")
+    if wanted("dominates"):
+        p = with_out(sub.add_parser("dominates", help="interval domination"))
+        p.add_argument("--i", required=True)
+        p.add_argument("--j", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(handler=_run_dominates, op="dominates")
 
-    blocks = sub.add_parser("blocks", help="coded block systems")
-    blocks_sub = blocks.add_subparsers(dest="subcommand", required=True)
-    p = with_out(blocks_sub.add_parser("build"))
-    p.add_argument("--g", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(handler=_run_blocks_build, op="blocks-build")
-    p = with_out(blocks_sub.add_parser("verify"))
-    p.add_argument("--g", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--h", required=True)
-    p.set_defaults(handler=_run_blocks_verify, op="blocks-verify")
+    if wanted("blocks"):
+        blocks = sub.add_parser("blocks", help="coded block systems")
+        blocks_sub = blocks.add_subparsers(dest="subcommand", required=True)
+        p = with_out(blocks_sub.add_parser("build"))
+        p.add_argument("--g", required=True)
+        p.add_argument("--depth", type=int, required=True)
+        p.set_defaults(handler=_run_blocks_build, op="blocks-build")
+        p = with_out(blocks_sub.add_parser("verify"))
+        p.add_argument("--g", required=True)
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--fn", required=True)
+        p.add_argument("--h", required=True)
+        p.set_defaults(handler=_run_blocks_verify, op="blocks-verify")
 
-    ed = sub.add_parser("ed", help="measured block families")
-    ed_sub = ed.add_subparsers(dest="subcommand", required=True)
-    p = with_out(ed_sub.add_parser("build"))
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--fin", action="store_true")
-    p.set_defaults(handler=_run_ed_build, op="ed-build")
-    p = with_out(ed_sub.add_parser("badset"))
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--fn", required=True)
-    p.set_defaults(handler=_run_ed_badset, op="ed-badset")
-    p = with_out(ed_sub.add_parser("member"))
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--fin", action="store_true")
-    p.set_defaults(handler=_run_ed_member, op="ed-member")
+    if wanted("ed"):
+        ed = sub.add_parser("ed", help="measured block families")
+        ed_sub = ed.add_subparsers(dest="subcommand", required=True)
+        p = with_out(ed_sub.add_parser("build"))
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--fin", action="store_true")
+        p.set_defaults(handler=_run_ed_build, op="ed-build")
+        p = with_out(ed_sub.add_parser("badset"))
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--fn", required=True)
+        p.set_defaults(handler=_run_ed_badset, op="ed-badset")
+        p = with_out(ed_sub.add_parser("member"))
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--set", required=True)
+        p.add_argument("--k", required=True)
+        p.add_argument("--fin", action="store_true")
+        p.set_defaults(handler=_run_ed_member, op="ed-member")
 
-    oracle = sub.add_parser("oracle", help="exhaustive searches")
-    oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
-    p = with_out(oracle_sub.add_parser("freeset"))
-    p.add_argument("--n", type=int, required=True)
-    # required: with no function every set is free, and --n alone is unbounded
-    p.add_argument("--fn", action="append", required=True)
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    p.set_defaults(handler=_run_oracle_freeset, op="oracle-freeset")
-    p = with_out(oracle_sub.add_parser("unsplit"))
-    p.add_argument("--coloring", action="append", required=True)
-    p.add_argument("--min-size", type=int, default=0)
-    p.set_defaults(handler=_run_oracle_unsplit, op="oracle-unsplit")
+    if wanted("oracle"):
+        oracle = sub.add_parser("oracle", help="exhaustive searches")
+        oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
+        p = with_out(oracle_sub.add_parser("freeset"))
+        p.add_argument("--n", type=int, required=True)
+        # required: with no function every set is free, and --n alone is unbounded
+        p.add_argument("--fn", action="append", required=True)
+        p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
+        p.set_defaults(handler=_run_oracle_freeset, op="oracle-freeset")
+        p = with_out(oracle_sub.add_parser("unsplit"))
+        p.add_argument("--coloring", action="append", required=True)
+        p.add_argument("--min-size", type=int, default=0)
+        p.set_defaults(handler=_run_oracle_unsplit, op="oracle-unsplit")
 
-    p = with_out(sub.add_parser("batch", help="seeded instance sweeps"))
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=("involutions-decompose", "katetov", "orbits", "escape"),
-    )
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_run_batch)
+    if wanted("batch"):
+        p = with_out(sub.add_parser("batch", help="seeded instance sweeps"))
+        p.add_argument(
+            "--op",
+            required=True,
+            choices=("involutions-decompose", "katetov", "orbits", "escape"),
+        )
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--count", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(handler=_run_batch)
 
     return parser
 
@@ -641,7 +737,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         out = _out_file(args)
@@ -659,7 +755,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = 0 if ok else 1
     report = {"schema": SCHEMA, "command": argv, "op": args.op, "ok": ok, **payload}
     report["elapsed_seconds"] = time.perf_counter() - started
-    text = json.dumps(report, indent=2)
+    text = _dumps(report)
     print(text)
     if out is not None:
         with out:

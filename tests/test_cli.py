@@ -8,14 +8,18 @@ field is masked.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freeset_lab
 from freeset_lab import cli, involutions
@@ -253,6 +257,10 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ],
             "window is -7, must be at least 0",
         ),
+        (
+            ["ed", "member", "--depth", "2", "--set", "[]", "--k", "-1"],
+            "--k is -1, must be at least 0",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -273,6 +281,7 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "search-negative-min-size",
         "unsplit-negative-min-size",
         "dominates-negative-window",
+        "member-negative-k",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
@@ -341,6 +350,10 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
             "past the cap of 10000000",
         ),
         (_BATCH + ["--count", "1", "--n", "400000000"], "past the cap of 10000000"),
+        (
+            _BATCH + ["--count", "100001", "--n", "1"],
+            "batch of 100001 instances is past the cap of 100000",
+        ),
     ],
     ids=[
         "part-label",
@@ -355,6 +368,7 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
         "k-literal",
         "batch-count",
         "batch-n",
+        "batch-instances",
     ],
 )
 def test_oversized_input_is_refused_before_the_work(capsys, argv, error):
@@ -465,6 +479,9 @@ def test_missing_file_exits_two(capsys):
 
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
+    assert "argument command: invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert main([]) == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -521,6 +538,126 @@ def test_out_flag_duplicates_stdout(tmp_path, capsys):
         str(out),
     )
     assert out.read_text() == raw
+
+
+# Characters json must escape or spell out, and any others.
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\n\té€😀') | st.characters(), max_size=6
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**300), 10**300)
+    | st.floats()
+    | _TEXT
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda members: st.lists(members, max_size=4)
+    | st.lists(members, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, members, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_DOCUMENTS)
+def test_reports_print_as_json_dumps_with_indent_two(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+# === parsers ===
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) for each leaf parser under `parser`."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, (*path, name))
+
+
+def _required_argv(leaf) -> list[str]:
+    """A value for each required option of a leaf: its first choice, or 1."""
+    argv = []
+    for action in leaf._actions:
+        if action.required:
+            argv += [action.option_strings[0], (action.choices or ["1"])[0]]
+    return argv
+
+
+def _parse(parser, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        args = vars(parser.parse_args(argv))
+        args["out_parser"] = args["out_parser"].prog
+    except SystemExit as exc:
+        args = exc.code
+    captured = capsys.readouterr()
+    return args, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "path", [path for path, _ in _leaves(cli._build_parser())], ids=" ".join
+)
+def test_one_command_parser_reads_as_the_full_one(capsys, path):
+    full, own = cli._build_parser(), cli._build_parser(path[0])
+    assert [p for p, _ in _leaves(own)] == [
+        p for p, _ in _leaves(full) if p[0] == path[0]
+    ]
+    leaf, own_leaf = dict(_leaves(full))[path], dict(_leaves(own))[path]
+    assert own.format_usage() == full.format_usage()
+    assert own_leaf.format_usage() == leaf.format_usage()
+    assert own_leaf.format_help() == leaf.format_help()
+    argv = [*path, *_required_argv(leaf)]
+    for case in (argv, argv + ["--out", "r.json"], argv + ["--bogus"], list(path)):
+        assert _parse(own, case, capsys) == _parse(full, case, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["orbits", "--fn", '{"n": 2, "values": [1, 0]}'], 2),
+        (["involutions", "decompose", "--fn", '{"n": 2, "values": [1, 0]}'], 4),
+        ([], 26),
+        (["--help"], 26),
+        (["frobnicate"], 26),
+    ],
+    ids=["orbits", "involutions-decompose", "no-argv", "help", "unknown"],
+)
+def test_a_call_builds_only_its_commands_parsers(monkeypatch, capsys, argv, built):
+    built_now = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built_now
+        built_now += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    main(argv)
+    assert built_now == built
+
+
+def test_readme_cli_examples_parse():
+    # each `freeset-lab` line of the CLI block, `\` continuations joined
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [
+        shlex.split(line)[1:] for line in lines if line.startswith("freeset-lab ")
+    ]
+    assert {argv[0] for argv in examples} == set(cli.COMMANDS)
+    for argv in examples:
+        for parser in (cli._build_parser(), cli._build_parser(argv[0])):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 # === determinism ===
