@@ -182,14 +182,6 @@ class ShadowSet(Record):
     size_bound: int
     capacity: int
 
-    def __init__(
-        self, block: int, elements: tuple[int, ...], size_bound: int, capacity: int
-    ) -> None:
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "size_bound", size_bound)
-        object.__setattr__(self, "capacity", capacity)
-
     @property
     def within_bounds(self) -> bool:
         return len(self.elements) <= self.size_bound < self.capacity
@@ -271,18 +263,6 @@ class ClaimReport(Record):
     edges: tuple[tuple[int, int], ...]
     certified: tuple[tuple[int, int, int], ...]
     uncertified: tuple[tuple[int, int], ...]
-
-    def __init__(
-        self,
-        coded_points: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
-        certified: tuple[tuple[int, int, int], ...],
-        uncertified: tuple[tuple[int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "coded_points", coded_points)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "certified", certified)
-        object.__setattr__(self, "uncertified", uncertified)
 
     @property
     def ok(self) -> bool:
@@ -413,11 +393,6 @@ class BadSetBlock(Record):
     elements: tuple[int, ...]
     mass: Fraction
 
-    def __init__(self, block: int, elements: tuple[int, ...], mass: Fraction) -> None:
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "mass", mass)
-
 
 def bad_set(blocks: MeasuredBlocks, fn: FiniteFunction, n: int) -> BadSetBlock:
     """Images and preimages of earlier blocks inside block n, with mass."""
@@ -456,16 +431,6 @@ class SelectorReport(Record):
     kept: tuple[int, ...]
     dropped: tuple[int, ...]
     cross_block_edges: tuple[tuple[int, int], ...]
-
-    def __init__(
-        self,
-        kept: tuple[int, ...],
-        dropped: tuple[int, ...],
-        cross_block_edges: tuple[tuple[int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "dropped", dropped)
-        object.__setattr__(self, "cross_block_edges", cross_block_edges)
 
     @property
     def ok(self) -> bool:
@@ -512,23 +477,3 @@ def selector_free_check(
             if blocks.block_of_point(x) != blocks.block_of_point(y):
                 cross.append((x, y))
     return SelectorReport(tuple(kept), tuple(dropped), tuple(cross))
-
-
-def infinitely_equal(
-    left: Sequence[int],
-    right: Sequence[int],
-    g: GrowthFunction,
-) -> tuple[int, ...]:
-    """Positions where two g-bounded sequences agree, up to the shortest length.
-
-    Many matches is the finite face of infinite equality, none beyond a
-    prefix the face of eventual difference; the caller chooses the
-    threshold, this only reports the positions.
-    """
-    window = min(len(left), len(right), len(g.values))
-    for i in range(window):
-        if not 0 <= left[i] < g.values[i]:
-            raise ValueError(f"left sequence breaks the bound at {i}")
-        if not 0 <= right[i] < g.values[i]:
-            raise ValueError(f"right sequence breaks the bound at {i}")
-    return tuple(i for i in range(window) if left[i] == right[i])

@@ -28,6 +28,8 @@ class Coloring(Record):
     def __post_init__(self) -> None:
         colors = tuple(self.colors)
         object.__setattr__(self, "colors", colors)
+        if self.window <= 0:
+            raise ValueError("window must be positive")
         if len(colors) != self.window:
             raise ValueError("color count must match window")
         for x, c in enumerate(colors):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from operator import eq
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # Most points any one call may hold in memory: a batch's seeded functions
 # together, or a block system's materialized positions.
@@ -84,26 +84,31 @@ class Record:
     It equals only a record of its own type with equal fields, hashes its
     fields, prints as Name(field=value, ...) and refuses assignment and
     deletion, so __post_init__ normalises a field with object.__setattr__.
-    Records built many times per call spell out their own __init__: the
-    generic loop below costs about twice as much per record.
+    Two records spell out their own __init__: Subset, built many times
+    per call, sets and checks its two fields in one call, with no loop
+    and no __post_init__; Fragmentation lets its witness fields default
+    to None.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple[Callable[[Record, object], None], ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
+        # a slot descriptor sets its field without object.__setattr__'s lookup
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *values: object) -> None:
-        fields = self._fields
-        if len(values) != len(fields):
+        setters = self._setters
+        if len(values) != len(setters):
             raise TypeError(
-                f"{type(self).__name__} takes {len(fields)} fields, got {len(values)}"
+                f"{type(self).__name__} takes {len(setters)} fields, got {len(values)}"
             )
-        for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:

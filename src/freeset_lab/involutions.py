@@ -273,24 +273,6 @@ def verify_decomposition(
     return not unexplained, unexplained
 
 
-def patch_fixed_point(h: Involution, m: int) -> FiniteFunction:
-    """Remove an involution's single unpaired point by a 3-cycle reroute.
-
-    With n0 the unique exception, m now maps to n0 and n0 takes over m's
-    old partner, so exactly the values at m and n0 change and the result
-    is a fixed-point-free bijection of the window.
-    """
-    if len(h.exceptions) != 1:
-        raise ValueError("need exactly one unpaired point")
-    n0 = h.exceptions[0]
-    if m == n0 or m < 0 or m >= h.window:
-        raise ValueError("m must be a window point other than the unpaired one")
-    vals = list(h.pairing)
-    vals[n0] = h.pairing[m]
-    vals[m] = n0
-    return FiniteFunction(tuple(vals))
-
-
 def combine_on_blocks(
     parts: Sequence[Involution],
     blocks: IntervalPartition,

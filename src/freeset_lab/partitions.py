@@ -74,10 +74,6 @@ class PartitionIntoParts(Record):
         if len(set(labels)) != max(labels) + 1:
             raise ValueError("every part index up to the maximum must be used")
 
-    @property
-    def part_count(self) -> int:
-        return max(self.part_of) + 1
-
     def to_json(self) -> dict:
         return {"n": self.window, "parts": list(self.part_of)}
 
@@ -254,45 +250,3 @@ def localization_agreement(
         if 0 <= j < len(a) - 1 and a[j] <= g.values[i] < a[j + 1]:
             same_block.append(i)
     return agree, tuple(same_block)
-
-
-def edge_blocks(g: FiniteFunction, subset: Subset) -> IntervalPartition:
-    """Greedy blocks each containing a g-edge inside the subset.
-
-    Scanning left to right, a block closes right after the first point
-    that completes an edge (x, g(x)) with both ends in the subset and in
-    the open block. The trailing stretch with no completed edge is
-    dropped; if no block ever closes the subset carries no in-window
-    edge at all, which violates the precondition.
-    """
-    members = set(subset.elements)
-    ends = [0]
-    pending: set[int] = set()
-    for t in range(g.window):
-        if t not in members:
-            continue
-        y = g.values[t]
-        closes = t in pending
-        if not closes and y in members and ends[-1] <= y < t:
-            closes = True
-        if closes:
-            ends.append(t + 1)
-            pending.clear()
-            continue
-        if y in members and t < y < g.window:
-            pending.add(y)
-    if len(ends) < 2:
-        raise ValueError("no in-window edge of the subset to block around")
-    return IntervalPartition(tuple(ends))
-
-
-def splits_all_parts(
-    subset: Subset, partition: PartitionIntoParts, threshold: int
-) -> bool:
-    """True when the subset meets every part at least threshold times."""
-    if subset.window > partition.window:
-        raise ValueError("subset window exceeds partition window")
-    counts = [0] * partition.part_count
-    for x in subset.elements:
-        counts[partition.part_of[x]] += 1
-    return all(c >= threshold for c in counts)

@@ -9,12 +9,12 @@ by hand before being pinned.
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from freeset_lab import boundedfam
 from freeset_lab.boundedfam import (
@@ -25,7 +25,6 @@ from freeset_lab.boundedfam import (
     constant_growth,
     ed_fin_blocks,
     ed_membership,
-    infinitely_equal,
     meeting_function,
     selector_free_check,
     shadow_set,
@@ -171,6 +170,15 @@ def test_verify_meeting_catches_a_total_miss():
     # element 2 codes the all-zero tuple; an all-one sequence never meets it
     ell = (0, 1, 1, 1, 1, 1)
     assert verify_meeting(system, shadows, ell) == ((1, 2),)
+
+
+def test_verifier_names_no_constructor():
+    tree = ast.parse(Path(boundedfam.__file__).read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    constructors = {"meeting_function", "build_block_system"}
+    assert constructors <= defs.keys()
+    named = {n.id for n in ast.walk(defs["verify_meeting"]) if isinstance(n, ast.Name)}
+    assert not named & constructors
 
 
 # === freeness claims ===
@@ -367,27 +375,3 @@ def test_selector_rejects_two_points_in_a_block():
     succ = FiniteFunction([k + 1 for k in range(15)])
     with pytest.raises(ValueError):
         selector_free_check(blocks, succ, Subset.of(15, [3, 4]))
-
-
-# === bounded-sequence matching ===
-
-
-def test_infinitely_equal_reports_positions():
-    g = GrowthFunction((2,) * 6)
-    assert infinitely_equal([0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 0, 0], g) == (0, 1, 3, 4)
-
-
-def test_infinitely_equal_validates_bounds():
-    g = GrowthFunction((2,) * 3)
-    with pytest.raises(ValueError):
-        infinitely_equal([0, 2, 0], [0, 1, 0], g)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10**6), st.integers(1, 50))
-def test_infinitely_equal_is_symmetric(seed, n):
-    rng = Lcg64(seed)
-    g = GrowthFunction(tuple(sorted(2 + rng.below(4) for _ in range(n))))
-    left = [rng.below(g.values[i]) for i in range(n)]
-    right = [rng.below(g.values[i]) for i in range(n)]
-    assert infinitely_equal(left, right, g) == infinitely_equal(right, left, g)

@@ -246,6 +246,10 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             "--min-size is -1, must be at least 0",
         ),
         (
+            ["oracle", "unsplit", "--coloring", '{"n": 0, "colors": []}'],
+            "window must be positive",
+        ),
+        (
             [
                 "dominates",
                 "--i",
@@ -280,6 +284,7 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "negative-threshold",
         "search-negative-min-size",
         "unsplit-negative-min-size",
+        "unsplit-empty-coloring",
         "dominates-negative-window",
         "member-negative-k",
     ],

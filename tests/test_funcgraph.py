@@ -7,12 +7,15 @@ the walk and the decomposition.
 
 from __future__ import annotations
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freeset_lab import funcgraph
 from freeset_lab.funcgraph import (
     FiniteFunction,
     Lcg64,
@@ -206,6 +209,14 @@ def test_verifier_rejects_orbits_out_of_order():
 def test_orbit_rejects_non_injective():
     with pytest.raises(ValueError):
         orbit_decomposition(FiniteFunction([1, 0, 0]))
+
+
+def test_verifier_names_no_constructor():
+    tree = ast.parse(Path(funcgraph.__file__).read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "orbit_decomposition" in defs
+    named = {n.id for n in ast.walk(defs["verify_orbits"]) if isinstance(n, ast.Name)}
+    assert "orbit_decomposition" not in named
 
 
 @settings(deadline=None, max_examples=60)

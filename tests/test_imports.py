@@ -1,5 +1,6 @@
-"""Every import in the package is used where it stands, and each CLI
-call loads only the modules its subcommand needs.
+"""Every import in the package is used where it stands, every public
+name is read by something that reaches a verdict, and each CLI call
+loads only the modules its subcommand needs.
 
 cli.py imports funcgraph at its top and every other layer inside the
 handler that calls it, so an import a function never reads compiles a
@@ -97,6 +98,68 @@ def test_no_unused_module_level_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_function_level_imports(path):
     assert _unused_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _public_definitions(tree: ast.Module):
+    """Names that the module's top-level defs, classes and assignments bind
+    and that carry no leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (name for name in targets if not name.startswith("_"))
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name the module reads, except a def's or class's own name read
+    inside its body, so a recursive orphan is still an orphan."""
+    read = set()
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        read.update(
+            n.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != own
+        )
+    return read
+
+
+def _unreached(package: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.name` for each public top-level name of the package modules
+    (module name to source) that neither they nor the readers ever read."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        read |= _names_read(tree)
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _public_definitions(tree)
+        if name not in read
+    )
+
+
+def test_reachability_checker_ignores_a_names_own_def():
+    package = {
+        "a": "LIMIT = 3\ndef f(n):\n    return f(n - 1)\ndef g():\n    return LIMIT\n",
+        "b": "from .a import g\nclass C:\n    pass\ndef _h():\n    return g()\n",
+    }
+    assert _unreached(package, []) == ["a.f", "b.C"]
+    assert _unreached(package, ["x = C()"]) == ["a.f"]
+
+
+def test_every_public_name_reaches_a_verdict():
+    """Each public top-level name is read by the CLI, by another package
+    module, by its own module outside its def, or by an acceptance
+    criterion; a name nothing reads changes no report."""
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    acceptance = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+    assert _unreached(package, [acceptance]) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -32,7 +32,6 @@ from freeset_lab.involutions import (
     Involution,
     combine_on_blocks,
     decompose_into_involutions,
-    patch_fixed_point,
     verify_decomposition,
 )
 from freeset_lab.partitions import IntervalPartition
@@ -118,7 +117,8 @@ def test_as_function_reroutes_exceptions_out_of_window():
     [(4, (1, 0, 3, 2), (7,)), (4, (1, 0, 3, 2), (-1,)), (2, (1, 0), (5,))],
 )
 def test_exception_outside_the_window_is_refused(window, pairing, exceptions):
-    # (2, (1, 0), (5,)) used to reach patch_fixed_point and raise IndexError
+    # (2, (1, 0), (5,)) pairs every window point, so only the range check on
+    # the exception itself can refuse it
     with pytest.raises(ValueError, match=f"^exception {exceptions[0]} outside the window$"):
         Involution(window, pairing, exceptions)
 
@@ -440,69 +440,6 @@ def test_result_json_shape():
     doc = decompose_into_involutions(fn).to_json()
     assert set(doc) == {"parts", "uncovered", "case"}
     assert len(doc["parts"]) == 4
-
-
-# === patching away a fixed point ===
-
-
-def test_patch_three_element_case():
-    h = Involution(3, (1, 0, 2), (2,))
-    fn = patch_fixed_point(h, 0)
-    assert fn.values == (2, 0, 1)
-    assert all(v != x for x, v in enumerate(fn.values))
-    assert fn.injective_on_window
-
-
-def test_patch_differs_only_at_two_points():
-    # a lone fixed point forces an odd window
-    h = Involution(7, (1, 0, 3, 2, 4, 6, 5), (4,))
-    fn = patch_fixed_point(h, 0)
-    diff = [k for k in range(7) if fn.values[k] != h.pairing[k]]
-    assert diff == [0, 4]
-    assert all(v != x for x, v in enumerate(fn.values))
-    assert fn.injective_on_window
-
-
-def test_patch_rejects_two_fixed_points():
-    h = Involution(6, (1, 0, 3, 2, 4, 5), (4, 5))
-    with pytest.raises(ValueError):
-        patch_fixed_point(h, 0)
-
-
-def test_patch_overlap_shift_is_bounded():
-    for seed in range(25):
-        base = _random_derangement(seed, 10)
-        # build an involution with one exception from pairs of base
-        pairs = {}
-        used = set()
-        for x in range(10):
-            y = base(x)
-            if x not in used and y not in used and x != y:
-                pairs[x] = y
-                pairs[y] = x
-                used.update((x, y))
-        rest = [x for x in range(10) if x not in used]
-        while len(rest) > 1:
-            a, b = rest[0], rest[1]
-            pairs[a] = b
-            pairs[b] = a
-            rest = rest[2:]
-        if not rest:
-            continue
-        m = rest[0]
-        vals = tuple(pairs.get(x, x) for x in range(10))
-        h = Involution(10, vals, (m,))
-        target = 0 if m != 0 else 1
-        fn = patch_fixed_point(h, target)
-        rng = Lcg64(seed)
-        for _ in range(10):
-            elems = [x for x in range(10) if rng.below(2)]
-            if not elems:
-                continue
-            a = Subset.of(10, elems)
-            before = len(image_overlap(a, h.as_function()).elements)
-            after = len(image_overlap(a, fn).elements)
-            assert abs(after - before) <= 2
 
 
 # === combining parts over blocks ===

@@ -10,25 +10,26 @@ with planted violations.
 
 from __future__ import annotations
 
+import ast
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeset_lab import partitions
 from freeset_lab.freesets import is_maximal_free, max_free_subset
 from freeset_lab.funcgraph import FiniteFunction, Subset, random_fpf_function
 from freeset_lab.partitions import (
     IntervalPartition,
     PartitionIntoParts,
     dominates,
-    edge_blocks,
     escape_intervals,
     localization_agreement,
     localized_function,
     partition_function,
-    splits_all_parts,
     verify_escape,
 )
 
@@ -253,6 +254,14 @@ def test_escape_and_maximality_scale_linearly():
     assert found.elements == tuple(range(0, n, 2))
 
 
+def test_verifier_names_no_constructor():
+    tree = ast.parse(Path(partitions.__file__).read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "escape_intervals" in defs
+    named = {n.id for n in ast.walk(defs["verify_escape"]) if isinstance(n, ast.Name)}
+    assert "escape_intervals" not in named
+
+
 # === localization ===
 
 
@@ -279,47 +288,3 @@ def test_localized_needs_two_anchors():
     g = FiniteFunction([1, 2, 0])
     with pytest.raises(ValueError):
         localized_function(g, Subset.of(3, [0]))
-
-
-# === edge blocks ===
-
-
-def test_successor_edge_blocks():
-    fn = FiniteFunction([k + 1 for k in range(10)])
-    a = Subset.of(10, range(10))
-    assert edge_blocks(fn, a).endpoints == (0, 2, 4, 6, 8, 10)
-
-
-def _block_holds_edge(fn, a, lo, hi) -> bool:
-    members = set(a.elements)
-    for x in range(lo, hi):
-        if x in members and lo <= fn(x) < hi and fn(x) in members:
-            return True
-    return False
-
-
-def test_each_edge_block_encloses_an_edge_and_is_minimal():
-    for seed in range(25):
-        fn = random_fpf_function(seed, 20, injective=True)
-        a = Subset.of(20, range(0, 20, 2))
-        try:
-            partition = edge_blocks(fn, a)
-        except ValueError:
-            continue
-        for lo, hi in partition.blocks():
-            assert _block_holds_edge(fn, a, lo, hi)
-
-            # greedy: the block closed at the first completed edge
-            assert not _block_holds_edge(fn, a, lo, hi - 1)
-
-
-def test_edge_blocks_error_when_no_edge_exists():
-    fn = FiniteFunction([1, 0, 3, 2])
-    with pytest.raises(ValueError):
-        edge_blocks(fn, Subset.of(4, [0, 2]))
-
-
-def test_splits_all_parts():
-    part = PartitionIntoParts(6, (0, 0, 1, 1, 2, 2))
-    assert splits_all_parts(Subset.of(6, [0, 2, 4]), part, 1)
-    assert not splits_all_parts(Subset.of(6, [0, 2]), part, 1)
