@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .funcgraph import MAX_MATERIALIZED_POSITIONS, FiniteFunction, Record, Subset
 
@@ -243,7 +243,21 @@ def verify_meeting(
     shadows: Sequence[ShadowSet],
     ell: Sequence[int],
 ) -> tuple[tuple[int, int], ...]:
-    """Shadow tuples the sequence misses everywhere in their interval."""
+    """Shadow tuples the sequence misses everywhere in their interval.
+
+    Only what meeting_function can return is checked: one g-bounded value
+    per position of the interval prefix, against one shadow set per block
+    in block order. Anything else raises ValueError.
+    """
+    if len(ell) != system.i_endpoints[-1]:
+        raise ValueError("sequence must cover the whole interval prefix")
+    for i, (v, bound) in enumerate(zip(ell, system.g.values)):
+        if v < 0 or v >= bound:
+            raise ValueError(f"value {v} breaks the bound {bound} at {i}")
+    if len(shadows) != system.depth:
+        raise ValueError("one shadow set per block required")
+    if any(shadow.block != n for n, shadow in enumerate(shadows)):
+        raise ValueError("shadow sets out of order")
     missed = []
     for shadow in shadows:
         n = shadow.block
@@ -274,47 +288,54 @@ def verify_freeness_claim(
     fn: FiniteFunction,
     h: Sequence[int],
 ) -> ClaimReport:
-    """Certify every edge of f inside the coded set of h by a shadow membership.
+    """Certify every edge of f inside the coded set of h by shadow membership.
 
-    A is the blockwise coding of h, one point per J_n. An edge from block
-    m into a later block n lands in S_f(n) by definition, and an edge
-    backward from block n exits S_f(n); the report records which block
-    certified each edge. An uncertified edge would refute the shadow
+    A is the blockwise coding of h, one point per J_n. A point p of J_n
+    lies in S_f(n) by definition when an earlier point maps to p or p
+    maps below J_n. So a forward edge x -> y = f(x) into a later block n
+    is certified when y lies in J_n and x < start(J_n), and a backward
+    edge out of block n when x lies in J_n and y < start(J_n): O(1) per
+    edge, with no shadow set built. The report records the certifying
+    block; a same-block edge has none. S_f(n) needs an injective f whose
+    window covers J_n, so certifying an edge into J_n raises ValueError
+    otherwise. An uncertified cross-block edge would refute the shadow
     construction, not the input.
     """
-    if len(h) != system.i_endpoints[-1]:
+    ends = system.i_endpoints
+    if len(h) != ends[-1]:
         raise ValueError("tuple must cover the whole interval prefix")
-    coded = []
-    for n in range(system.depth):
-        lo, hi = system.interval(n)
-        coded.append(system.code_point(n, tuple(h[i] for i in range(lo, hi))))
-    members = set(coded)
+    block_of = {
+        system.code_point(n, h[ends[n] : ends[n + 1]]): n for n in range(system.depth)
+    }
+    values = fn.values
+    window = len(values)
+    starts = system.j_starts
     edges = []
-    for x in coded:
-        if x >= fn.window:
-            continue
-        y = fn.values[x]
-        if y in members:
-            edges.append((x, y))
     certified = []
     uncertified = []
-    shadows: dict[int, frozenset[int]] = {}
-    for x, y in edges:
-        mx = system.block_of_point(x)
-        my = system.block_of_point(y)
-        if mx == my:
+    for x, m in block_of.items():
+        if x >= window:
+            continue
+        y = values[x]
+        n = block_of.get(y)
+        if n is None:
+            continue
+        edges.append((x, y))
+        if n == m:
             uncertified.append((x, y))
             continue
-        target = max(mx, my)
-        witness = y if my == target else x
-        if target not in shadows:
-            shadows[target] = frozenset(shadow_set(system, fn, target).elements)
-        if witness in shadows[target]:
+        target = max(m, n)
+        lo, hi = starts[target], starts[target + 1]
+        if window < hi:
+            raise ValueError("function window does not cover the coded prefix")
+        if not fn.injective_on_window:
+            raise ValueError("shadow sets need an injective function")
+        if x < lo <= y < hi or y < lo <= x < hi:
             certified.append((x, y, target))
         else:
             uncertified.append((x, y))
     return ClaimReport(
-        tuple(coded), tuple(edges), tuple(certified), tuple(uncertified)
+        tuple(block_of), tuple(edges), tuple(certified), tuple(uncertified)
     )
 
 
@@ -441,14 +462,14 @@ def selector_free_check(
     blocks: MeasuredBlocks,
     fn: FiniteFunction,
     selector: Subset,
-    bad_blocks: Optional[Sequence[BadSetBlock]] = None,
+    bad_blocks: Sequence[BadSetBlock],
 ) -> SelectorReport:
     """Drop the selector's bad points and look for surviving cross-block edges.
 
     A selector takes at most one point per block. The points left after
     removing every bad set can only be joined by f within a single block,
-    so any reported cross-block edge falsifies the bad-set construction;
-    bad_blocks may be supplied to check against perturbed bad sets.
+    so any reported cross-block edge falsifies the bad sets given, as
+    bad_set builds them or perturbed.
     """
     if fn.window < blocks.starts[-1]:
         raise ValueError("function window does not cover the block prefix")
@@ -457,10 +478,6 @@ def selector_free_check(
         counts[blocks.block_of_point(x)] += 1
     if any(c > 1 for c in counts):
         raise ValueError("selector takes more than one point in a block")
-    if bad_blocks is None:
-        bad_blocks = [
-            bad_set(blocks, fn, n) for n in range(blocks.block_count())
-        ]
     bad_union = set()
     for b in bad_blocks:
         bad_union.update(b.elements)

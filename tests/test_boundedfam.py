@@ -18,6 +18,7 @@ import pytest
 
 from freeset_lab import boundedfam
 from freeset_lab.boundedfam import (
+    ClaimReport,
     GrowthFunction,
     bad_set,
     build_block_system,
@@ -172,13 +173,59 @@ def test_verify_meeting_catches_a_total_miss():
     assert verify_meeting(system, shadows, ell) == ((1, 2),)
 
 
+def _meeting_case():
+    system = build_block_system(constant_growth(2, 2), 2)
+    fn = random_fpf_function(4001, 34, injective=True)
+    shadows = [shadow_set(system, fn, n) for n in range(2)]
+    ell = meeting_function(system, shadows)
+    assert verify_meeting(system, shadows, ell) == ()
+    return system, shadows, ell
+
+
+def test_verify_meeting_refuses_an_out_of_range_digit():
+    system, shadows, ell = _meeting_case()
+    assert system.g.values[0] == 2
+    with pytest.raises(ValueError, match="breaks the bound 2 at 0"):
+        verify_meeting(system, shadows, (7,) + ell[1:])
+
+
+def test_verify_meeting_refuses_a_sequence_past_the_prefix():
+    system, shadows, ell = _meeting_case()
+    with pytest.raises(ValueError, match="cover the whole interval prefix"):
+        verify_meeting(system, shadows, ell + (9, 9))
+
+
+def test_verify_meeting_refuses_a_sequence_short_of_the_prefix():
+    system, shadows, ell = _meeting_case()
+    with pytest.raises(ValueError, match="cover the whole interval prefix"):
+        verify_meeting(system, shadows, ell[:3])
+
+
+def test_verify_meeting_needs_one_shadow_per_block_in_order():
+    system, shadows, ell = _meeting_case()
+    with pytest.raises(ValueError, match="one shadow set per block"):
+        verify_meeting(system, shadows[:1], ell)
+    with pytest.raises(ValueError, match="out of order"):
+        verify_meeting(system, shadows[::-1], ell)
+
+
 def test_verifier_names_no_constructor():
     tree = ast.parse(Path(boundedfam.__file__).read_text(encoding="utf-8"))
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    constructors = {"meeting_function", "build_block_system"}
-    assert constructors <= defs.keys()
-    named = {n.id for n in ast.walk(defs["verify_meeting"]) if isinstance(n, ast.Name)}
-    assert not named & constructors
+    forbidden = {
+        "verify_meeting": {"meeting_function", "build_block_system"},
+        "verify_freeness_claim": {
+            "shadow_set",
+            "_touched_by_prefix",
+            "meeting_function",
+            "build_block_system",
+        },
+        "selector_free_check": {"bad_set", "_touched_by_prefix"},
+    }
+    for verifier, constructors in forbidden.items():
+        assert constructors <= defs.keys()
+        named = {n.id for n in ast.walk(defs[verifier]) if isinstance(n, ast.Name)}
+        assert not named & constructors, verifier
 
 
 # === freeness claims ===
@@ -210,22 +257,98 @@ def test_claim_certificates_point_into_the_shadow():
     )
 
 
-def test_claim_builds_each_target_shadow_once(monkeypatch):
+def test_claim_certifies_both_crossings_by_the_later_block():
     # 0 -> 2 and 2 -> 0 both cross from J_0 into J_1, so both are
     # certified by the shadow of block 1
     system = build_block_system(constant_growth(2, 2), 2)
     fn = FiniteFunction([2, 3, 0, 1] + [x ^ 1 for x in range(4, 34)])
-    calls = []
-
-    def counting_shadow_set(system, fn, n):
-        calls.append(n)
-        return shadow_set(system, fn, n)
-
-    monkeypatch.setattr(boundedfam, "shadow_set", counting_shadow_set)
     claim = verify_freeness_claim(system, fn, [0] * 6)
     assert claim.edges == ((0, 2), (2, 0))
     assert claim.certified == ((0, 2, 1), (2, 0, 1))
-    assert calls == [1]
+
+
+def _claim_oracle(system, fn, shadows, h):
+    """The ClaimReport of h, coded by hand and certified against given shadows."""
+    coded = []
+    for n in range(system.depth):
+        lo, hi = system.interval(n)
+        code, mult = 0, 1
+        for i in range(lo, hi):
+            code += h[i] * mult
+            mult *= system.g.values[i]
+        coded.append(system.j_starts[n] + code)
+
+    def block(p):
+        return next(n for n in range(system.depth) if p < system.j_starts[n + 1])
+
+    edges = [(x, fn(x)) for x in coded if x < fn.window and fn(x) in coded]
+    certified = []
+    uncertified = []
+    for x, y in edges:
+        target = max(block(x), block(y))
+        witness = y if block(y) == target else x
+        if block(x) != block(y) and witness in shadows[target]:
+            certified.append((x, y, target))
+        else:
+            uncertified.append((x, y))
+    return ClaimReport(tuple(coded), tuple(edges), tuple(certified), tuple(uncertified))
+
+
+def test_claim_reports_match_the_shadow_definition():
+    system = build_block_system(constant_growth(2, 2), 2)
+    hs = [list(h) for h in product(range(2), repeat=6)]
+    crossings = 0
+    for seed in range(200):
+        fn = random_fpf_function(9000 + seed, 34, injective=True)
+        # S_f(n) from its definition: images of the prefix before J_n
+        # that land in J_n, and points of J_n that map below it
+        shadows = []
+        for n in range(system.depth):
+            lo, hi = system.j_block(n)
+            shadows.append(
+                {fn(x) for x in range(lo) if lo <= fn(x) < hi}
+                | {x for x in range(lo, hi) if fn(x) < lo}
+            )
+        for h in hs:
+            claim = verify_freeness_claim(system, fn, h)
+            assert claim == _claim_oracle(system, fn, shadows, h), (seed, h)
+            crossings += len(claim.certified)
+    assert crossings > 0
+
+
+def _unchecked_function(values):
+    """A FiniteFunction built past its checks, so it may fix a point."""
+    fn = object.__new__(FiniteFunction)
+    object.__setattr__(fn, "values", tuple(values))
+    object.__setattr__(fn, "injective_on_window", len(set(values)) == len(values))
+    return fn
+
+
+def test_same_block_edge_stays_uncertified():
+    # 0 is a fixed point and the coded point of J_0 for h = 0
+    system = build_block_system(constant_growth(2, 2), 2)
+    fn = _unchecked_function([0, 2, 3, 1] + [x ^ 1 for x in range(4, 34)])
+    claim = verify_freeness_claim(system, fn, [0] * 6)
+    assert claim == ClaimReport((0, 2), ((0, 0),), (), ((0, 0),))
+    assert not claim.ok
+
+
+def test_claim_needs_a_covering_window_for_a_cross_edge():
+    system = build_block_system(constant_growth(2, 2), 2)
+    # no edge joins the coded points 0 and 2, so nothing needs J_1
+    assert verify_freeness_claim(system, FiniteFunction([1, 0]), [0] * 6).edges == ()
+    with pytest.raises(ValueError) as err:
+        verify_freeness_claim(system, FiniteFunction([2, 3, 0, 1]), [0] * 6)
+    assert str(err.value) == "function window does not cover the coded prefix"
+
+
+def test_claim_needs_an_injective_function_for_a_cross_edge():
+    system = build_block_system(constant_growth(2, 2), 2)
+    fn = FiniteFunction([2, 2] + [x ^ 1 for x in range(2, 34)])
+    assert not fn.injective_on_window
+    with pytest.raises(ValueError) as err:
+        verify_freeness_claim(system, fn, [0] * 6)
+    assert str(err.value) == "shadow sets need an injective function"
 
 
 def test_claim_requires_full_h():
@@ -373,5 +496,6 @@ def test_perturbed_bad_sets_get_caught():
 def test_selector_rejects_two_points_in_a_block():
     blocks = build_ed_blocks(2)
     succ = FiniteFunction([k + 1 for k in range(15)])
+    bads = [bad_set(blocks, succ, n) for n in range(blocks.block_count())]
     with pytest.raises(ValueError):
-        selector_free_check(blocks, succ, Subset.of(15, [3, 4]))
+        selector_free_check(blocks, succ, Subset.of(15, [3, 4]), bads)
