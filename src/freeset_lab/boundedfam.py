@@ -212,6 +212,41 @@ def shadow_set(system: BlockSystem, fn: FiniteFunction, n: int) -> ShadowSet:
     return ShadowSet(n, _touched_by_prefix(fn, lo, hi), 2 * lo, size[1] - size[0])
 
 
+def verify_shadows(
+    system: BlockSystem, fn: FiniteFunction, shadows: Sequence[ShadowSet]
+) -> tuple[int, ...]:
+    """Blocks whose shadow set is not S_f(n) by its definition.
+
+    S_f(n) holds the points of J_n that an earlier point maps to and the
+    points of J_n that map below J_n. One pass over the edges inside the
+    coded prefix sorts each edge between two blocks into the later
+    block's expected set: its head when f goes forward, its tail when f
+    goes back. A shadow set must list exactly that set, ascending.
+    """
+    if len(shadows) != system.depth:
+        raise ValueError("one shadow set per block required")
+    starts = system.j_starts
+    prefix = starts[-1]
+    values = fn.values
+    if len(values) < prefix:
+        raise ValueError("function window does not cover the coded prefix")
+    expected: list[set[int]] = [set() for _ in shadows]
+    for m in range(system.depth):
+        for x in range(starts[m], starts[m + 1]):
+            y = values[x]
+            if y < prefix:
+                n = bisect_right(starts, y) - 1
+                if n > m:
+                    expected[n].add(y)
+                elif n < m:
+                    expected[m].add(x)
+    return tuple(
+        n
+        for n, shadow in enumerate(shadows)
+        if shadow.block != n or shadow.elements != tuple(sorted(expected[n]))
+    )
+
+
 def meeting_function(
     system: BlockSystem, shadows: Sequence[ShadowSet]
 ) -> tuple[int, ...]:

@@ -304,6 +304,7 @@ def _run_blocks_verify(args) -> tuple[bool, dict]:
         shadow_set,
         verify_freeness_claim,
         verify_meeting,
+        verify_shadows,
     )
 
     g = _load_growth(args.g, args.depth)
@@ -315,6 +316,8 @@ def _run_blocks_verify(args) -> tuple[bool, dict]:
     for s in shadows:
         if not s.within_bounds:
             violations.append({"block": s.block, "reason": "shadow bound"})
+    for n in verify_shadows(system, fn, shadows):
+        violations.append({"block": n, "reason": "shadow set mismatch"})
     claim = verify_freeness_claim(system, fn, h)
     for x, y in claim.uncertified:
         violations.append({"edge": [x, y], "reason": "no shadow certificate"})

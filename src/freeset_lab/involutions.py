@@ -17,6 +17,12 @@ in-window edge is covered. Leftover points of parts 0 to 2 are paired
 canonically, lowest first, with at most one exception when the window
 is odd. No edge goes to part 3, so it is that canonical pairing of the
 whole window, built directly.
+
+A partial pairing marks a point not yet paired with None, so the
+leftover scans test identity and never read an int. The case of the
+input has a closed form: an injection with no path keeps every value in
+the window and so permutes it, its cycle lengths sum to the window
+size, and the count of odd cycles is odd exactly when the window is.
 """
 
 from __future__ import annotations
@@ -125,7 +131,8 @@ class DecompositionResult(Record):
     key and the batch rows' count), and verify_decomposition recomputes
     coverage on its own and rejects any claimed edge. case classifies
     the input only: 2 when the count of odd cycles is odd and no path is
-    present, 1 otherwise.
+    present, 1 otherwise. For an injection that is 2 exactly when the
+    window is odd and every value lies inside it.
     """
 
     __slots__ = ("parts", "uncovered_edges", "case")
@@ -141,21 +148,25 @@ class DecompositionResult(Record):
         }
 
 
-def _place(pairing: list[int], x: int, y: int) -> None:
+def _place(pairing: list[int | None], x: int, y: int) -> None:
     """Pair x with y in a partial pairing; both must still be free."""
-    if pairing[x] != -1 or pairing[y] != -1:
+    if pairing[x] is not None or pairing[y] is not None:
         raise ValueError(f"point reused by pair ({x}, {y})")
     pairing[x] = y
     pairing[y] = x
 
 
-def _complete(pairing: list[int]) -> Involution:
+def _complete(
+    pairing: list[int | None], leftovers: list[int] | None = None
+) -> Involution:
     """Pair the points a partial pairing leaves free, consecutively.
 
     Free points are taken ascending and paired in order; an odd count
-    leaves the last one as the single exception.
+    leaves the last one as the single exception. A caller that already
+    knows the free points passes them ascending, and nothing is scanned.
     """
-    leftovers = [x for x, y in enumerate(pairing) if y == -1]
+    if leftovers is None:
+        leftovers = [x for x, y in enumerate(pairing) if y is None]
     for a, b in zip(leftovers[::2], leftovers[1::2]):
         pairing[a] = b
         pairing[b] = a
@@ -171,29 +182,30 @@ def _canonical_pairing(
     pairs: Sequence[tuple[int, int]], window: int
 ) -> Involution:
     """Extend explicit pairs to the window: leftovers pair consecutively."""
-    pairing = [-1] * window
+    pairing: list[int | None] = [None] * window
     for x, y in pairs:
         _place(pairing, x, y)
     return _complete(pairing)
 
 
 def _walk(
-    values: tuple[int, ...], state: bytearray, parts: Sequence[list[int]], x: int
-) -> tuple[int, int]:
-    """Pair edge t of the orbit from x in parts[t % 4], marking its nodes walked.
+    values: tuple[int, ...],
+    state: bytearray,
+    parts: Sequence[list[int | None]],
+    x: int,
+) -> None:
+    """Pair edge t of the path from head x in parts[t % 4], marking nodes walked.
 
-    Stops when the next node leaves the window or is x again, and
-    returns the last node and, mod 4, the position of the edge leaving it.
+    Stops when the next node leaves the window.
     """
     n = len(values)
-    start, y, t = x, values[x], 0
-    while y < n and y != start:
+    y, t = values[x], 0
+    while y < n:
         state[y] = 2
         p = parts[t]
         p[x] = y
         p[y] = x
         x, y, t = y, values[y], (t + 1) & 3
-    return x, t
 
 
 def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
@@ -202,45 +214,76 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     One walk per orbit, paths from their heads and then cycles from
     their least node, writes edge t of the orbit straight into a part's
     pairing: paths by t mod 4 into parts 0, 1, 0, 2; cycles by the
-    parity of t into parts 0 and 1, with an odd cycle's closing edge in
-    part 2. The ascending scan reaches every cycle first at its least
-    node. The fourth part gets no edge: it pairs the window
-    consecutively, 0 with 1, 2 with 3 and so on, with n - 1 the
-    exception when n is odd.
+    parity of t into parts 0 and 1, two edges a step, with an odd
+    cycle's closing edge in part 2. The ascending scan reaches every
+    cycle first at its least node. The fourth part gets no edge: it
+    pairs the window consecutively, 0 with 1, 2 with 3 and so on, with
+    n - 1 the exception when n is odd. Parts 0 to 2 then pair their
+    leftovers; with no path, the walk has already listed those of parts
+    0 and 1, the two ends of each odd cycle. case comes from its closed
+    form: 2 when the window is odd and every value lies inside it.
     """
     if not fn.injective_on_window:
         raise ValueError("decomposition needs an injective function")
     values = fn.values
     n = len(values)
-    # 0: no in-window preimage (a path head); 1: not walked yet; 2: walked
-    state = bytearray(n)
-    for y in values:
-        if y < n:
-            state[y] = 1
-    pairings = [[-1] * n for _ in range(3)]
+    permutes = max(values) < n
+    # 0: no in-window preimage (a path head); 1: not walked yet; 2: walked.
+    # An injection that keeps every value in the window has no head.
+    if permutes:
+        state = bytearray(b"\x01") * n
+    else:
+        state = bytearray(n)
+        for y in values:
+            if y < n:
+                state[y] = 1
+    pairings: list[list[int | None]] = [[None] * n for _ in range(3)]
     p0, p1, p2 = pairings
     head = state.find(0)
-    has_path = head != -1
     while head != -1:
         _walk(values, state, (p0, p1, p0, p2), head)
         head = state.find(0, head + 1)
-    odd_cycles = 0
+    firsts: list[int] = []
+    lasts: list[int] = []
     start = state.find(1)
     while start != -1:
+        # a cycle never leaves the window: pair its edges two at a time
+        # until the closing edge back to start, which has odd t on an
+        # even cycle and even t on an odd one a_0 .. a_k, where it is the
+        # chord (a_0, a_k)
         state[start] = 2
-        last, t = _walk(values, state, (p0, p1, p0, p1), start)
-        # the closing edge has odd t on an even cycle and even t on an
-        # odd one a_0 .. a_k, where it is the chord (a_0, a_k)
-        _place(p1 if t & 1 else p2, last, start)
-        odd_cycles += not t & 1
+        x = start
+        while True:
+            y = values[x]
+            if y == start:
+                _place(p2, x, start)
+                firsts.append(start)
+                lasts.append(x)
+                break
+            state[y] = 2
+            p0[x] = y
+            p0[y] = x
+            x = values[y]
+            if x == start:
+                _place(p1, y, start)
+                break
+            state[x] = 2
+            p1[y] = x
+            p1[x] = y
         start = state.find(1, start + 1)
-    case = 2 if odd_cycles % 2 and not has_path else 1
+    case = 2 if n % 2 and permutes else 1
     even = n - n % 2
     p3 = list(range(n))
     p3[0:even:2] = range(1, even, 2)
     p3[1:even:2] = range(0, even, 2)
     fourth = Involution(n, tuple(p3), (n - 1,) if n % 2 else ())
-    parts = (*map(_complete, pairings), fourth)
+    if permutes:
+        # with no path, parts 0 and 1 leave free only a_k and a_0 of each
+        # odd cycle a_0 .. a_k, so their leftovers need no scan
+        lasts.sort()
+        parts = (_complete(p0, lasts), _complete(p1, firsts), _complete(p2), fourth)
+    else:
+        parts = (*map(_complete, pairings), fourth)
     return DecompositionResult(parts, (), case)
 
 
@@ -253,21 +296,28 @@ def verify_decomposition(
     must claim no uncovered edge. The unexplained edges are the ones no
     part covers together with any falsely claimed ones. The parts
     themselves are revalidated: exactly four, window match and at most
-    one exception each. Coverage is one set comprehension that compares
-    each in-window value with the point's partner in each of the four
-    pairings.
+    one exception each. The case must be the one the input has: the
+    function must be injective, and case is 2 exactly when the window is
+    odd and every value lies inside it. A malformed result or a wrong
+    case explains no edge. Coverage is one pass over each point, its
+    value and its partner in the first part; only the points whose edge
+    that part misses look up their partners in the other three.
     """
     values = fn.values
     n = len(values)
-    if len(result.parts) != 4 or any(
-        p.window != n or len(p.exceptions) > 1 for p in result.parts
+    case = 2 if n % 2 and max(values) < n else 1
+    if (
+        len(result.parts) != 4
+        or any(p.window != n or len(p.exceptions) > 1 for p in result.parts)
+        or not fn.injective_on_window
+        or result.case != case
     ):
         return False, tuple(fn.in_window_edges())
-    pairings = (p.pairing for p in result.parts)
+    p0, p1, p2, p3 = (p.pairing for p in result.parts)
     uncovered = {
         (x, y)
-        for x, y, pa, pb, pc, pd in zip(range(n), values, *pairings)
-        if y != pa and y != pb and y != pc and y != pd and y < n
+        for x, y, a in zip(range(n), values, p0)
+        if y != a and y != p1[x] and y != p2[x] and y != p3[x] and y < n
     }
     unexplained = tuple(sorted(uncovered.union(result.uncovered_edges)))
     return not unexplained, unexplained

@@ -31,6 +31,7 @@ from freeset_lab.boundedfam import (
     shadow_set,
     verify_freeness_claim,
     verify_meeting,
+    verify_shadows,
 )
 from freeset_lab.funcgraph import FiniteFunction, Lcg64, Subset, random_fpf_function
 
@@ -147,6 +148,41 @@ def test_shadow_bound_holds_for_random_functions():
             assert set(s.elements) == expected
 
 
+def test_verify_shadows_accepts_the_definition_and_names_each_wrong_block():
+    from freeset_lab.boundedfam import ShadowSet
+
+    system = build_block_system(constant_growth(2, 2), 2)
+    wrong_blocks = 0
+    for seed in range(60):
+        fn = random_fpf_function(seed, 40, injective=True)
+        shadows = [shadow_set(system, fn, n) for n in range(2)]
+        assert verify_shadows(system, fn, shadows) == ()
+        for n, s in enumerate(shadows):
+            lo, hi = system.j_block(n)
+            outside = next(x for x in range(lo, hi) if x not in s.elements)
+            edits = [tuple(sorted(s.elements + (outside,))), s.elements[::-1]]
+            for k in range(len(s.elements)):
+                edits.append(s.elements[:k] + s.elements[k + 1 :])
+            for elements in edits:
+                if elements == s.elements:
+                    continue
+                wrong = list(shadows)
+                wrong[n] = ShadowSet(n, elements, s.size_bound, s.capacity)
+                assert verify_shadows(system, fn, wrong) == (n,)
+                wrong_blocks += 1
+    assert wrong_blocks > 120
+
+
+def test_verify_shadows_needs_the_whole_prefix_and_every_block():
+    system = build_block_system(constant_growth(2, 2), 2)
+    fn = random_fpf_function(5, 34, injective=True)
+    shadows = [shadow_set(system, fn, n) for n in range(2)]
+    with pytest.raises(ValueError, match="one shadow set per block"):
+        verify_shadows(system, fn, shadows[:1])
+    with pytest.raises(ValueError, match="does not cover the coded prefix"):
+        verify_shadows(system, FiniteFunction(fn.values[:33]), shadows)
+
+
 # === meeting function ===
 
 
@@ -221,6 +257,7 @@ def test_verifier_names_no_constructor():
             "build_block_system",
         },
         "selector_free_check": {"bad_set", "_touched_by_prefix"},
+        "verify_shadows": {"shadow_set", "_touched_by_prefix", "build_block_system"},
     }
     for verifier, constructors in forbidden.items():
         assert constructors <= defs.keys()

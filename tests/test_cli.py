@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeset_lab
-from freeset_lab import cli, involutions
+from freeset_lab import boundedfam, cli, involutions
 from freeset_lab.cli import main
 
 TIMING = re.compile(r'"elapsed_seconds": [0-9.e+-]+')
@@ -767,6 +767,29 @@ def test_blocks_verify_flow(capsys, tmp_path):
     )
     assert code == 0
     assert doc["result"]["coded_points"] == [0, 2]
+
+
+def test_blocks_verify_rejects_a_wrong_shadow_set(capsys, tmp_path, monkeypatch):
+    # the successor's shadow in block 1 is {2}; a constructor that returns
+    # empty sets still meets them and certifies every claim by definition,
+    # so only the definitional shadow check can refuse it
+    fn_path = tmp_path / "succ.json"
+    fn_path.write_text(json.dumps({"n": 34, "values": [k + 1 for k in range(34)]}))
+    h_path = tmp_path / "h.json"
+    h_path.write_text(json.dumps([0] * 6))
+    argv = ["blocks", "verify", "--g", "2", "--depth", "2"]
+    argv += ["--fn", str(fn_path), "--h", str(h_path)]
+    real = boundedfam.shadow_set
+
+    def empty(system, fn, n):
+        shadow = real(system, fn, n)
+        return boundedfam.ShadowSet(n, (), shadow.size_bound, shadow.capacity)
+
+    monkeypatch.setattr(boundedfam, "shadow_set", empty)
+    code, doc, _ = _run(capsys, *argv)
+    assert code == 1
+    assert doc["violations"] == [{"block": 1, "reason": "shadow set mismatch"}]
+    assert doc["result"]["shadow_sizes"] == [0, 0]
 
 
 def test_ed_member_flow(capsys):

@@ -10,7 +10,8 @@ pinned here.
 from __future__ import annotations
 
 import ast
-from itertools import compress
+from functools import cache
+from itertools import combinations, compress, permutations
 from operator import eq, not_
 from pathlib import Path
 
@@ -47,7 +48,7 @@ def _random_derangement(seed: int, n: int) -> FiniteFunction:
             return FiniteFunction(tuple(vals))
 
 
-def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
+def _reference_parts(fn: FiniteFunction):
     """The cover built orbit by orbit from orbit_decomposition.
 
     Paths put even positions in part 0 and positions 1 and 3 mod 4 in
@@ -55,6 +56,7 @@ def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
     a_0 .. a_k puts every second edge from a_0 in part 0, every second
     edge from a_1 in part 1 and the chord (a_0, a_k) in part 2. Each
     part's leftovers are then paired consecutively, lowest first.
+    Returns each part's (pairing, exceptions) and the case.
     """
     dec = orbit_decomposition(fn)
     pairs: list[list[tuple[int, int]]] = [[], [], [], []]
@@ -73,21 +75,29 @@ def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
             pairs[0] += [(a[t], a[t + 1]) for t in range(0, k - 1, 2)]
             pairs[1] += [(a[t], a[t + 1]) for t in range(1, k, 2)]
             pairs[2].append((a[0], a[k]))
+    n = fn.window
     parts = []
     for part_pairs in pairs:
-        pairing = [-1] * fn.window
+        pairing = [-1] * n
         for x, y in part_pairs:
             pairing[x], pairing[y] = y, x
-        leftovers = [x for x in range(fn.window) if pairing[x] == -1]
+        leftovers = [x for x, y in enumerate(pairing) if y == -1]
         for a0, b0 in zip(leftovers[::2], leftovers[1::2]):
             pairing[a0], pairing[b0] = b0, a0
         exceptions = leftovers[-1:] if len(leftovers) % 2 else []
         for e in exceptions:
             pairing[e] = e
-        parts.append(Involution(fn.window, tuple(pairing), tuple(exceptions)))
+        parts.append((tuple(pairing), tuple(exceptions)))
     odd_cycles = sum(len(o.nodes) % 2 for o in dec.cycles)
     case = 2 if odd_cycles % 2 and not dec.paths else 1
-    return DecompositionResult(tuple(parts), (), case)
+    return parts, case
+
+
+def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
+    """_reference_parts as a DecompositionResult."""
+    parts, case = _reference_parts(fn)
+    involutions = tuple(Involution(fn.window, p, e) for p, e in parts)
+    return DecompositionResult(involutions, (), case)
 
 
 # === involution objects ===
@@ -316,12 +326,29 @@ def test_free_for_all_parts_bounds_the_overlap():
 # === the verifier requires full coverage ===
 
 
+@cache
+def _true_case(values: tuple[int, ...]) -> int | None:
+    """The case by its definition, from the orbits; None off injections."""
+    fn = FiniteFunction(values)
+    if not fn.injective_on_window:
+        return None
+    dec = orbit_decomposition(fn)
+    odd_cycles = sum(len(o.nodes) % 2 for o in dec.cycles)
+    return 2 if odd_cycles % 2 and not dec.paths else 1
+
+
 def _coverage_reference(fn, result):
-    """verify_decomposition as one zipped pass of map(eq) over the parts."""
+    """verify_decomposition as one zipped pass of map(eq) over the parts.
+
+    A malformed result, or a case other than the input's own, explains
+    no edge.
+    """
     values = fn.values
     n = len(values)
-    if len(result.parts) != 4 or any(
-        p.window != n or len(p.exceptions) > 1 for p in result.parts
+    if (
+        len(result.parts) != 4
+        or any(p.window != n or len(p.exceptions) > 1 for p in result.parts)
+        or result.case != _true_case(values)
     ):
         return False, tuple(fn.in_window_edges())
     covered = map(any, zip(*[map(eq, p.pairing, values) for p in result.parts]))
@@ -377,6 +404,73 @@ def test_verifier_matches_the_zipped_reference():
     assert rejected > len(cases) // 3
 
 
+def _injections(n: int):
+    """Every fixed-point-free injection of [n] into [0, n + 2)."""
+    for vals in permutations(range(n + 2), n):
+        if all(v != x for x, v in enumerate(vals)):
+            yield FiniteFunction(vals)
+
+
+@cache
+def _repairings(part: Involution) -> tuple[Involution, ...]:
+    """Every part one re-pairing away: two pairs swap partners, or a pair
+    gives one of its points to the exception and keeps it as its new one.
+
+    Small windows have few involutions, so each part's edits are built once.
+    """
+    pairing = part.pairing
+    heads = [x for x, y in enumerate(pairing) if x < y]
+
+    def edited(pairs, exceptions):
+        new = list(pairing)
+        for x, y in pairs:
+            new[x], new[y] = y, x
+        return Involution(part.window, tuple(new), exceptions)
+
+    out = []
+    for a, c in combinations(heads, 2):
+        b, d = pairing[a], pairing[c]
+        out.append(edited(((a, c), (b, d)), part.exceptions))
+        out.append(edited(((a, d), (b, c)), part.exceptions))
+    for e in part.exceptions:
+        for a in heads:
+            b = pairing[a]
+            out.append(edited(((e, a), (b, b)), (b,)))
+            out.append(edited(((e, b), (a, a)), (a,)))
+    return tuple(out)
+
+
+def test_every_small_injection_matches_the_references():
+    # 10,839 functions for n <= 6; re-pairing edits and a flipped case for
+    # n <= 5 must be judged as the definition-based reference judges them
+    checked = edits = rejected = 0
+    for n in range(1, 7):
+        for fn in _injections(n):
+            res = decompose_into_involutions(fn)
+            got = [(p.pairing, p.exceptions) for p in res.parts], res.case
+            assert got == _reference_parts(fn), fn.values
+            assert res.uncovered_edges == ()
+            assert verify_decomposition(fn, res) == (True, ())
+            checked += 1
+            if n > 5:
+                continue
+            flipped = DecompositionResult(res.parts, (), 3 - res.case)
+            assert verify_decomposition(fn, flipped) == (
+                False,
+                tuple(fn.in_window_edges()),
+            )
+            for k, part in enumerate(res.parts):
+                for edited in _repairings(part):
+                    parts = res.parts[:k] + (edited,) + res.parts[k + 1 :]
+                    edit = DecompositionResult(parts, (), res.case)
+                    got = verify_decomposition(fn, edit)
+                    assert got == _coverage_reference(fn, edit), (fn.values, k)
+                    edits += 1
+                    rejected += not got[0]
+    assert checked == 10_839
+    assert 0 < rejected < edits
+
+
 def test_verifier_names_no_constructor_helper():
     tree = ast.parse(Path(involutions.__file__).read_text(encoding="utf-8"))
     defs = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
@@ -410,6 +504,26 @@ def test_verifier_rejects_a_false_uncovered_claim():
     res = decompose_into_involutions(fn)
     claimed = DecompositionResult(res.parts, ((2, 0),), res.case)
     assert verify_decomposition(fn, claimed) == (False, ((2, 0),))
+
+
+def test_verifier_rejects_a_wrong_case():
+    # (1, 2, 0) is one 3-cycle: no path and an odd count of odd cycles
+    fn = FiniteFunction([1, 2, 0])
+    res = decompose_into_involutions(fn)
+    assert res.case == 2
+    wrong = DecompositionResult(res.parts, (), 1)
+    assert verify_decomposition(fn, wrong) == (False, ((0, 1), (1, 2), (2, 0)))
+
+
+def test_verifier_rejects_a_non_injective_function():
+    # two parts cover every edge of (1, 0, 0), but the constructor refuses
+    # it, and no case is defined for it
+    fn = FiniteFunction([1, 0, 0])
+    p = Involution(3, (1, 0, 2), (2,))
+    q = Involution(3, (2, 1, 0), (1,))
+    for case in (1, 2):
+        res = DecompositionResult((p, q, p, q), (), case)
+        assert verify_decomposition(fn, res) == (False, ((0, 1), (1, 0), (2, 0)))
 
 
 def test_verifier_rejects_parts_with_two_exceptions():
