@@ -57,9 +57,6 @@ class GrowthFunction(Record):
                 raise ValueError("bounds must be nondecreasing")
             prev = v
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def constant_growth(c: int, depth: int) -> GrowthFunction:
     """A constant growth function just long enough for the given depth."""
@@ -99,11 +96,6 @@ class BlockSystem(Record):
 
     def j_block(self, n: int) -> tuple[int, int]:
         return self.j_starts[n], self.j_starts[n + 1]
-
-    def block_of_point(self, e: int) -> int:
-        if e < 0 or e >= self.j_starts[self.depth]:
-            raise ValueError(f"{e} outside every coded block")
-        return bisect_right(self.j_starts, e) - 1
 
     def encode(self, n: int, values: Sequence[int]) -> int:
         """Mixed-radix code of a tuple on I_n, lowest position least significant."""
@@ -384,9 +376,6 @@ class MeasuredBlocks(Record):
 
     def block_count(self) -> int:
         return len(self.sizes)
-
-    def block_mass(self, n: int) -> Fraction:
-        return self.sizes[n] * self.unit_masses[n]
 
     def block_of_point(self, x: int) -> int:
         if x < 0 or x >= self.starts[-1]:

@@ -1,17 +1,21 @@
 """Command-line surface: one JSON report per invocation.
 
 Every subcommand prints a single JSON document with a stable key order,
-exactly as `json.dumps(report, indent=2)` would print it, and exits 0
-when the independent verifier pass agrees with the construction, 1 when
-a property fails, 2 on malformed input (loaders raise ValueError for all
-of it) and 3 on any other exception. Malformed input includes a negative
-count or bound (`free --threshold`, `--min-size`, `dominates --n`, `ed
-member --k`) and a size past a cap, such as a batch of more than 10^7
-points or more than 10^5 instances. Verdicts are always recomputed from
-scratch; nothing trusts a constructor's own claim. Batch mode runs
-seeded instances one after another and reports them in index order, so
-identical seeds give byte-identical reports up to the timing field. A
-call builds the argument parsers of its own command alone.
+exactly as `json.dumps(report, indent=2)` would print it. A handler
+returns the report's `result` and `violations`; `ok` is true exactly
+when `violations` is empty, with exit 0, and a failed property is exit
+1. Exit 2 is malformed input (loaders raise ValueError for all of it)
+and 3 any other exception; both set `ok` false. Malformed input
+includes a negative count or bound (`free --threshold`, `--min-size`,
+`dominates --n`, `ed member --k`) and a size past a cap, such as a
+batch of more than 10^7 points or more than 10^5 instances. Verdicts
+are always recomputed from scratch; nothing trusts a constructor's own
+claim. Batch mode runs seeded instances one after another and reports
+them in index order, so identical seeds give byte-identical reports up
+to the timing field. Each command is one entry of `_TABLE`, which holds
+its help text, handlers and options, and from which every parser, every
+`op` name and `COMMANDS` are derived. A call builds the argument
+parsers of its own command alone.
 """
 
 from __future__ import annotations
@@ -77,19 +81,21 @@ def _load_growth(text: str, depth: int) -> GrowthFunction:
 
 
 # === single-construction handlers ===
+# Each returns its report's "result" and "violations"; main sets "ok"
+# exactly when the violations are empty.
 
 
-def _run_orbits(args) -> tuple[bool, dict]:
+def _run_orbits(args) -> dict:
     fn = _load_fn(args.fn)
     dec = orbit_decomposition(fn)
     complaints = verify_orbits(fn, dec)
     result = {
         "orbits": [{"kind": o.kind, "nodes": list(o.nodes)} for o in dec.orbits]
     }
-    return not complaints, {"result": result, "violations": list(complaints)}
+    return {"result": result, "violations": list(complaints)}
 
 
-def _run_free(args) -> tuple[bool, dict]:
+def _run_free(args) -> dict:
     if args.threshold < 0:
         raise ValueError(f"--threshold is {args.threshold}, must be at least 0")
     family = [_load_fn(t) for t in args.fn]
@@ -104,10 +110,10 @@ def _run_free(args) -> tuple[bool, dict]:
     result = {
         "per_function": [{"intersection": ov, "size": len(ov)} for ov in overlaps]
     }
-    return not violations, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_katetov(args) -> tuple[bool, dict]:
+def _run_katetov(args) -> dict:
     from .freesets import katetov_partition, verify_coloring
 
     fn = _load_fn(args.fn)
@@ -115,22 +121,23 @@ def _run_katetov(args) -> tuple[bool, dict]:
     bad = verify_coloring(coloring, fn)
     result = coloring.to_json()
     result["classes"] = [list(coloring.color_class(i).elements) for i in range(3)]
-    return not bad, {"result": result, "violations": [list(e) for e in bad]}
+    return {"result": result, "violations": [list(e) for e in bad]}
 
 
-def _run_inv_decompose(args) -> tuple[bool, dict]:
+def _run_inv_decompose(args) -> dict:
     from .involutions import decompose_into_involutions, verify_decomposition
 
     fn = _load_fn(args.fn)
     res = decompose_into_involutions(fn)
     ok, unexplained = verify_decomposition(fn, res)
-    return ok, {
-        "result": res.to_json(),
-        "violations": [list(e) for e in unexplained],
-    }
+    violations = [list(e) for e in unexplained]
+    if not ok and not violations:
+        # a malformed cover of a function with no in-window edge
+        violations.append({"reason": "verifier rejects the cover"})
+    return {"result": res.to_json(), "violations": violations}
 
 
-def _run_inv_combine(args) -> tuple[bool, dict]:
+def _run_inv_combine(args) -> dict:
     from .involutions import Involution, combine_on_blocks
     from .partitions import IntervalPartition
 
@@ -154,10 +161,10 @@ def _run_inv_combine(args) -> tuple[bool, dict]:
         if combined.pairing[x] not in members:
             violations.append({"point": x, "reason": "closure"})
     result = {"d": list(d.elements), "combined": combined.to_json()}
-    return not violations, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_ros_check(args) -> tuple[bool, dict]:
+def _run_ros_check(args) -> dict:
     from .rosenthal import (
         RosenthalMatrix,
         fragments,
@@ -181,13 +188,10 @@ def _run_ros_check(args) -> tuple[bool, dict]:
             }
         )
     result = {"fragments": check.ok, "eps": str(eps)}
-    return check.ok and frag.ok == check.ok, {
-        "result": result,
-        "violations": violations,
-    }
+    return {"result": result, "violations": violations}
 
 
-def _run_ros_search(args) -> tuple[bool, dict]:
+def _run_ros_search(args) -> dict:
     from .rosenthal import (
         RosenthalMatrix,
         find_fragmenting_set,
@@ -201,10 +205,7 @@ def _run_ros_search(args) -> tuple[bool, dict]:
     eps = parse_fraction(args.eps)
     found = find_fragmenting_set(matrix, eps, args.min_size, args.mode)
     if found is None:
-        return True, {
-            "result": {"set": None, "eps": str(eps)},
-            "violations": [],
-        }
+        return {"result": {"set": None, "eps": str(eps)}, "violations": []}
     check = verify_fragmentation(matrix, found, eps)
     violations = []
     if not check.ok:
@@ -215,10 +216,10 @@ def _run_ros_search(args) -> tuple[bool, dict]:
             }
         )
     result = {"set": list(found.elements), "eps": str(eps)}
-    return check.ok, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_part_fp(args) -> tuple[bool, dict]:
+def _run_part_fp(args) -> dict:
     from .partitions import PartitionIntoParts, partition_function
 
     partition = PartitionIntoParts.from_json(_load_doc(args.partition))
@@ -229,22 +230,22 @@ def _run_part_fp(args) -> tuple[bool, dict]:
         expected = p if p != k else k + 1
         if fn.values[k] != expected or fn.values[k] == k:
             violations.append({"point": k})
-    return not violations, {"result": fn.to_json(), "violations": violations}
+    return {"result": fn.to_json(), "violations": violations}
 
 
-def _run_part_escape(args) -> tuple[bool, dict]:
+def _run_part_escape(args) -> dict:
     from .partitions import escape_intervals, verify_escape
 
     fn = _load_fn(args.fn)
     partition = escape_intervals(fn)
     bad = verify_escape(partition, fn)
-    return not bad, {
+    return {
         "result": partition.to_json(),
         "violations": [{"block": b, "point": x, "image": y} for b, x, y in bad],
     }
 
 
-def _run_part_localize(args) -> tuple[bool, dict]:
+def _run_part_localize(args) -> dict:
     from .partitions import localization_agreement, localized_function
 
     g = _load_fn(args.fn)
@@ -261,10 +262,10 @@ def _run_part_localize(args) -> tuple[bool, dict]:
         if i not in block_set and fn.values[i] != i + 1:
             violations.append({"point": i, "reason": "should take successor"})
     result = {"fn": fn.to_json(), "agrees": list(agree)}
-    return not violations, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_dominates(args) -> tuple[bool, dict]:
+def _run_dominates(args) -> dict:
     from .partitions import IntervalPartition, dominates
 
     outer = IntervalPartition.from_json(_load_doc(args.i))
@@ -274,10 +275,10 @@ def _run_dominates(args) -> tuple[bool, dict]:
     violations = (
         [] if count == 0 else [{"count": count, "last_block": last}]
     )
-    return count == 0, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_blocks_build(args) -> tuple[bool, dict]:
+def _run_blocks_build(args) -> dict:
     from .boundedfam import build_block_system
 
     g = _load_growth(args.g, args.depth)
@@ -294,10 +295,10 @@ def _run_blocks_build(args) -> tuple[bool, dict]:
         if f != system.f_sizes[n]:
             violations.append({"block": n, "reason": "tuple count mismatch"})
         total += f
-    return not violations, {"result": system.to_json(), "violations": violations}
+    return {"result": system.to_json(), "violations": violations}
 
 
-def _run_blocks_verify(args) -> tuple[bool, dict]:
+def _run_blocks_verify(args) -> dict:
     from .boundedfam import (
         build_block_system,
         meeting_function,
@@ -313,9 +314,11 @@ def _run_blocks_verify(args) -> tuple[bool, dict]:
     h = json_ints(_load_doc(args.h), "h")
     shadows = [shadow_set(system, fn, n) for n in range(system.depth)]
     violations = []
-    for s in shadows:
-        if not s.within_bounds:
-            violations.append({"block": s.block, "reason": "shadow bound"})
+    # |S_f(n)| <= 2 * start(J_n) < |I_n|, both bounds taken from the system
+    for n, s in enumerate(shadows):
+        lo, hi = system.interval(n)
+        if not len(s.elements) <= 2 * system.j_starts[n] < hi - lo:
+            violations.append({"block": n, "reason": "shadow bound"})
     for n in verify_shadows(system, fn, shadows):
         violations.append({"block": n, "reason": "shadow set mismatch"})
     claim = verify_freeness_claim(system, fn, h)
@@ -331,10 +334,10 @@ def _run_blocks_verify(args) -> tuple[bool, dict]:
         "shadow_sizes": [len(s.elements) for s in shadows],
         "meeting": list(ell),
     }
-    return not violations, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_ed_build(args) -> tuple[bool, dict]:
+def _run_ed_build(args) -> dict:
     from fractions import Fraction
 
     from .boundedfam import build_ed_blocks, ed_fin_blocks
@@ -352,10 +355,10 @@ def _run_ed_build(args) -> tuple[bool, dict]:
             if blocks.unit_masses[n + 1] != Fraction(1, total):
                 violations.append({"block": n + 1, "reason": "unit mass"})
             total += blocks.sizes[n + 1]
-    return not violations, {"result": blocks.to_json(), "violations": violations}
+    return {"result": blocks.to_json(), "violations": violations}
 
 
-def _run_ed_badset(args) -> tuple[bool, dict]:
+def _run_ed_badset(args) -> dict:
     from .boundedfam import bad_set, build_ed_blocks
 
     blocks = build_ed_blocks(args.depth)
@@ -370,13 +373,10 @@ def _run_ed_badset(args) -> tuple[bool, dict]:
         )
         if b.mass > 2:
             violations.append({"block": n, "mass": mass})
-    return not violations, {
-        "result": {"per_block": per_block},
-        "violations": violations,
-    }
+    return {"result": {"per_block": per_block}, "violations": violations}
 
 
-def _run_ed_member(args) -> tuple[bool, dict]:
+def _run_ed_member(args) -> dict:
     from .boundedfam import build_ed_blocks, ed_fin_blocks, ed_membership
     from .rosenthal import parse_fraction
 
@@ -393,10 +393,10 @@ def _run_ed_member(args) -> tuple[bool, dict]:
         "k": str(bound),
     }
     violations = [] if member else [{"max_block_mass": str(worst)}]
-    return member, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_oracle_freeset(args) -> tuple[bool, dict]:
+def _run_oracle_freeset(args) -> dict:
     from .freesets import is_maximal_free, max_free_subset
 
     family = [_load_fn(t) for t in args.fn]
@@ -409,10 +409,10 @@ def _run_oracle_freeset(args) -> tuple[bool, dict]:
     if args.mode == "greedy" and not is_maximal_free(subset, family, args.n):
         violations.append({"reason": "not maximal under inclusion"})
     result = {"set": list(subset.elements), "size": len(subset.elements)}
-    return not violations, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
-def _run_oracle_unsplit(args) -> tuple[bool, dict]:
+def _run_oracle_unsplit(args) -> dict:
     from .freesets import Coloring, find_unsplit_set
 
     if args.min_size < 0:
@@ -420,7 +420,7 @@ def _run_oracle_unsplit(args) -> tuple[bool, dict]:
     colorings = [Coloring.from_json(_load_doc(t)) for t in args.coloring]
     found = find_unsplit_set(colorings, args.min_size)
     if found is None:
-        return True, {"result": {"set": None}, "violations": []}
+        return {"result": {"set": None}, "violations": []}
     subset, choice = found
     violations = []
     for j, coloring in enumerate(colorings):
@@ -428,63 +428,61 @@ def _run_oracle_unsplit(args) -> tuple[bool, dict]:
             if coloring.colors[x] != choice[j]:
                 violations.append({"coloring": j, "point": x})
     result = {"set": list(subset.elements), "choice": list(choice)}
-    return not violations, {"result": result, "violations": violations}
+    return {"result": result, "violations": violations}
 
 
 # === batch mode ===
+# One row builder per --op choice: seed and size in, the row's verdict
+# and counts out.
 
 
-def _batch_instance(op: str, seed: int, n: int) -> dict:
-    if op == "involutions-decompose":
-        from .involutions import decompose_into_involutions, verify_decomposition
+def _decompose_row(seed: int, n: int) -> dict:
+    from .involutions import decompose_into_involutions, verify_decomposition
 
-        fn = random_fpf_function(seed, n, injective=True)
-        res = decompose_into_involutions(fn)
-        ok, _ = verify_decomposition(fn, res)
-        return {
-            "seed": seed,
-            "ok": ok,
-            "case": res.case,
-            "uncovered": len(res.uncovered_edges),
-        }
-    if op == "katetov":
-        from .freesets import katetov_partition, verify_coloring
-
-        fn = random_fpf_function(seed, n)
-        coloring = katetov_partition(fn)
-        bad = verify_coloring(coloring, fn)
-        return {
-            "seed": seed,
-            "ok": not bad,
-            "classes": len(set(coloring.colors)),
-            "violations": len(bad),
-        }
-    if op == "orbits":
-        fn = random_fpf_function(seed, n, injective=True)
-        dec = orbit_decomposition(fn)
-        complaints = verify_orbits(fn, dec)
-        return {
-            "seed": seed,
-            "ok": not complaints,
-            "cycles": len(dec.cycles),
-            "paths": len(dec.paths),
-        }
-    if op == "escape":
-        from .partitions import escape_intervals, verify_escape
-
-        fn = random_fpf_function(seed, n, injective=True)
-        partition = escape_intervals(fn)
-        bad = verify_escape(partition, fn)
-        return {
-            "seed": seed,
-            "ok": not bad,
-            "blocks": partition.block_count,
-        }
-    raise ValueError(f"unknown batch op {op!r}")
+    fn = random_fpf_function(seed, n, injective=True)
+    res = decompose_into_involutions(fn)
+    ok, _ = verify_decomposition(fn, res)
+    return {"ok": ok, "case": res.case, "uncovered": len(res.uncovered_edges)}
 
 
-def _run_batch(args) -> tuple[bool, dict]:
-    op = args.op
+def _katetov_row(seed: int, n: int) -> dict:
+    from .freesets import katetov_partition, verify_coloring
+
+    fn = random_fpf_function(seed, n)
+    coloring = katetov_partition(fn)
+    bad = verify_coloring(coloring, fn)
+    return {
+        "ok": not bad,
+        "classes": len(set(coloring.colors)),
+        "violations": len(bad),
+    }
+
+
+def _orbits_row(seed: int, n: int) -> dict:
+    fn = random_fpf_function(seed, n, injective=True)
+    dec = orbit_decomposition(fn)
+    complaints = verify_orbits(fn, dec)
+    return {"ok": not complaints, "cycles": len(dec.cycles), "paths": len(dec.paths)}
+
+
+def _escape_row(seed: int, n: int) -> dict:
+    from .partitions import escape_intervals, verify_escape
+
+    fn = random_fpf_function(seed, n, injective=True)
+    partition = escape_intervals(fn)
+    bad = verify_escape(partition, fn)
+    return {"ok": not bad, "blocks": partition.block_count}
+
+
+_BATCH_ROWS = {
+    "involutions-decompose": _decompose_row,
+    "katetov": _katetov_row,
+    "orbits": _orbits_row,
+    "escape": _escape_row,
+}
+
+
+def _run_batch(args) -> dict:
     count = args.count
     if count <= 0:
         raise ValueError("count must be positive")
@@ -497,21 +495,19 @@ def _run_batch(args) -> tuple[bool, dict]:
         raise ValueError(
             f"batch of {count} instances is past the cap of {MAX_BATCH_COUNT}"
         )
-    rows = [_batch_instance(op, args.seed + i, args.n) for i in range(count)]
-    instances = [{"index": i, **row} for i, row in enumerate(rows)]
-    failed = [i for i, row in enumerate(rows) if not row["ok"]]
+    row = _BATCH_ROWS[args.op]
+    instances = [
+        {"index": i, "seed": args.seed + i, **row(args.seed + i, args.n)}
+        for i in range(count)
+    ]
+    violations = [{"index": r["index"]} for r in instances if not r["ok"]]
     result = {
-        "op": op,
+        "op": args.op,
         "count": count,
         "n": args.n,
-        "passed": count - len(failed),
+        "passed": count - len(violations),
     }
-    violations = [{"index": i} for i in failed]
-    return not failed, {
-        "result": result,
-        "violations": violations,
-        "instances": instances,
-    }
+    return {"result": result, "violations": violations, "instances": instances}
 
 
 # === report emission ===
@@ -559,20 +555,73 @@ def _dumps(value, depth: int = 0) -> str:
 # === dispatch plumbing ===
 
 
+_REQ = {"required": True}
+_REQ_INT = {"type": int, "required": True}
+_REQ_LIST = {"action": "append", "required": True}
+_ZERO = {"type": int, "default": 0}
+_MODE = {"choices": ("exact", "greedy"), "default": "exact"}
+_FLAG = {"action": "store_true"}
+
+# command: (help, leaf) or (help, {subcommand: leaf}), where a leaf is
+# (handler, {option: add_argument keywords}). A leaf's op is its command
+# path joined by "-"; batch's required --op overrides it. A new command
+# or leaf is one entry here.
+_TABLE = {
+    "orbits": ("orbit decomposition", (_run_orbits, {"--fn": _REQ})),
+    "free": ("intersection report for a set", (_run_free, {
+        "--set": _REQ, "--fn": _REQ_LIST, "--threshold": _ZERO})),
+    "katetov": ("three-class free partition", (_run_katetov, {"--fn": _REQ})),
+    "involutions": ("involution covers", {
+        "decompose": (_run_inv_decompose, {"--fn": _REQ}),
+        "combine": (_run_inv_combine, {
+            "--part": _REQ_LIST, "--blocks": _REQ, "--colors": _REQ}),
+    }),
+    "rosenthal": ("fragmentation checks", {
+        "check": (_run_ros_check, {"--matrix": _REQ, "--set": _REQ, "--eps": _REQ}),
+        "search": (_run_ros_search, {
+            "--matrix": _REQ, "--eps": _REQ, "--min-size": _ZERO, "--mode": _MODE}),
+    }),
+    "partition": ("partition machinery", {
+        "fp": (_run_part_fp, {"--partition": _REQ}),
+        "escape": (_run_part_escape, {"--fn": _REQ}),
+        "localize": (_run_part_localize, {"--fn": _REQ, "--set": _REQ}),
+    }),
+    "dominates": ("interval domination", (_run_dominates, {
+        "--i": _REQ, "--j": _REQ, "--n": _REQ_INT})),
+    "blocks": ("coded block systems", {
+        "build": (_run_blocks_build, {"--g": _REQ, "--depth": _REQ_INT}),
+        "verify": (_run_blocks_verify, {
+            "--g": _REQ, "--depth": _REQ_INT, "--fn": _REQ, "--h": _REQ}),
+    }),
+    "ed": ("measured block families", {
+        "build": (_run_ed_build, {"--depth": _REQ_INT, "--fin": _FLAG}),
+        "badset": (_run_ed_badset, {"--depth": _REQ_INT, "--fn": _REQ}),
+        "member": (_run_ed_member, {
+            "--depth": _REQ_INT, "--set": _REQ, "--k": _REQ, "--fin": _FLAG}),
+    }),
+    # freeset's --fn is required: with no function every set is free, and
+    # --n alone is unbounded
+    "oracle": ("exhaustive searches", {
+        "freeset": (_run_oracle_freeset, {
+            "--n": _REQ_INT, "--fn": _REQ_LIST, "--mode": _MODE}),
+        "unsplit": (_run_oracle_unsplit, {
+            "--coloring": _REQ_LIST, "--min-size": _ZERO}),
+    }),
+    "batch": ("seeded instance sweeps", (_run_batch, {
+        "--op": {"required": True, "choices": tuple(_BATCH_ROWS)},
+        "--seed": _REQ_INT, "--count": _REQ_INT, "--n": _REQ_INT})),
+}
+
 # every command, in the order the full parser lists them
-COMMANDS = (
-    "orbits",
-    "free",
-    "katetov",
-    "involutions",
-    "rosenthal",
-    "partition",
-    "dominates",
-    "blocks",
-    "ed",
-    "oracle",
-    "batch",
-)
+COMMANDS = tuple(_TABLE)
+
+
+def _add_leaf(p: argparse.ArgumentParser, leaf: tuple, op: str) -> None:
+    handler, options = leaf
+    p.add_argument("--out", help="also write the report to this path")
+    for flag, keywords in options.items():
+        p.add_argument(flag, **keywords)
+    p.set_defaults(handler=handler, op=op, out_parser=p)
 
 
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -583,145 +632,23 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         prog="freeset-lab",
         description="Constructions and oracles for free sets of window functions.",
     )
-    if command not in COMMANDS:
+    if command not in _TABLE:
         command = None
     # Only the full parser can fail on the command itself, and a metavar
     # would rename it in that error ("required: command", "argument
     # command: invalid choice").
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def wanted(name: str) -> bool:
-        return command is None or command == name
-
-    def with_out(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--out", help="also write the report to this path")
-        p.set_defaults(out_parser=p)
-        return p
-
-    if wanted("orbits"):
-        p = with_out(sub.add_parser("orbits", help="orbit decomposition"))
-        p.add_argument("--fn", required=True)
-        p.set_defaults(handler=_run_orbits, op="orbits")
-
-    if wanted("free"):
-        p = with_out(sub.add_parser("free", help="intersection report for a set"))
-        p.add_argument("--set", required=True)
-        p.add_argument("--fn", action="append", required=True)
-        p.add_argument("--threshold", type=int, default=0)
-        p.set_defaults(handler=_run_free, op="free")
-
-    if wanted("katetov"):
-        p = with_out(sub.add_parser("katetov", help="three-class free partition"))
-        p.add_argument("--fn", required=True)
-        p.set_defaults(handler=_run_katetov, op="katetov")
-
-    if wanted("involutions"):
-        inv = sub.add_parser("involutions", help="involution covers")
-        inv_sub = inv.add_subparsers(dest="subcommand", required=True)
-        p = with_out(inv_sub.add_parser("decompose"))
-        p.add_argument("--fn", required=True)
-        p.set_defaults(handler=_run_inv_decompose, op="involutions-decompose")
-        p = with_out(inv_sub.add_parser("combine"))
-        p.add_argument("--part", action="append", required=True)
-        p.add_argument("--blocks", required=True)
-        p.add_argument("--colors", required=True)
-        p.set_defaults(handler=_run_inv_combine, op="involutions-combine")
-
-    if wanted("rosenthal"):
-        ros = sub.add_parser("rosenthal", help="fragmentation checks")
-        ros_sub = ros.add_subparsers(dest="subcommand", required=True)
-        p = with_out(ros_sub.add_parser("check"))
-        p.add_argument("--matrix", required=True)
-        p.add_argument("--set", required=True)
-        p.add_argument("--eps", required=True)
-        p.set_defaults(handler=_run_ros_check, op="rosenthal-check")
-        p = with_out(ros_sub.add_parser("search"))
-        p.add_argument("--matrix", required=True)
-        p.add_argument("--eps", required=True)
-        p.add_argument("--min-size", type=int, default=0)
-        p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-        p.set_defaults(handler=_run_ros_search, op="rosenthal-search")
-
-    if wanted("partition"):
-        part = sub.add_parser("partition", help="partition machinery")
-        part_sub = part.add_subparsers(dest="subcommand", required=True)
-        p = with_out(part_sub.add_parser("fp"))
-        p.add_argument("--partition", required=True)
-        p.set_defaults(handler=_run_part_fp, op="partition-fp")
-        p = with_out(part_sub.add_parser("escape"))
-        p.add_argument("--fn", required=True)
-        p.set_defaults(handler=_run_part_escape, op="partition-escape")
-        p = with_out(part_sub.add_parser("localize"))
-        p.add_argument("--fn", required=True)
-        p.add_argument("--set", required=True)
-        p.set_defaults(handler=_run_part_localize, op="partition-localize")
-
-    if wanted("dominates"):
-        p = with_out(sub.add_parser("dominates", help="interval domination"))
-        p.add_argument("--i", required=True)
-        p.add_argument("--j", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.set_defaults(handler=_run_dominates, op="dominates")
-
-    if wanted("blocks"):
-        blocks = sub.add_parser("blocks", help="coded block systems")
-        blocks_sub = blocks.add_subparsers(dest="subcommand", required=True)
-        p = with_out(blocks_sub.add_parser("build"))
-        p.add_argument("--g", required=True)
-        p.add_argument("--depth", type=int, required=True)
-        p.set_defaults(handler=_run_blocks_build, op="blocks-build")
-        p = with_out(blocks_sub.add_parser("verify"))
-        p.add_argument("--g", required=True)
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--fn", required=True)
-        p.add_argument("--h", required=True)
-        p.set_defaults(handler=_run_blocks_verify, op="blocks-verify")
-
-    if wanted("ed"):
-        ed = sub.add_parser("ed", help="measured block families")
-        ed_sub = ed.add_subparsers(dest="subcommand", required=True)
-        p = with_out(ed_sub.add_parser("build"))
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--fin", action="store_true")
-        p.set_defaults(handler=_run_ed_build, op="ed-build")
-        p = with_out(ed_sub.add_parser("badset"))
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--fn", required=True)
-        p.set_defaults(handler=_run_ed_badset, op="ed-badset")
-        p = with_out(ed_sub.add_parser("member"))
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--set", required=True)
-        p.add_argument("--k", required=True)
-        p.add_argument("--fin", action="store_true")
-        p.set_defaults(handler=_run_ed_member, op="ed-member")
-
-    if wanted("oracle"):
-        oracle = sub.add_parser("oracle", help="exhaustive searches")
-        oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
-        p = with_out(oracle_sub.add_parser("freeset"))
-        p.add_argument("--n", type=int, required=True)
-        # required: with no function every set is free, and --n alone is unbounded
-        p.add_argument("--fn", action="append", required=True)
-        p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-        p.set_defaults(handler=_run_oracle_freeset, op="oracle-freeset")
-        p = with_out(oracle_sub.add_parser("unsplit"))
-        p.add_argument("--coloring", action="append", required=True)
-        p.add_argument("--min-size", type=int, default=0)
-        p.set_defaults(handler=_run_oracle_unsplit, op="oracle-unsplit")
-
-    if wanted("batch"):
-        p = with_out(sub.add_parser("batch", help="seeded instance sweeps"))
-        p.add_argument(
-            "--op",
-            required=True,
-            choices=("involutions-decompose", "katetov", "orbits", "escape"),
-        )
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--count", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.set_defaults(handler=_run_batch)
-
+    for name, (help_text, entry) in _TABLE.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(entry, tuple):
+            _add_leaf(p, entry, name)
+            continue
+        group = p.add_subparsers(dest="subcommand", required=True)
+        for leaf_name, leaf in entry.items():
+            _add_leaf(group.add_parser(leaf_name), leaf, f"{name}-{leaf_name}")
     return parser
 
 
@@ -748,14 +675,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code else 0
     started = time.perf_counter()
     try:
-        ok, payload = args.handler(args)
+        payload = args.handler(args)
     except (ValueError, OSError) as exc:
-        ok, payload, code = False, {"error": str(exc) or type(exc).__name__}, 2
+        payload, code = {"error": str(exc) or type(exc).__name__}, 2
     except Exception as exc:
         error = f"internal fault: {type(exc).__name__}: {exc}"
-        ok, payload, code = False, {"error": error}, 3
+        payload, code = {"error": error}, 3
     else:
-        code = 0 if ok else 1
+        code = 1 if payload["violations"] else 0
+    ok = code == 0  # no error and no violation
     report = {"schema": SCHEMA, "command": argv, "op": args.op, "ok": ok, **payload}
     report["elapsed_seconds"] = time.perf_counter() - started
     text = _dumps(report)

@@ -83,23 +83,6 @@ class Involution(Record):
             if e < 0 or e >= n:
                 raise ValueError(f"exception {e} outside the window")
 
-    def __call__(self, x: int) -> int:
-        return self.pairing[x]
-
-    def as_function(self) -> FiniteFunction:
-        """The pairing as a window function, exceptions exiting the window.
-
-        Sending each exception to the window edge keeps the result
-        fixed-point-free, and the exits are boundary edges that freeness
-        checks already ignore.
-        """
-        exceptions = set(self.exceptions)
-        vals = tuple(
-            self.window if x in exceptions else y
-            for x, y in enumerate(self.pairing)
-        )
-        return FiniteFunction(vals)
-
     def to_json(self) -> dict:
         return {
             "n": self.window,

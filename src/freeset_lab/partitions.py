@@ -41,11 +41,6 @@ class IntervalPartition(Record):
     def blocks(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.endpoints, self.endpoints[1:]))
 
-    def block_of(self, x: int) -> int:
-        if x < 0 or x >= self.endpoints[-1]:
-            raise ValueError(f"{x} outside the covered range")
-        return bisect_right(self.endpoints, x) - 1
-
     def to_json(self) -> dict:
         return {"endpoints": list(self.endpoints)}
 

@@ -9,6 +9,7 @@ field is masked.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -422,6 +423,19 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert captured.err == ""
 
 
+def test_a_rejected_cover_with_no_unexplained_edge_fails(capsys, monkeypatch):
+    # a malformed cover of a function with no in-window edge comes back
+    # as (False, ()); the report must still fail
+    def rejects(fn, res):
+        return False, ()
+
+    monkeypatch.setattr(involutions, "verify_decomposition", rejects)
+    fn = '{"n": 1, "values": [1]}'
+    code, doc, _ = _run(capsys, "involutions", "decompose", "--fn", fn)
+    assert code == 1
+    assert doc["ok"] is False and doc["violations"]
+
+
 def test_handlers_read_the_layer_module_at_call_time(capsys, monkeypatch):
     # a handler imports its layer's names when it runs, so patching the
     # layer module reaches the CLI
@@ -622,6 +636,57 @@ def test_one_command_parser_reads_as_the_full_one(capsys, path):
         assert _parse(own, case, capsys) == _parse(full, case, capsys)
 
 
+# The op names, command order and batch ops as literals, so deriving them
+# from the command table cannot rename a report's "op".
+_LEAF_OPS = [
+    "orbits",
+    "free",
+    "katetov",
+    "involutions-decompose",
+    "involutions-combine",
+    "rosenthal-check",
+    "rosenthal-search",
+    "partition-fp",
+    "partition-escape",
+    "partition-localize",
+    "dominates",
+    "blocks-build",
+    "blocks-verify",
+    "ed-build",
+    "ed-badset",
+    "ed-member",
+    "oracle-freeset",
+    "oracle-unsplit",
+]
+_COMMANDS = (
+    "orbits",
+    "free",
+    "katetov",
+    "involutions",
+    "rosenthal",
+    "partition",
+    "dominates",
+    "blocks",
+    "ed",
+    "oracle",
+    "batch",
+)
+_BATCH_OPS = ("involutions-decompose", "katetov", "orbits", "escape")
+
+
+def test_derived_names_keep_their_literals():
+    leaves = dict(_leaves(cli._build_parser()))
+    assert len(leaves) == 19
+    batch = leaves.pop(("batch",))
+    assert [leaf.get_default("op") for leaf in leaves.values()] == _LEAF_OPS
+    assert cli.COMMANDS == _COMMANDS
+    (op,) = [a for a in batch._actions if a.dest == "op"]
+    assert op.required and tuple(op.choices) == _BATCH_OPS
+    for name in _BATCH_OPS:
+        argv = ["--op", name, "--seed", "1", "--count", "1", "--n", "1"]
+        assert batch.parse_args(argv).op == name
+
+
 @pytest.mark.parametrize(
     "argv, built",
     [
@@ -790,6 +855,37 @@ def test_blocks_verify_rejects_a_wrong_shadow_set(capsys, tmp_path, monkeypatch)
     assert code == 1
     assert doc["violations"] == [{"block": 1, "reason": "shadow set mismatch"}]
     assert doc["result"]["shadow_sizes"] == [0, 0]
+
+
+def test_blocks_verify_takes_the_shadow_bound_from_the_system(
+    capsys, tmp_path, monkeypatch
+):
+    # true shadow sets with a false recorded bound: the bound is
+    # 2 * start(J_n) < |I_n| from the block system, not the record's fields
+    fn_path = tmp_path / "succ.json"
+    fn_path.write_text(json.dumps({"n": 34, "values": [k + 1 for k in range(34)]}))
+    argv = ["blocks", "verify", "--g", "2", "--depth", "2"]
+    argv += ["--fn", str(fn_path), "--h", json.dumps([0] * 6)]
+    real = boundedfam.shadow_set
+
+    def false_bound(system, fn, n):
+        return boundedfam.ShadowSet(n, real(system, fn, n).elements, 0, 1)
+
+    monkeypatch.setattr(boundedfam, "shadow_set", false_bound)
+    code, doc, _ = _run(capsys, *argv)
+    assert code == 0
+    assert doc["ok"] is True and doc["violations"] == []
+
+
+def test_blocks_verify_reads_no_recorded_bound():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (handler,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_run_blocks_verify"
+    ]
+    read = {n.attr for n in ast.walk(handler) if isinstance(n, ast.Attribute)}
+    assert not read & {"within_bounds", "size_bound", "capacity"}
 
 
 def test_ed_member_flow(capsys):

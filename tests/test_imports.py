@@ -15,6 +15,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,54 @@ def test_every_public_name_reaches_a_verdict():
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     acceptance = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
     assert _unreached(package, [acceptance]) == []
+
+
+def _attributes_read(node: ast.AST) -> Counter:
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _unread_members(package: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.Class.name` for each public method or property of a package
+    class whose name is read as an attribute nowhere but in its own def."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    read = sum(
+        map(_attributes_read, [*trees.values(), *map(ast.parse, readers)]), Counter()
+    )
+    return sorted(
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and read[node.name] == _attributes_read(node)[node.name]
+    )
+
+
+def test_member_checker_ignores_a_members_own_def():
+    package = {
+        "a": "class C:\n    def f(self):\n        return self.f()\n"
+        "    @property\n    def g(self):\n        return 1\n"
+        "    def _h(self):\n        return 2\n",
+    }
+    assert _unread_members(package, []) == ["a.C.f", "a.C.g"]
+    assert _unread_members(package, ["C().g"]) == ["a.C.f"]
+
+
+def test_every_public_member_reaches_a_verdict():
+    """Each public method or property of a package class is read as an
+    attribute by the package, an acceptance criterion or the benchmark;
+    a member nothing reads changes no report."""
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = [Path(__file__).with_name("test_acceptance.py")]
+    readers += sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
+    sources = [path.read_text(encoding="utf-8") for path in readers]
+    assert _unread_members(package, sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
