@@ -205,25 +205,28 @@ def shadow_set(system: BlockSystem, fn: FiniteFunction, n: int) -> ShadowSet:
 
 
 def verify_shadows(
-    system: BlockSystem, fn: FiniteFunction, shadows: Sequence[ShadowSet]
+    starts: Sequence[int],
+    fn: FiniteFunction,
+    sets: Sequence[ShadowSet | BadSetBlock],
 ) -> tuple[int, ...]:
-    """Blocks whose shadow set is not S_f(n) by its definition.
+    """Blocks whose set is not S_f(n) by its definition.
 
-    S_f(n) holds the points of J_n that an earlier point maps to and the
-    points of J_n that map below J_n. One pass over the edges inside the
-    coded prefix sorts each edge between two blocks into the later
-    block's expected set: its head when f goes forward, its tail when f
-    goes back. A shadow set must list exactly that set, ascending.
+    Block n is [starts[n], starts[n + 1]): the coded blocks J_n of a
+    block system, or the measured blocks, whose bad sets B_f(n) are the
+    same sets. S_f(n) holds the points of block n that an earlier point
+    maps to and the points of block n that map below it. One pass over
+    the edges inside the prefix sorts each edge between two blocks into
+    the later block's expected set: its head when f goes forward, its
+    tail when f goes back. Set n must list exactly that set, ascending.
     """
-    if len(shadows) != system.depth:
+    if len(sets) != len(starts) - 1:
         raise ValueError("one shadow set per block required")
-    starts = system.j_starts
     prefix = starts[-1]
     values = fn.values
     if len(values) < prefix:
         raise ValueError("function window does not cover the coded prefix")
-    expected: list[set[int]] = [set() for _ in shadows]
-    for m in range(system.depth):
+    expected: list[set[int]] = [set() for _ in sets]
+    for m in range(len(sets)):
         for x in range(starts[m], starts[m + 1]):
             y = values[x]
             if y < prefix:
@@ -234,7 +237,7 @@ def verify_shadows(
                     expected[m].add(x)
     return tuple(
         n
-        for n, shadow in enumerate(shadows)
+        for n, shadow in enumerate(sets)
         if shadow.block != n or shadow.elements != tuple(sorted(expected[n]))
     )
 
@@ -304,10 +307,6 @@ class ClaimReport(Record):
     edges: tuple[tuple[int, int], ...]
     certified: tuple[tuple[int, int, int], ...]
     uncertified: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.uncertified
 
 
 def verify_freeness_claim(
@@ -476,10 +475,6 @@ class SelectorReport(Record):
     kept: tuple[int, ...]
     dropped: tuple[int, ...]
     cross_block_edges: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.cross_block_edges
 
 
 def selector_free_check(

@@ -44,6 +44,7 @@ from .funcgraph import (
 
 if TYPE_CHECKING:
     from .boundedfam import GrowthFunction
+    from .rosenthal import Fragmentation
 
 SCHEMA = 2
 # Each instance is a report row: 10^5 of them print about 11 MB.
@@ -164,6 +165,11 @@ def _run_inv_combine(args) -> dict:
     return {"result": result, "violations": violations}
 
 
+def _witness(check: Fragmentation) -> dict:
+    """The heavy row a failed fragmentation check names, with its sum."""
+    return {"row": check.witness_row, "sum": str(check.witness_sum)}
+
+
 def _run_ros_check(args) -> dict:
     from .rosenthal import (
         RosenthalMatrix,
@@ -181,12 +187,7 @@ def _run_ros_check(args) -> dict:
     if frag.ok != check.ok:
         violations.append({"reason": "verifier disagrees with constructor"})
     if not check.ok:
-        violations.append(
-            {
-                "row": check.witness_row,
-                "sum": str(check.witness_sum),
-            }
-        )
+        violations.append(_witness(check))
     result = {"fragments": check.ok, "eps": str(eps)}
     return {"result": result, "violations": violations}
 
@@ -207,14 +208,7 @@ def _run_ros_search(args) -> dict:
     if found is None:
         return {"result": {"set": None, "eps": str(eps)}, "violations": []}
     check = verify_fragmentation(matrix, found, eps)
-    violations = []
-    if not check.ok:
-        violations.append(
-            {
-                "row": check.witness_row,
-                "sum": str(check.witness_sum),
-            }
-        )
+    violations = [] if check.ok else [_witness(check)]
     result = {"set": list(found.elements), "eps": str(eps)}
     return {"result": result, "violations": violations}
 
@@ -228,7 +222,7 @@ def _run_part_fp(args) -> dict:
     for k in range(partition.window):
         p = partition.part_of[k]
         expected = p if p != k else k + 1
-        if fn.values[k] != expected or fn.values[k] == k:
+        if fn.values[k] != expected:
             violations.append({"point": k})
     return {"result": fn.to_json(), "violations": violations}
 
@@ -246,22 +240,17 @@ def _run_part_escape(args) -> dict:
 
 
 def _run_part_localize(args) -> dict:
-    from .partitions import localization_agreement, localized_function
+    from .partitions import localized_function, verify_localization
 
     g = _load_fn(args.fn)
     subset = _load_set(args.set, g.window)
     fn = localized_function(g, subset)
-    agree, same_block = localization_agreement(g, subset, fn)
-    violations = []
-    agree_set = set(agree)
-    block_set = set(same_block)
-    for i in block_set:
-        if i not in agree_set:
-            violations.append({"point": i, "reason": "should follow g"})
-    for i in range(g.window):
-        if i not in block_set and fn.values[i] != i + 1:
-            violations.append({"point": i, "reason": "should take successor"})
-    result = {"fn": fn.to_json(), "agrees": list(agree)}
+    violations = [
+        {"point": i, "reason": reason}
+        for i, reason in verify_localization(g, subset, fn)
+    ]
+    agrees = [i for i, (x, y) in enumerate(zip(fn.values, g.values)) if x == y]
+    result = {"fn": fn.to_json(), "agrees": agrees}
     return {"result": result, "violations": violations}
 
 
@@ -319,7 +308,7 @@ def _run_blocks_verify(args) -> dict:
         lo, hi = system.interval(n)
         if not len(s.elements) <= 2 * system.j_starts[n] < hi - lo:
             violations.append({"block": n, "reason": "shadow bound"})
-    for n in verify_shadows(system, fn, shadows):
+    for n in verify_shadows(system.j_starts, fn, shadows):
         violations.append({"block": n, "reason": "shadow set mismatch"})
     claim = verify_freeness_claim(system, fn, h)
     for x, y in claim.uncertified:
@@ -359,20 +348,23 @@ def _run_ed_build(args) -> dict:
 
 
 def _run_ed_badset(args) -> dict:
-    from .boundedfam import bad_set, build_ed_blocks
+    from .boundedfam import bad_set, build_ed_blocks, verify_shadows
 
     blocks = build_ed_blocks(args.depth)
     fn = _load_fn(args.fn)
+    bads = [bad_set(blocks, fn, n) for n in range(blocks.block_count())]
     per_block = []
     violations = []
-    for n in range(blocks.block_count()):
-        b = bad_set(blocks, fn, n)
+    for n, b in enumerate(bads):
         mass = str(b.mass)
         per_block.append(
             {"block": n, "elements": list(b.elements), "mass": mass}
         )
         if b.mass > 2:
             violations.append({"block": n, "mass": mass})
+    # B_f(n) is S_f(n) over the measured blocks
+    for n in verify_shadows(blocks.starts, fn, bads):
+        violations.append({"block": n, "reason": "bad set mismatch"})
     return {"result": {"per_block": per_block}, "violations": violations}
 
 

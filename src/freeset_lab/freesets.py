@@ -64,40 +64,34 @@ def katetov_partition(fn: FiniteFunction) -> Coloring:
     two colors only.
     """
     n = fn.window
+    values = fn.values
+    # -1 marks an uncolored point and -2 - i the point at position i of
+    # the chain being walked
     colors = [-1] * n
     for start in range(n):
         if colors[start] != -1:
             continue
         chain = [start]
-        position = {start: 0}
-        stop = "exit"
-        anchor = -1
-        while True:
-            nxt = fn.values[chain[-1]]
-            if nxt >= n:
-                stop = "exit"
-                break
-            if nxt in position:
-                stop = "cycle"
-                anchor = position[nxt]
-                break
-            if colors[nxt] != -1:
-                stop = "attach"
-                anchor = colors[nxt]
-                break
-            position[nxt] = len(chain)
+        colors[start] = -2
+        nxt = values[start]
+        while nxt < n and colors[nxt] == -1:
+            colors[nxt] = -2 - len(chain)
             chain.append(nxt)
-        if stop == "attach":
+            nxt = values[nxt]
+        if nxt < n and colors[nxt] >= 0:
             # walk backward so the chain end differs from the attach color
-            c = 1 if anchor == 0 else 0
+            c = 1 if colors[nxt] == 0 else 0
             for x in reversed(chain):
                 colors[x] = c
                 c = 1 - c
         else:
+            # an exit, or a cycle back to position p = -2 - colors[nxt],
+            # whose length len(chain) - p is read before the chain is colored
+            odd_cycle = nxt < n and (len(chain) + colors[nxt]) % 2 == 1
             for i, x in enumerate(chain):
                 colors[x] = i % 2
-            if stop == "cycle" and colors[chain[-1]] == colors[chain[anchor]]:
-                # odd cycle: the closing edge is monochromatic, break it
+            if odd_cycle:
+                # the closing edge is monochromatic, break it
                 colors[chain[-1]] = 2
     return Coloring(n, tuple(colors))
 
@@ -270,14 +264,8 @@ def find_unsplit_set(
     for x in range(window):
         sig = tuple(c.colors[x] for c in colorings)
         buckets.setdefault(sig, []).append(x)
-    best_sig = None
-    best_members: list[int] = []
-    for sig, members in buckets.items():
-        if len(members) > len(best_members) or (
-            len(members) == len(best_members) and members < best_members
-        ):
-            best_sig = sig
-            best_members = members
-    if best_sig is None or len(best_members) < min_size:
+    # buckets are disjoint and nonempty, so no two tie on their members
+    best_sig, best_members = min(buckets.items(), key=lambda b: (-len(b[1]), b[1]))
+    if len(best_members) < min_size:
         return None
     return Subset(window, tuple(best_members)), best_sig

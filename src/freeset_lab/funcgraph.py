@@ -84,10 +84,9 @@ class Record:
     It equals only a record of its own type with equal fields, hashes its
     fields, prints as Name(field=value, ...) and refuses assignment and
     deletion, so __post_init__ normalises a field with object.__setattr__.
-    Two records spell out their own __init__: Subset, built many times
-    per call, sets and checks its two fields in one call, with no loop
-    and no __post_init__; Fragmentation lets its witness fields default
-    to None.
+    One record spells out its own __init__: Subset, built many times per
+    call, sets and checks its two fields in one call, with no loop and no
+    __post_init__.
     """
 
     __slots__ = ()

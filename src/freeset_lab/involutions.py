@@ -161,16 +161,6 @@ def _complete(
     return Involution(len(pairing), tuple(pairing), exceptions)
 
 
-def _canonical_pairing(
-    pairs: Sequence[tuple[int, int]], window: int
-) -> Involution:
-    """Extend explicit pairs to the window: leftovers pair consecutively."""
-    pairing: list[int | None] = [None] * window
-    for x, y in pairs:
-        _place(pairing, x, y)
-    return _complete(pairing)
-
-
 def _walk(
     values: tuple[int, ...],
     state: bytearray,
@@ -315,11 +305,13 @@ def combine_on_blocks(
 
     Each block is assigned one part by colors; D collects the points the
     assigned part pairs without leaving the block. D is closed under the
-    assigned pairings, so those pairs transfer to the combined involution
-    verbatim; everything outside D is paired by the canonical leftover
-    rule. Odd block sizes are required: they keep the complement of D
-    nonempty in every block, which is what makes the completion safe at
-    any window size.
+    assigned pairings: a chosen point's partner lies in the same block, is
+    no exception and pairs back, so it is chosen too. Each chosen point's
+    pair is written into the combined involution as it is chosen, and
+    everything outside D is paired by the canonical leftover rule. Odd
+    block sizes are required: they keep the complement of D nonempty in
+    every block, which is what makes the completion safe at any window
+    size.
     """
     if len(parts) != 4:
         raise ValueError("need exactly four parts")
@@ -334,7 +326,7 @@ def combine_on_blocks(
     for lo, hi in blocks.blocks():
         if (hi - lo) % 2 == 0:
             raise ValueError(f"block [{lo}, {hi}) has even size")
-    pairs = set()
+    pairing: list[int | None] = [None] * window
     chosen: list[int] = []
     for idx, (lo, hi) in enumerate(blocks.blocks()):
         c = colors[idx]
@@ -346,7 +338,5 @@ def combine_on_blocks(
             y = part.pairing[x]
             if x not in exc and lo <= y < hi:
                 chosen.append(x)
-                if x < y:
-                    pairs.add((x, y))
-    combined = _canonical_pairing(sorted(pairs), window)
-    return Subset.of(window, chosen), combined
+                pairing[x] = y
+    return Subset.of(window, chosen), _complete(pairing)

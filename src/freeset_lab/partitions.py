@@ -224,24 +224,22 @@ def localized_function(g: FiniteFunction, subset: Subset) -> FiniteFunction:
     return FiniteFunction(tuple(vals))
 
 
-def localization_agreement(
-    g: FiniteFunction, subset: Subset, localized: FiniteFunction
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Where the localized function agrees with g, and where it must.
+def verify_localization(
+    g: FiniteFunction, subset: Subset, fn: FiniteFunction
+) -> tuple[tuple[int, str], ...]:
+    """Points where fn is not g localized to the blocks of the subset.
 
-    Returns (actual agreement positions, same-block positions). The two
-    coincide unless construction and check disagree; points where g
-    already equals the successor land in the agreement set without being
-    same-block, so the check is containment of the second in the first
-    plus g-equality on it.
+    A point whose g-image lies in its own block [a_j, a_{j+1}) must follow
+    g; every other point must take its successor. Returns (point, reason)
+    pairs in point order.
     """
     a = subset.elements
-    agree = tuple(
-        i for i in range(g.window) if localized.values[i] == g.values[i]
-    )
-    same_block = []
-    for i in range(g.window):
+    bad = []
+    for i, y in enumerate(g.values):
         j = bisect_right(a, i) - 1
-        if 0 <= j < len(a) - 1 and a[j] <= g.values[i] < a[j + 1]:
-            same_block.append(i)
-    return agree, tuple(same_block)
+        if 0 <= j < len(a) - 1 and a[j] <= y < a[j + 1]:
+            if fn.values[i] != y:
+                bad.append((i, "should follow g"))
+        elif fn.values[i] != i + 1:
+            bad.append((i, "should take successor"))
+    return tuple(bad)

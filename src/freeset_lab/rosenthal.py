@@ -132,16 +132,6 @@ class Fragmentation(Record):
     witness_row: Optional[int]
     witness_sum: Optional[Fraction]
 
-    def __init__(
-        self,
-        ok: bool,
-        witness_row: Optional[int] = None,
-        witness_sum: Optional[Fraction] = None,
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness_row", witness_row)
-        object.__setattr__(self, "witness_sum", witness_sum)
-
 
 def _check_subset(matrix: RosenthalMatrix, subset: Subset) -> None:
     dim = matrix.dim
@@ -171,7 +161,7 @@ def fragments(
                 total += e
         if total * den >= num * matrix.scales[k]:
             return Fragmentation(False, k, Fraction(total, matrix.scales[k]))
-    return Fragmentation(True)
+    return Fragmentation(True, None, None)
 
 
 def verify_fragmentation(
@@ -188,7 +178,7 @@ def verify_fragmentation(
         )
         if total >= eps:
             return Fragmentation(False, k, total)
-    return Fragmentation(True)
+    return Fragmentation(True, None, None)
 
 
 def function_to_matrix(fn: FiniteFunction) -> RosenthalMatrix:

@@ -25,6 +25,7 @@ from freeset_lab.boundedfam import (
     shadow_set,
     verify_freeness_claim,
     verify_meeting,
+    verify_shadows,
 )
 from freeset_lab.cli import main as cli_main
 from freeset_lab.freesets import katetov_partition, max_free_subset, verify_coloring
@@ -118,8 +119,12 @@ def test_criterion_4_block_system_claims():
     for i in range(200):
         fn = random_fpf_function(4000 + i, prefix, injective=True)
         shadows = [shadow_set(system, fn, n) for n in range(system.depth)]
-        if not all(s.within_bounds for s in shadows):
-            violations += 1
+        # |S_f(n)| <= 2 * start(J_n) < |I_n|, both bounds from the system
+        for n, s in enumerate(shadows):
+            lo, hi = system.interval(n)
+            if not len(s.elements) <= 2 * system.j_starts[n] < hi - lo:
+                violations += 1
+        violations += len(verify_shadows(system.j_starts, fn, shadows))
         ell = meeting_function(system, shadows)
         violations += len(verify_meeting(system, shadows, ell))
         for h in product(range(2), repeat=6):
@@ -155,19 +160,22 @@ def test_criterion_5_measured_blocks():
         Fraction(1, 105),
     )
     heavy = 0
+    mismatched = 0
     for blocks, prefix, i, fn in _ed_instances():
-        for n in range(blocks.block_count()):
-            if bad_set(blocks, fn, n).mass > 2:
-                heavy += 1
-    ok = shape_ok and heavy == 0
+        bads = [bad_set(blocks, fn, n) for n in range(blocks.block_count())]
+        heavy += sum(b.mass > 2 for b in bads)
+        # B_f(n) is S_f(n) over the measured blocks
+        mismatched += len(verify_shadows(blocks.starts, fn, bads))
+    ok = shape_ok and heavy == 0 and mismatched == 0
     _verdict(
         5,
         ok,
         f"sizes 1,2,12,90,840 with masses 1,1/3,1/15,1/105: {shape_ok}; "
-        f"{heavy} overweight bad sets over 200 functions",
+        f"{heavy} overweight and {mismatched} wrong bad sets over 200 functions",
     )
     assert shape_ok
     assert heavy == 0
+    assert mismatched == 0
 
 
 def test_criterion_6_selector_freeness():

@@ -16,6 +16,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeset_lab
-from freeset_lab import boundedfam, cli, involutions
+from freeset_lab import boundedfam, cli, freesets, involutions, partitions, rosenthal
 from freeset_lab.cli import main
+from freeset_lab.funcgraph import FiniteFunction, Subset, random_fpf_function
 
 TIMING = re.compile(r'"elapsed_seconds": [0-9.e+-]+')
 
@@ -447,6 +449,68 @@ def test_handlers_read_the_layer_module_at_call_time(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["error"] == "internal fault: TypeError: boom"
+
+
+_real_combine = involutions.combine_on_blocks
+
+
+def _empty_d(parts, blocks, colors):
+    d, combined = _real_combine(parts, blocks, colors)
+    return Subset(d.window, ()), combined
+
+
+def _no_bad_set(blocks, fn, n):
+    return boundedfam.BadSetBlock(n, (), Fraction(0))
+
+
+_SPLIT = ['{"n": 4, "colors": [0, 1, 0, 1]}', '{"n": 4, "colors": [0, 1, 1, 0]}']
+_PART = '{"n": 3, "pairing": [1, 0, 2], "exceptions": [2]}'
+
+# leaf: (argv, layer, constructor, a well-formed wrong output)
+_BROKEN = {
+    "partition localize": (
+        ["--fn", '{"n": 10, "values": [2, 2, 3, 5, 5, 6, 8, 8, 9, 5]}',
+         "--set", "[0, 3, 6, 9]"],
+        partitions, "localized_function",
+        lambda g, subset: FiniteFunction(tuple(range(1, g.window + 1))),
+    ),
+    "katetov": (
+        ["--fn", '{"n": 5, "values": [1, 2, 3, 4, 0]}'],
+        freesets, "katetov_partition",
+        lambda fn: freesets.Coloring(fn.window, (0,) * fn.window),
+    ),
+    "oracle unsplit": (
+        ["--coloring", _SPLIT[0], "--coloring", _SPLIT[1]],
+        freesets, "find_unsplit_set",
+        lambda colorings, min_size: (Subset(4, (0, 1)), (0, 0)),
+    ),
+    "rosenthal check": (
+        ["--matrix", '{"k": 2, "n": 2, "row_bound": "1", '
+         '"entries": [["0", "1"], ["1", "0"]]}', "--set", "[0, 1]", "--eps", "1"],
+        rosenthal, "fragments",
+        lambda matrix, subset, eps: rosenthal.Fragmentation(True, None, None),
+    ),
+    "involutions combine": (
+        [*["--part", _PART] * 4,
+         "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
+        involutions, "combine_on_blocks", _empty_d,
+    ),
+    "ed badset": (
+        ["--depth", "2", "--fn", json.dumps({"n": 15, "values": list(range(1, 16))})],
+        boundedfam, "bad_set", _no_bad_set,
+    ),
+}
+
+
+@pytest.mark.parametrize("leaf", list(_BROKEN))
+def test_a_broken_constructor_fails_its_leaf(capsys, monkeypatch, leaf):
+    # the wrong output must bring a violation the true one does not
+    argv, layer, constructor, wrong = _BROKEN[leaf]
+    _, true, _ = _run(capsys, *leaf.split(), *argv)
+    monkeypatch.setattr(layer, constructor, wrong)
+    code, doc, _ = _run(capsys, *leaf.split(), *argv)
+    assert code == 1 and doc["ok"] is False
+    assert [v for v in doc["violations"] if v not in true["violations"]]
 
 
 def _matrix(bound="1", entry="1") -> str:
@@ -886,6 +950,28 @@ def test_blocks_verify_reads_no_recorded_bound():
     ]
     read = {n.attr for n in ast.walk(handler) if isinstance(n, ast.Attribute)}
     assert not read & {"within_bounds", "size_bound", "capacity"}
+
+
+def test_ed_badset_checks_each_bad_set_by_its_definition(
+    capsys, tmp_path, monkeypatch
+):
+    # empty bad sets weigh nothing, so only B_f(n) = S_f(n) over the
+    # measured blocks can refuse them: every block whose true bad set has
+    # points is named
+    blocks = boundedfam.build_ed_blocks(4)
+    real = boundedfam.bad_set
+    monkeypatch.setattr(boundedfam, "bad_set", _no_bad_set)
+    fn_path = tmp_path / "f.json"
+    for seed in range(20):
+        fn = random_fpf_function(seed, blocks.starts[-1], injective=True)
+        fn_path.write_text(json.dumps(fn.to_json()))
+        argv = ["ed", "badset", "--depth", "4", "--fn", str(fn_path)]
+        code, doc, _ = _run(capsys, *argv)
+        wrong = [n for n in range(5) if real(blocks, fn, n).elements]
+        assert code == 1 and doc["ok"] is False, seed
+        assert doc["violations"] == [
+            {"block": n, "reason": "bad set mismatch"} for n in wrong
+        ]
 
 
 def test_ed_member_flow(capsys):

@@ -116,6 +116,62 @@ def test_partition_never_has_monochromatic_edges(seed, n):
     assert verify_coloring(col, fn) == ()
 
 
+def _katetov_reference(fn: FiniteFunction) -> tuple[int, ...]:
+    """The chain walk with its own position table and stop state."""
+    n = fn.window
+    colors = [-1] * n
+    for start in range(n):
+        if colors[start] != -1:
+            continue
+        chain = [start]
+        position = {start: 0}
+        stop = "exit"
+        anchor = -1
+        while True:
+            nxt = fn.values[chain[-1]]
+            if nxt >= n:
+                stop = "exit"
+                break
+            if nxt in position:
+                stop = "cycle"
+                anchor = position[nxt]
+                break
+            if colors[nxt] != -1:
+                stop = "attach"
+                anchor = colors[nxt]
+                break
+            position[nxt] = len(chain)
+            chain.append(nxt)
+        if stop == "attach":
+            c = 1 if anchor == 0 else 0
+            for x in reversed(chain):
+                colors[x] = c
+                c = 1 - c
+        else:
+            for i, x in enumerate(chain):
+                colors[x] = i % 2
+            if stop == "cycle" and colors[chain[-1]] == colors[chain[anchor]]:
+                colors[chain[-1]] = 2
+    return tuple(colors)
+
+
+def test_katetov_matches_the_reference_on_seeded_functions():
+    for seed in range(2000):
+        n = 1 + seed % 60
+        fn = random_fpf_function(seed, n, injective=seed % 2 == 0)
+        assert katetov_partition(fn).colors == _katetov_reference(fn), seed
+
+
+def test_katetov_matches_the_reference_on_shifts():
+    # x + k leaves the window along k chains; x + k mod n closes
+    # gcd(k, n) cycles, odd or even by n / gcd(k, n)
+    for n in range(2, 40):
+        for k in range(1, n):
+            for values in (range(k, n + k), [(x + k) % n for x in range(n)]):
+                fn = FiniteFunction(tuple(values))
+                assert katetov_partition(fn).colors == _katetov_reference(fn), (n, k)
+
+
 def test_verify_coloring_catches_planted_violation():
     fn = FiniteFunction([1, 2, 3, 0])
     bad = Coloring(4, (0, 0, 1, 1))
@@ -332,10 +388,12 @@ def test_unsplit_none_when_all_buckets_small():
 
 
 def test_unsplit_ties_break_to_lex_smallest_members():
-    c = Coloring(4, (0, 0, 1, 1))
-    got = find_unsplit_set([c], 2)
-    assert got is not None
-    assert got[0].elements == (0, 1)
+    # in the second, the smallest members carry the larger color, so
+    # ordering the buckets by color would pick (2, 3)
+    for colors in ((0, 0, 1, 1), (1, 1, 0, 0)):
+        got = find_unsplit_set([Coloring(4, colors)], 2)
+        assert got is not None
+        assert got[0].elements == (0, 1)
 
 
 def test_unsplit_matches_oracle_on_seeded_families():

@@ -477,7 +477,6 @@ def test_verifier_names_no_constructor_helper():
         "_walk",
         "_place",
         "_complete",
-        "_canonical_pairing",
         "decompose_into_involutions",
     }
     assert constructors <= defs
@@ -587,6 +586,50 @@ def test_combine_membership_is_closed_under_the_part():
         if x in members:
             assert combined.pairing[x] == partner
             assert partner in members
+
+
+def _combine_reference(parts, blocks, colors):
+    """D and the combined involution by collecting D's pairs, sorting them
+    and pairing every other point consecutively."""
+    window = parts[0].window
+    pairs, chosen = set(), []
+    for (lo, hi), c in zip(blocks.blocks(), colors):
+        part = parts[c]
+        for x in range(lo, hi):
+            y = part.pairing[x]
+            if x not in part.exceptions and lo <= y < hi:
+                chosen.append(x)
+                pairs.add((min(x, y), max(x, y)))
+    pairing = [None] * window
+    for x, y in sorted(pairs):
+        assert pairing[x] is None and pairing[y] is None
+        pairing[x], pairing[y] = y, x
+    rest = [x for x in range(window) if pairing[x] is None]
+    for a, b in zip(rest[::2], rest[1::2]):
+        pairing[a], pairing[b] = b, a
+    exceptions = rest[-1:] if len(rest) % 2 else []
+    for e in exceptions:
+        pairing[e] = e
+    return Subset.of(window, chosen), Involution(window, tuple(pairing), exceptions)
+
+
+def test_combine_matches_the_reference_on_seeded_covers():
+    chosen = 0
+    for seed in range(150):
+        rng = Lcg64(seed)
+        n = 11 + rng.below(110)
+        fn = random_fpf_function(seed, n, injective=True)
+        parts = decompose_into_involutions(fn).parts
+        # odd blocks of 1 to 11 points, ending at the window or short of it
+        ends = [0]
+        while ends[-1] + 11 <= n:
+            ends.append(ends[-1] + 1 + 2 * rng.below(6))
+        blocks = IntervalPartition(tuple(ends))
+        colors = [rng.below(4) for _ in range(blocks.block_count)]
+        got = combine_on_blocks(parts, blocks, colors)
+        assert got == _combine_reference(parts, blocks, colors), seed
+        chosen += len(got[0])
+    assert chosen > 1000
 
 
 def test_combine_rejects_even_blocks():

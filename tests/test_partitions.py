@@ -27,10 +27,10 @@ from freeset_lab.partitions import (
     PartitionIntoParts,
     dominates,
     escape_intervals,
-    localization_agreement,
     localized_function,
     partition_function,
     verify_escape,
+    verify_localization,
 )
 
 
@@ -256,9 +256,14 @@ def test_escape_and_maximality_scale_linearly():
 def test_verifier_names_no_constructor():
     tree = ast.parse(Path(partitions.__file__).read_text(encoding="utf-8"))
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert "escape_intervals" in defs
-    named = {n.id for n in ast.walk(defs["verify_escape"]) if isinstance(n, ast.Name)}
-    assert "escape_intervals" not in named
+    checked = {
+        "verify_escape": "escape_intervals",
+        "verify_localization": "localized_function",
+    }
+    for verifier, constructor in checked.items():
+        assert constructor in defs
+        named = {n.id for n in ast.walk(defs[verifier]) if isinstance(n, ast.Name)}
+        assert constructor not in named, verifier
 
 
 # === localization ===
@@ -272,15 +277,32 @@ def test_localized_function_frozen_example():
 
 
 def test_localization_agreement_partition():
+    # the same-block points 0, 1, 3, 4, 6 and 7 follow g; the rest take
+    # the successor, which g itself takes at 2, 5 and 8
     g = FiniteFunction([2, 2, 3, 5, 5, 6, 8, 8, 9, 5])
     a = Subset.of(10, [0, 3, 6, 9])
     fn = localized_function(g, a)
-    agree, same_block = localization_agreement(g, a, fn)
-    assert set(same_block) <= set(agree)
-    assert same_block == (0, 1, 3, 4, 6, 7)
-    for i in range(g.window):
-        if i not in same_block:
-            assert fn(i) == i + 1
+    assert verify_localization(g, a, fn) == ()
+    agree = tuple(i for i in range(g.window) if fn(i) == g(i))
+    assert agree == (0, 1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def test_verify_localization_names_one_wrong_point_in_each_branch():
+    g = FiniteFunction([2, 2, 3, 5, 5, 6, 8, 8, 9, 5])
+    a = Subset.of(10, [0, 3, 6, 9])
+    values = list(localized_function(g, a).values)
+    follows = FiniteFunction(values[:4] + [6] + values[5:])
+    assert verify_localization(g, a, follows) == ((4, "should follow g"),)
+    successor = FiniteFunction(values[:9] + [0])
+    assert verify_localization(g, a, successor) == ((9, "should take successor"),)
+    both = FiniteFunction([values[0], 0] + values[2:4] + [6] + values[5:])
+    assert verify_localization(g, a, both) == (
+        (1, "should follow g"),
+        (4, "should follow g"),
+    )
+    # 9 lies past the last block, so following g there is wrong too
+    wrapped = FiniteFunction(values[:9] + [5])
+    assert verify_localization(g, a, wrapped) == ((9, "should take successor"),)
 
 
 def test_localized_needs_two_anchors():

@@ -32,7 +32,12 @@ from freeset_lab.funcgraph import (
 )
 from freeset_lab.involutions import Involution, decompose_into_involutions
 from freeset_lab.partitions import IntervalPartition, PartitionIntoParts
-from freeset_lab.rosenthal import Fragmentation, function_to_matrix
+from freeset_lab.rosenthal import (
+    Fragmentation,
+    fragments,
+    function_to_matrix,
+    verify_fragmentation,
+)
 
 
 def _samples() -> list[Record]:
@@ -130,10 +135,15 @@ def test_derived_attributes_stay_out_of_equality_and_repr():
 
 
 def test_fragmentation_witness_defaults_to_none():
-    ok = Fragmentation(True)
-    assert (ok.ok, ok.witness_row, ok.witness_sum) == (True, None, None)
-    assert ok == Fragmentation(True, None, None)
+    # a passing check names no witness; the record takes all three fields
+    matrix = function_to_matrix(FiniteFunction((1, 2, 0)))
+    for check in (fragments, verify_fragmentation):
+        ok = check(matrix, Subset(3, (0,)), Fraction(1))
+        assert (ok.ok, ok.witness_row, ok.witness_sum) == (True, None, None)
+        assert ok == Fragmentation(True, None, None)
     assert repr(ok) == "Fragmentation(ok=True, witness_row=None, witness_sum=None)"
+    with pytest.raises(TypeError):
+        Fragmentation(True)
 
 
 def test_post_init_still_normalises_and_checks():
