@@ -168,8 +168,7 @@ def build_block_system(g: GrowthFunction, depth: int) -> BlockSystem:
 class ShadowSet(Record):
     """Points of J_n reachable from earlier blocks in either direction."""
 
-    __slots__ = ("block", "elements", "size_bound", "capacity")
-    block: int
+    __slots__ = ("elements", "size_bound", "capacity")
     elements: tuple[int, ...]
     size_bound: int
     capacity: int
@@ -189,9 +188,9 @@ def _touched_by_prefix(fn: FiniteFunction, lo: int, hi: int) -> tuple[int, ...]:
 def shadow_set(system: BlockSystem, fn: FiniteFunction, n: int) -> ShadowSet:
     """S_f(n): images and preimages of the earlier J-prefix inside J_n.
 
-    The size bound 2 * |earlier prefix| < |I_n| is what the interval
-    growth condition buys; it is recomputed here and reported rather
-    than assumed.
+    The record keeps the bound 2 * |earlier prefix| and the capacity |I_n|
+    above it for the benchmark's `within_bounds`. No report prints them;
+    `blocks verify` and criterion 4 recompute both from the block system.
     """
     if n < 0 or n >= system.depth:
         raise ValueError(f"block {n} outside depth {system.depth}")
@@ -201,7 +200,7 @@ def shadow_set(system: BlockSystem, fn: FiniteFunction, n: int) -> ShadowSet:
     if not fn.injective_on_window:
         raise ValueError("shadow sets need an injective function")
     size = system.interval(n)
-    return ShadowSet(n, _touched_by_prefix(fn, lo, hi), 2 * lo, size[1] - size[0])
+    return ShadowSet(_touched_by_prefix(fn, lo, hi), 2 * lo, size[1] - size[0])
 
 
 def verify_shadows(
@@ -213,11 +212,12 @@ def verify_shadows(
 
     Block n is [starts[n], starts[n + 1]): the coded blocks J_n of a
     block system, or the measured blocks, whose bad sets B_f(n) are the
-    same sets. S_f(n) holds the points of block n that an earlier point
-    maps to and the points of block n that map below it. One pass over
-    the edges inside the prefix sorts each edge between two blocks into
-    the later block's expected set: its head when f goes forward, its
-    tail when f goes back. Set n must list exactly that set, ascending.
+    same sets. A set's position in the list is its block. S_f(n) holds
+    the points of block n that an earlier point maps to and the points
+    of block n that map below it. One pass over the edges inside the
+    prefix sorts each edge between two blocks into the later block's
+    expected set: its head when f goes forward, its tail when f goes
+    back. Set n must list exactly that set, ascending.
     """
     if len(sets) != len(starts) - 1:
         raise ValueError("one shadow set per block required")
@@ -238,7 +238,7 @@ def verify_shadows(
     return tuple(
         n
         for n, shadow in enumerate(sets)
-        if shadow.block != n or shadow.elements != tuple(sorted(expected[n]))
+        if shadow.elements != tuple(sorted(expected[n]))
     )
 
 
@@ -251,14 +251,13 @@ def meeting_function(
     positions of I_n in increasing order; each assigned position copies
     the decoded tuple's value there, and unassigned positions stay 0.
     With fewer shadows than positions, every shadow tuple shares a value
-    with the result somewhere in its own interval.
+    with the result somewhere in its own interval. A shadow set's position
+    in the list is its block.
     """
     if len(shadows) != system.depth:
         raise ValueError("one shadow set per block required")
     ell = [0] * system.i_endpoints[-1]
     for n, shadow in enumerate(shadows):
-        if shadow.block != n:
-            raise ValueError("shadow sets out of order")
         lo, hi = system.interval(n)
         if len(shadow.elements) >= hi - lo:
             raise ValueError(f"block {n} has no spare position")
@@ -276,8 +275,9 @@ def verify_meeting(
     """Shadow tuples the sequence misses everywhere in their interval.
 
     Only what meeting_function can return is checked: one g-bounded value
-    per position of the interval prefix, against one shadow set per block
-    in block order. Anything else raises ValueError.
+    per position of the interval prefix, against one shadow set per block,
+    whose position in the list is its block. Anything else raises
+    ValueError.
     """
     if len(ell) != system.i_endpoints[-1]:
         raise ValueError("sequence must cover the whole interval prefix")
@@ -286,11 +286,8 @@ def verify_meeting(
             raise ValueError(f"value {v} breaks the bound {bound} at {i}")
     if len(shadows) != system.depth:
         raise ValueError("one shadow set per block required")
-    if any(shadow.block != n for n, shadow in enumerate(shadows)):
-        raise ValueError("shadow sets out of order")
     missed = []
-    for shadow in shadows:
-        n = shadow.block
+    for n, shadow in enumerate(shadows):
         lo, hi = system.interval(n)
         for e in shadow.elements:
             tup = system.decode(n, e - system.j_starts[n])
@@ -432,8 +429,7 @@ def ed_fin_blocks(depth: int) -> MeasuredBlocks:
 class BadSetBlock(Record):
     """The part of a block touched by earlier blocks through f."""
 
-    __slots__ = ("block", "elements", "mass")
-    block: int
+    __slots__ = ("elements", "mass")
     elements: tuple[int, ...]
     mass: Fraction
 
@@ -448,7 +444,7 @@ def bad_set(blocks: MeasuredBlocks, fn: FiniteFunction, n: int) -> BadSetBlock:
     if not fn.injective_on_window:
         raise ValueError("bad sets need an injective function")
     elems = _touched_by_prefix(fn, lo, hi)
-    return BadSetBlock(n, elems, len(elems) * blocks.unit_masses[n])
+    return BadSetBlock(elems, len(elems) * blocks.unit_masses[n])
 
 
 def ed_membership(
@@ -471,9 +467,7 @@ def ed_membership(
 class SelectorReport(Record):
     """Freeness of a selector after discarding bad points."""
 
-    __slots__ = ("kept", "dropped", "cross_block_edges")
-    kept: tuple[int, ...]
-    dropped: tuple[int, ...]
+    __slots__ = ("cross_block_edges",)
     cross_block_edges: tuple[tuple[int, int], ...]
 
 
@@ -501,7 +495,6 @@ def selector_free_check(
     for b in bad_blocks:
         bad_union.update(b.elements)
     kept = [x for x in selector.elements if x not in bad_union]
-    dropped = [x for x in selector.elements if x in bad_union]
     kept_set = set(kept)
     prefix = blocks.starts[-1]
     cross = []
@@ -512,4 +505,4 @@ def selector_free_check(
         if y < prefix and y in kept_set:
             if blocks.block_of_point(x) != blocks.block_of_point(y):
                 cross.append((x, y))
-    return SelectorReport(tuple(kept), tuple(dropped), tuple(cross))
+    return SelectorReport(tuple(cross))

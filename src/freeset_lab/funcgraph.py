@@ -167,9 +167,6 @@ class FiniteFunction(Record):
     def window(self) -> int:
         return len(self.values)
 
-    def __call__(self, x: int) -> int:
-        return self.values[x]
-
     def in_window_edges(self) -> Iterator[tuple[int, int]]:
         """Edges (x, f(x)) with both ends inside the window."""
         n = len(self.values)
@@ -241,9 +238,6 @@ class Subset(Record):
     @classmethod
     def of(cls, window: int, elements: Iterable[int]) -> "Subset":
         return cls(window, tuple(sorted(set(elements))))
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
 
     def __len__(self) -> int:
         return len(self.elements)

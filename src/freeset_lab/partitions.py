@@ -69,9 +69,6 @@ class PartitionIntoParts(Record):
         if len(set(labels)) != max(labels) + 1:
             raise ValueError("every part index up to the maximum must be used")
 
-    def to_json(self) -> dict:
-        return {"n": self.window, "parts": list(self.part_of)}
-
     @classmethod
     def from_json(cls, doc: dict) -> "PartitionIntoParts":
         shape = 'a partition must be a JSON object {"n": N, "parts": [...]}'
@@ -231,8 +228,11 @@ def verify_localization(
 
     A point whose g-image lies in its own block [a_j, a_{j+1}) must follow
     g; every other point must take its successor. Returns (point, reason)
-    pairs in point order.
+    pairs in point order. A window other than g's is one pair, naming the
+    first point inside one window and outside the other.
     """
+    if fn.window != g.window:
+        return ((min(fn.window, g.window), "window differs from g's"),)
     a = subset.elements
     bad = []
     for i, y in enumerate(g.values):

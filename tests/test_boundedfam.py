@@ -9,16 +9,15 @@ by hand before being pinned.
 
 from __future__ import annotations
 
-import ast
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
-from pathlib import Path
+from itertools import combinations, permutations, product
+from operator import eq
 
 import pytest
 
-from freeset_lab import boundedfam
 from freeset_lab.boundedfam import (
+    BadSetBlock,
     ClaimReport,
     GrowthFunction,
     bad_set,
@@ -27,6 +26,7 @@ from freeset_lab.boundedfam import (
     constant_growth,
     ed_fin_blocks,
     ed_membership,
+    ShadowSet,
     meeting_function,
     selector_free_check,
     shadow_set,
@@ -141,17 +141,15 @@ def test_shadow_bound_holds_for_random_functions():
             lo, hi = system.j_block(n)
             expected = set()
             for x in range(lo):
-                if lo <= fn(x) < hi:
-                    expected.add(fn(x))
+                if lo <= fn.values[x] < hi:
+                    expected.add(fn.values[x])
             for x in range(lo, hi):
-                if fn(x) < lo:
+                if fn.values[x] < lo:
                     expected.add(x)
             assert set(s.elements) == expected
 
 
 def test_verify_shadows_accepts_the_definition_and_names_each_wrong_block():
-    from freeset_lab.boundedfam import ShadowSet
-
     system = build_block_system(constant_growth(2, 2), 2)
     wrong_blocks = 0
     for seed in range(60):
@@ -168,7 +166,7 @@ def test_verify_shadows_accepts_the_definition_and_names_each_wrong_block():
                 if elements == s.elements:
                     continue
                 wrong = list(shadows)
-                wrong[n] = ShadowSet(n, elements, s.size_bound, s.capacity)
+                wrong[n] = ShadowSet(elements, s.size_bound, s.capacity)
                 assert verify_shadows(system.j_starts, fn, wrong) == (n,)
                 wrong_blocks += 1
     assert wrong_blocks > 120
@@ -184,6 +182,50 @@ def test_verify_shadows_needs_the_whole_prefix_and_every_block():
         verify_shadows(system.j_starts, FiniteFunction(fn.values[:33]), shadows)
 
 
+def test_verify_shadows_refuses_every_single_point_edit():
+    # every fixed-point-free injection of [0, 6) into [0, 8) over the
+    # blocks [0, 1), [1, 3) and [3, 6); 6 and 7 leave the prefix. The
+    # n-th set of a list is block n's, as shadow sets or as bad sets.
+    starts = (0, 1, 3, 6)
+    blocks = list(zip(starts, starts[1:]))
+    subsets = [
+        c for lo, hi in blocks for k in range(hi - lo + 1)
+        for c in combinations(range(lo, hi), k)
+    ]
+    kinds = [
+        {e: ShadowSet(e, 0, 1) for e in subsets},
+        {e: BadSetBlock(e, Fraction(0)) for e in subsets},
+    ]
+    functions = edits = 0
+    for values in permutations(range(8), 6):
+        if any(map(eq, values, range(6))):
+            continue
+        fn = FiniteFunction(values)
+        # S_f(n) by its definition: the points of block n that an earlier
+        # point maps to, and the points of block n that map below it
+        truth = [
+            {y for y in values[:lo] if lo <= y < hi}
+            | {x for x in range(lo, hi) if values[x] < lo}
+            for lo, hi in blocks
+        ]
+        # add or drop one point of one block
+        edited = [
+            (n, tuple(sorted(truth[n] ^ {p})))
+            for n, (lo, hi) in enumerate(blocks)
+            for p in range(lo, hi)
+        ]
+        for record in kinds:
+            sets = [record[tuple(sorted(s))] for s in truth]
+            assert verify_shadows(starts, fn, sets) == ()
+            for n, elements in edited:
+                wrong = sets.copy()
+                wrong[n] = record[elements]
+                assert verify_shadows(starts, fn, wrong) == (n,), (values, n, elements)
+        functions += 1
+        edits += len(edited)
+    assert functions == 9403 and edits == 56418
+
+
 # === meeting function ===
 
 
@@ -197,12 +239,10 @@ def test_meeting_function_hits_every_shadow_code():
 
 
 def test_verify_meeting_catches_a_total_miss():
-    from freeset_lab.boundedfam import ShadowSet
-
     system = build_block_system(constant_growth(2, 2), 2)
     shadows = [
-        ShadowSet(0, (), 0, 1),
-        ShadowSet(1, (2,), 4, 5),
+        ShadowSet((), 0, 1),
+        ShadowSet((2,), 4, 5),
     ]
 
     # element 2 codes the all-zero tuple; an all-one sequence never meets it
@@ -242,37 +282,13 @@ def test_verify_meeting_needs_one_shadow_per_block_in_order():
     system, shadows, ell = _meeting_case()
     with pytest.raises(ValueError, match="one shadow set per block"):
         verify_meeting(system, shadows[:1], ell)
-    with pytest.raises(ValueError, match="out of order"):
+    # list position is the block: block 1's set in block 0's place holds
+    # codes past J_0, and I_0 has no spare position for them
+    assert shadows[1].elements
+    with pytest.raises(ValueError, match="outside block 0"):
         verify_meeting(system, shadows[::-1], ell)
-
-
-def test_verifier_names_no_constructor():
-    tree = ast.parse(Path(boundedfam.__file__).read_text(encoding="utf-8"))
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    forbidden = {
-        "verify_meeting": {"meeting_function", "build_block_system"},
-        "verify_freeness_claim": {
-            "shadow_set",
-            "_touched_by_prefix",
-            "meeting_function",
-            "build_block_system",
-        },
-        "selector_free_check": {"bad_set", "_touched_by_prefix"},
-        "verify_shadows": {
-            "shadow_set",
-            "bad_set",
-            "_touched_by_prefix",
-            "build_block_system",
-            "build_ed_blocks",
-        },
-    }
-    for verifier, constructors in forbidden.items():
-        assert constructors <= defs.keys()
-        named = {n.id for n in ast.walk(defs[verifier]) if isinstance(n, ast.Name)}
-        assert not named & constructors, verifier
-
-
-# === freeness claims ===
+    with pytest.raises(ValueError, match="block 0 has no spare position"):
+        meeting_function(system, shadows[::-1])
 
 
 def test_all_coded_h_sets_are_certified():
@@ -325,7 +341,8 @@ def _claim_oracle(system, fn, shadows, h):
     def block(p):
         return next(n for n in range(system.depth) if p < system.j_starts[n + 1])
 
-    edges = [(x, fn(x)) for x in coded if x < fn.window and fn(x) in coded]
+    values = fn.values
+    edges = [(x, values[x]) for x in coded if x < len(values) and values[x] in coded]
     certified = []
     uncertified = []
     for x, y in edges:
@@ -350,8 +367,8 @@ def test_claim_reports_match_the_shadow_definition():
         for n in range(system.depth):
             lo, hi = system.j_block(n)
             shadows.append(
-                {fn(x) for x in range(lo) if lo <= fn(x) < hi}
-                | {x for x in range(lo, hi) if fn(x) < lo}
+                {fn.values[x] for x in range(lo) if lo <= fn.values[x] < hi}
+                | {x for x in range(lo, hi) if fn.values[x] < lo}
             )
         for h in hs:
             claim = verify_freeness_claim(system, fn, h)
@@ -502,11 +519,9 @@ def test_selectors_that_dodge_bad_sets_are_free():
 
 def test_perturbed_bad_sets_get_caught():
     # emptying the bad sets must eventually expose a cross-block edge
-    from freeset_lab.boundedfam import BadSetBlock
-
     blocks = build_ed_blocks(2)
     prefix = blocks.starts[-1]
-    empty = [BadSetBlock(n, (), Fraction(0)) for n in range(blocks.block_count())]
+    empty = [BadSetBlock((), Fraction(0)) for _ in range(blocks.block_count())]
     caught = False
     for seed in range(40):
         fn = random_fpf_function(seed, prefix, injective=True)
@@ -514,8 +529,8 @@ def test_perturbed_bad_sets_get_caught():
         for n in range(1, blocks.block_count()):
             lo, hi = blocks.starts[n], blocks.starts[n + 1]
             for x in range(lo, hi):
-                if fn(x) < lo:  # backward edge into an earlier block
-                    pair = (fn(x), x)
+                if fn.values[x] < lo:  # backward edge into an earlier block
+                    pair = (fn.values[x], x)
                     break
             if pair:
                 break

