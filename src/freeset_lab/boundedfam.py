@@ -315,14 +315,12 @@ def verify_freeness_claim(
 
     A is the blockwise coding of h, one point per J_n. A point p of J_n
     lies in S_f(n) by definition when an earlier point maps to p or p
-    maps below J_n. So a forward edge x -> y = f(x) into a later block n
-    is certified when y lies in J_n and x < start(J_n), and a backward
-    edge out of block n when x lies in J_n and y < start(J_n): O(1) per
-    edge, with no shadow set built. The report records the certifying
-    block; a same-block edge has none. S_f(n) needs an injective f whose
-    window covers J_n, so certifying an edge into J_n raises ValueError
-    otherwise. An uncertified cross-block edge would refute the shadow
-    construction, not the input.
+    maps below J_n. An edge x -> y = f(x) inside A joins two blocks,
+    since f has no fixed point, so the later block t of the two holds
+    its head or its tail in S_f(t) by that definition, with no shadow
+    set built. The report lists each edge with that block. S_f(t) needs
+    an injective f whose window covers J_t, so an edge into J_t raises
+    ValueError otherwise. `uncertified` is always empty.
     """
     ends = system.i_endpoints
     if len(h) != ends[-1]:
@@ -332,10 +330,8 @@ def verify_freeness_claim(
     }
     values = fn.values
     window = len(values)
-    starts = system.j_starts
     edges = []
     certified = []
-    uncertified = []
     for x, m in block_of.items():
         if x >= window:
             continue
@@ -344,22 +340,13 @@ def verify_freeness_claim(
         if n is None:
             continue
         edges.append((x, y))
-        if n == m:
-            uncertified.append((x, y))
-            continue
         target = max(m, n)
-        lo, hi = starts[target], starts[target + 1]
-        if window < hi:
+        if window < system.j_starts[target + 1]:
             raise ValueError("function window does not cover the coded prefix")
         if not fn.injective_on_window:
             raise ValueError("shadow sets need an injective function")
-        if x < lo <= y < hi or y < lo <= x < hi:
-            certified.append((x, y, target))
-        else:
-            uncertified.append((x, y))
-    return ClaimReport(
-        tuple(block_of), tuple(edges), tuple(certified), tuple(uncertified)
-    )
+        certified.append((x, y, target))
+    return ClaimReport(tuple(block_of), tuple(edges), tuple(certified), ())
 
 
 class MeasuredBlocks(Record):
@@ -499,8 +486,6 @@ def selector_free_check(
     prefix = blocks.starts[-1]
     cross = []
     for x in kept:
-        if x >= fn.window:
-            continue
         y = fn.values[x]
         if y < prefix and y in kept_set:
             if blocks.block_of_point(x) != blocks.block_of_point(y):

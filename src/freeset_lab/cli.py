@@ -158,9 +158,9 @@ def _run_inv_combine(args) -> dict:
                 violations.append({"point": x, "reason": "membership"})
             if should and combined.pairing[x] != y:
                 violations.append({"point": x, "reason": "pairing"})
-    for x in d.elements:
-        if combined.pairing[x] not in members:
-            violations.append({"point": x, "reason": "closure"})
+    # a point past the blocks is chosen by no part
+    end = blocks.endpoints[-1]
+    violations += [{"point": x, "reason": "membership"} for x in d.elements if x >= end]
     result = {"d": list(d.elements), "combined": combined.to_json()}
     return {"result": result, "violations": violations}
 
@@ -209,6 +209,11 @@ def _run_ros_search(args) -> dict:
         return {"result": {"set": None, "eps": str(eps)}, "violations": []}
     check = verify_fragmentation(matrix, found, eps)
     violations = [] if check.ok else [_witness(check)]
+    # both modes stop only when no index can join the set
+    dim, chosen = matrix.dim, found.elements
+    grown = [Subset.of(dim, (*chosen, v)) for v in range(dim) if v not in chosen]
+    if any(verify_fragmentation(matrix, s, eps).ok for s in grown):
+        violations.append({"reason": "not maximal under inclusion"})
     result = {"set": list(found.elements), "eps": str(eps)}
     return {"result": result, "violations": violations}
 
@@ -311,8 +316,6 @@ def _run_blocks_verify(args) -> dict:
     for n in verify_shadows(system.j_starts, fn, shadows):
         violations.append({"block": n, "reason": "shadow set mismatch"})
     claim = verify_freeness_claim(system, fn, h)
-    for x, y in claim.uncertified:
-        violations.append({"edge": [x, y], "reason": "no shadow certificate"})
     ell = meeting_function(system, shadows)
     for n, e in verify_meeting(system, shadows, ell):
         violations.append({"block": n, "element": e, "reason": "meeting miss"})
@@ -398,7 +401,7 @@ def _run_oracle_freeset(args) -> dict:
         hit = image_overlap(subset, fn).elements
         if hit:
             violations.append({"function": i, "intersection": list(hit)})
-    if args.mode == "greedy" and not is_maximal_free(subset, family, args.n):
+    if not is_maximal_free(subset, family, args.n):
         violations.append({"reason": "not maximal under inclusion"})
     result = {"set": list(subset.elements), "size": len(subset.elements)}
     return {"result": result, "violations": violations}

@@ -13,8 +13,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from freeset_lab.boundedfam import (
     bad_set,
     build_block_system,

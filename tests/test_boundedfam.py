@@ -377,23 +377,6 @@ def test_claim_reports_match_the_shadow_definition():
     assert crossings > 0
 
 
-def _unchecked_function(values):
-    """A FiniteFunction built past its checks, so it may fix a point."""
-    fn = object.__new__(FiniteFunction)
-    object.__setattr__(fn, "values", tuple(values))
-    object.__setattr__(fn, "injective_on_window", len(set(values)) == len(values))
-    return fn
-
-
-def test_same_block_edge_stays_uncertified():
-    # 0 is a fixed point and the coded point of J_0 for h = 0
-    system = build_block_system(constant_growth(2, 2), 2)
-    fn = _unchecked_function([0, 2, 3, 1] + [x ^ 1 for x in range(4, 34)])
-    claim = verify_freeness_claim(system, fn, [0] * 6)
-    assert claim == ClaimReport((0, 2), ((0, 0),), (), ((0, 0),))
-    assert claim.uncertified
-
-
 def test_claim_needs_a_covering_window_for_a_cross_edge():
     system = build_block_system(constant_growth(2, 2), 2)
     # no edge joins the coded points 0 and 2, so nothing needs J_1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import re
@@ -26,7 +27,12 @@ from hypothesis import strategies as st
 import freeset_lab
 from freeset_lab import boundedfam, cli, freesets, involutions, partitions, rosenthal
 from freeset_lab.cli import main
-from freeset_lab.funcgraph import FiniteFunction, Subset, random_fpf_function
+from freeset_lab.funcgraph import (
+    FiniteFunction,
+    OrbitDecomposition,
+    Subset,
+    random_fpf_function,
+)
 
 TIMING = re.compile(r'"elapsed_seconds": [0-9.e+-]+')
 
@@ -473,6 +479,11 @@ def _one_point_less(g, subset):
     return FiniteFunction(_real_localize(g, subset).values[:-1])
 
 
+def _d_past_the_blocks(parts, blocks, colors):
+    d, combined = _real_combine(parts, blocks, colors)
+    return Subset.of(d.window, (*d.elements, 4, 5)), combined
+
+
 _G10 = '{"n": 10, "values": [2, 2, 3, 5, 5, 6, 8, 8, 9, 5]}'
 _SPLIT = ['{"n": 4, "colors": [0, 1, 0, 1]}', '{"n": 4, "colors": [0, 1, 1, 0]}']
 _PART = '{"n": 3, "pairing": [1, 0, 2], "exceptions": [2]}'
@@ -513,6 +524,28 @@ _BROKEN = {
          "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
         involutions, "combine_on_blocks", _empty_d,
     ),
+    # each part pairs 4 with 5, but no block holds them
+    "involutions combine: D past the blocks": (
+        [*["--part", '{"n": 7, "pairing": [1, 0, 3, 2, 5, 4, 6], "exceptions": [6]}'] * 4,
+         "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
+        involutions, "combine_on_blocks", _d_past_the_blocks,
+    ),
+    # cli binds funcgraph's names when it is imported, so it is patched there
+    "orbits": (
+        ["--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+        cli, "orbit_decomposition",
+        lambda fn: OrbitDecomposition(fn.window, ()),
+    ),
+    "oracle freeset": (
+        ["--n", "4", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+        freesets, "max_free_subset", lambda family, n, mode: Subset(n, ()),
+    ),
+    "rosenthal search": (
+        ["--matrix", '{"k": 3, "n": 3, "row_bound": "1", '
+         '"entries": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}', "--eps", "1"],
+        rosenthal, "find_fragmenting_set",
+        lambda matrix, eps, min_size, mode: Subset(matrix.dim, (0,)),
+    ),
     "ed badset": (
         ["--depth", "2", "--fn", json.dumps({"n": 15, "values": list(range(1, 16))})],
         boundedfam, "bad_set", _no_bad_set,
@@ -526,17 +559,14 @@ _BROKEN = {
 # The leaves no broken constructor has yet been shown to fail: each wants
 # a _BROKEN row, and a new leaf joins one list or the other.
 _NO_BROKEN_ROW = (
-    "orbits",
     "free",
     "involutions decompose",
-    "rosenthal search",
     "partition fp",
     "partition escape",
     "dominates",
     "blocks build",
     "ed build",
     "ed member",
-    "oracle freeset",
     "batch",
 )
 
@@ -563,6 +593,145 @@ def test_every_leaf_has_a_broken_row_or_waits_for_one():
     assert len(leaves) == 19
     assert not rows & set(_NO_BROKEN_ROW)
     assert sorted(rows | set(_NO_BROKEN_ROW)) == sorted(leaves)
+
+
+# === pinned reports ===
+
+
+_C4 = '{"n": 4, "values": [1, 2, 3, 0]}'
+_C5 = '{"n": 5, "values": [1, 2, 3, 4, 0]}'
+_M3 = (
+    '{"k": 3, "n": 3, "row_bound": "1", '
+    '"entries": [["0", "1/2", "1/2"], ["1/4", "0", "1/4"], ["0", "0", "0"]]}'
+)
+_BATCH_ARGS = ["--seed", "3", "--count", "3", "--n", "9"]
+
+# "leaf" or "leaf: case": (argv, SHA-256 of the report with its timing
+# masked). One small valid call per leaf and per batch op, inline JSON
+# only, so no report holds a temporary path; each must pass and print
+# the same bytes.
+_PINNED = {
+    "orbits": (
+        ["--fn", '{"n": 7, "values": [1, 2, 0, 4, 5, 6, 7]}'],
+        "37492c474c4ce3ea499d3a3dc25d388ef9192b2f283dd982506e3034d8be8a5b",
+    ),
+    "free": (
+        ["--set", "[0, 2]", "--fn", _C4],
+        "5279e70ea79e2519630b4cbf368f20f2a9a9ff64a79773e73fca6792d588b5b8",
+    ),
+    "katetov": (
+        ["--fn", _C5],
+        "fc10244e96afe785bec4d6f666b353dc5fc5be82d312def66bfa433fa3f819f7",
+    ),
+    "involutions decompose": (
+        ["--fn", '{"n": 7, "values": [1, 2, 0, 4, 5, 6, 3]}'],
+        "d36e6e20360919c780ec8e1dff60eb494ed7806f63c057a5663bb606e865ee32",
+    ),
+    "involutions combine": (
+        [*["--part", _PART] * 4, "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
+        "3c7961a8faad79a9120625a16178a295e6fb3a0990fb72d3cebbd7b924052f79",
+    ),
+    "rosenthal check": (
+        ["--matrix", _M3, "--set", "[0, 2]", "--eps", "1"],
+        "8b4b854cc7795a6dd11e9cdf9f8c383c2369245f3f71eb423790c8a1cbecb496",
+    ),
+    "rosenthal search: exact": (
+        ["--matrix", _M3, "--eps", "1/2", "--mode", "exact"],
+        "d0f87351f42a514cbccc5ca48582c653437e62675f23082b1fa0f6cc3dfa8f43",
+    ),
+    "rosenthal search: greedy": (
+        ["--matrix", _M3, "--eps", "1/2", "--mode", "greedy"],
+        "c21f4b405f7babe2646e9d595b74c57df41ddded6d6f38a7e74696c35112918f",
+    ),
+    "partition fp": (
+        ["--partition", '{"n": 6, "parts": [0, 1, 0, 1, 2, 2]}'],
+        "9d6434041f2c208c5b392b48fc130a6e508ba263ed840938bb97f1937ac6cbf9",
+    ),
+    "partition escape": (
+        ["--fn", '{"n": 10, "values": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]}'],
+        "48aa9af892e9a70a62c875610b672711f3bbabe394ba4b9f99dbf93a836c1ba6",
+    ),
+    "partition localize": (
+        ["--fn", _G10, "--set", "[0, 3, 6, 9]"],
+        "30db3943a7f49697639ac706f4375060a845f28436bc6bb28f3647e7ff3ec426",
+    ),
+    "dominates": (
+        ["--i", '{"endpoints": [0, 4, 8, 12]}',
+         "--j", '{"endpoints": [0, 2, 4, 6, 8, 10, 12]}', "--n", "12"],
+        "8f44e42c60346a3af987f798f9bf182eacf7ef96c0ab5af3de970ba312cf55c6",
+    ),
+    "blocks build": (
+        ["--g", "2", "--depth", "2"],
+        "100b619a2a730a9844bb26ab08c5ee7dd088910b2b6d49329ddbdd62d0877046",
+    ),
+    # h codes the points 1 and 2, joined by the successor's edge 1 -> 2
+    "blocks verify": (
+        ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", "[1, 0, 0, 0, 0, 0]"],
+        "23be9f1b81413b6bdc42f475f0257306ae2fb35e3619ef8677a1dbaaff600a94",
+    ),
+    "ed build": (
+        ["--depth", "3"],
+        "bf0f43c69dc5a927097b3183871e55a0070d911ab7e4e0e5afeaa3b88e9c3c0e",
+    ),
+    "ed build: fin": (
+        ["--depth", "3", "--fin"],
+        "b7b4ea61f12d634d025b4e096ac207688b2dab9755bb0b3e76145d50fb0f5d25",
+    ),
+    "ed badset": (
+        ["--depth", "2", "--fn", json.dumps({"n": 15, "values": list(range(1, 16))})],
+        "ffe6063ee0562786e77be84c65b8f89415f90732db122113fa932ef2c108c1d3",
+    ),
+    "ed member": (
+        ["--depth", "2", "--set", "[0, 1, 3]", "--k", "2"],
+        "1f5a50e39a776180843ab1553795c5af285d71cb700bef4debfcef1702682dbd",
+    ),
+    "oracle freeset: exact": (
+        ["--n", "5", "--fn", _C5, "--mode", "exact"],
+        "d3d8b0ce34c3ddd8931674f6b9f8e6997d56af54d8a86b0266b1aaf013198d71",
+    ),
+    "oracle freeset: greedy": (
+        ["--n", "5", "--fn", _C5, "--fn", '{"n": 5, "values": [2, 3, 4, 0, 1]}',
+         "--mode", "greedy"],
+        "2eede81c59b282fc9cb034038186f6aea95c2add1a250ec6a85dbef629c0d406",
+    ),
+    "oracle unsplit": (
+        ["--coloring", '{"n": 4, "colors": [0, 1, 0, 1]}',
+         "--coloring", '{"n": 4, "colors": [0, 1, 0, 0]}', "--min-size", "2"],
+        "02cfe74eb6055fce94f850e10c5d6e426184ed15635420b7e6c71cf54658df50",
+    ),
+    "batch: involutions-decompose": (
+        ["--op", "involutions-decompose", *_BATCH_ARGS],
+        "688d3dddd774b7556b98fdf52f5a9e134c6959a5c3c0cf96e049ffc92f9ef032",
+    ),
+    "batch: katetov": (
+        ["--op", "katetov", *_BATCH_ARGS],
+        "7708a4d5c74fc46c911341a0bccb57f655326e65d05629e758fcfdc172eef745",
+    ),
+    "batch: orbits": (
+        ["--op", "orbits", *_BATCH_ARGS],
+        "b4bae58c80a2aa6eb9649aa09ae85bbbc9b9af34139f49d11964241823b5d5e7",
+    ),
+    "batch: escape": (
+        ["--op", "escape", *_BATCH_ARGS],
+        "df750524e3725965159489ccc6185c5fc108f9388165f29894443deab95119e6",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED))
+def test_a_success_report_keeps_its_digest(capsys, key):
+    argv, digest = _PINNED[key]
+    code, doc, raw = _run(capsys, *key.split(":")[0].split(), *argv)
+    assert code == 0 and doc["ok"] is True
+    masked = TIMING.sub('"elapsed_seconds": 0', raw)
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+
+def test_every_leaf_and_batch_op_has_a_pinned_report():
+    leaves = {" ".join(path) for path, _ in _leaves(cli._build_parser())}
+    assert {key.split(":")[0] for key in _PINNED} == leaves
+    ops = {argv[1] for key, (argv, _) in _PINNED.items() if key.startswith("batch")}
+    assert ops == set(cli._BATCH_ROWS)
 
 
 def _matrix(bound="1", entry="1") -> str:

@@ -8,6 +8,8 @@ the walk and the decomposition.
 from __future__ import annotations
 
 import hashlib
+import re
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -201,6 +203,96 @@ def test_verifier_rejects_orbits_out_of_order():
     fn = FiniteFunction([1, 0, 3, 2])
     dec = OrbitDecomposition(4, (Orbit("cycle", (2, 3)), Orbit("cycle", (0, 1))))
     assert verify_orbits(fn, dec) == ("orbit 1 is out of order",)
+
+
+def _orbits_by_definition(fn: FiniteFunction) -> OrbitDecomposition:
+    """A path from each point with no in-window preimage until f leaves the
+    window, a cycle from each least point left, orbits by first node."""
+    n = fn.window
+    image = {v for v in fn.values if v < n}
+    orbits = []
+    placed = set()
+    for head in range(n):
+        if head in image:
+            continue
+        nodes = [head]
+        while fn.values[nodes[-1]] < n:
+            nodes.append(fn.values[nodes[-1]])
+        orbits.append(Orbit("path", tuple(nodes)))
+        placed.update(nodes)
+    for least in range(n):
+        if least in placed:
+            continue
+        nodes = [least]
+        while fn.values[nodes[-1]] != least:
+            nodes.append(fn.values[nodes[-1]])
+        orbits.append(Orbit("cycle", tuple(nodes)))
+        placed.update(nodes)
+    orbits.sort(key=lambda o: o.nodes[0])
+    return OrbitDecomposition(n, tuple(orbits))
+
+
+def _orbit_edits(dec: OrbitDecomposition):
+    """Every single edit of a decomposition: its window, or one orbit's
+    kind, rotation, direction, a node dropped or appended, a split, or
+    two neighbouring orbits swapped or merged."""
+    n, orbits = dec.window, dec.orbits
+
+    def replace(i, *new):
+        return OrbitDecomposition(n, orbits[:i] + new + orbits[i + 1 :])
+
+    yield OrbitDecomposition(n + 1, orbits)
+    for i, (kind, nodes) in enumerate((o.kind, o.nodes) for o in orbits):
+        for other in ("cycle", "path", "loop"):
+            if other != kind:
+                yield replace(i, Orbit(other, nodes))
+        for r in range(1, len(nodes)):
+            yield replace(i, Orbit(kind, nodes[r:] + nodes[:r]))
+        yield replace(i, Orbit(kind, nodes[::-1]))
+        for j in range(len(nodes)):
+            rest = nodes[:j] + nodes[j + 1 :]
+            yield replace(i, Orbit(kind, rest)) if rest else replace(i)
+        for x in range(n):
+            yield replace(i, Orbit(kind, nodes + (x,)))
+        for j in range(1, len(nodes)):
+            yield replace(i, Orbit(kind, nodes[:j]), Orbit(kind, nodes[j:]))
+    for i, (a, b) in enumerate(zip(orbits, orbits[1:])):
+        pair = orbits[:i], orbits[i + 2 :]
+        yield OrbitDecomposition(n, pair[0] + (b, a) + pair[1])
+        yield OrbitDecomposition(n, pair[0] + (Orbit(a.kind, a.nodes + b.nodes),) + pair[1])
+
+
+def test_verify_orbits_accepts_exactly_the_definition_under_single_edits():
+    # every fixed-point-free injection of [0, N) into [0, N + 1), N <= 5
+    functions = edits = 0
+    complaints = set()
+    for n in range(1, 6):
+        for values in permutations(range(n + 1), n):
+            if any(x == v for x, v in enumerate(values)):
+                continue
+            fn = FiniteFunction(values)
+            truth = _orbits_by_definition(fn)
+            assert orbit_decomposition(fn) == truth
+            assert verify_orbits(fn, truth) == ()
+            functions += 1
+            for edit in _orbit_edits(truth):
+                found = verify_orbits(fn, edit)
+                assert (found == ()) == (edit == truth), (values, edit, found)
+                complaints.update(re.sub(r"\d+", "#", c) for c in found)
+                edits += 1
+    assert functions == 377 and edits == 9561
+    assert complaints == {
+        "window mismatch",
+        "orbit # is out of order",
+        "node # repeats",
+        "orbit # breaks at #",
+        "cycle # does not close",
+        "cycle # does not start at its least node",
+        "path # does not exit the window",
+        "path # head has a preimage",
+        "orbit # has unknown kind loop",
+        "orbits do not cover the window",
+    }
 
 
 def test_orbit_rejects_non_injective():

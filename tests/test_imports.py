@@ -1,7 +1,7 @@
-"""Every import in the package is used where it stands, every public
-name, member and slot field is read by something that reaches a verdict,
-no verifier names the constructor it checks, and each CLI call loads
-only the modules its subcommand needs.
+"""Every import in the package and its tests is used where it stands,
+every public name, member and slot field is read by something that
+reaches a verdict, no verifier names the constructor it checks, and each
+CLI call loads only the modules its subcommand needs.
 
 cli.py imports funcgraph at its top and every other layer inside the
 handler that calls it, so an import a function never reads compiles a
@@ -24,6 +24,7 @@ import pytest
 import freeset_lab
 
 MODULES = sorted(Path(freeset_lab.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imports(node: ast.AST):
@@ -92,12 +93,12 @@ def test_checker_flags_a_function_import_its_function_never_reads():
     assert _unused_local_imports(source) == ["f.dumps", "f.loads"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_function_level_imports(path):
     assert _unused_local_imports(path.read_text(encoding="utf-8")) == []
 
