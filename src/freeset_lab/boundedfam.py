@@ -19,11 +19,13 @@ not (F(2) is already around 10^20 for g constant 2) and stay implicit.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
 from .funcgraph import MAX_MATERIALIZED_POSITIONS, FiniteFunction, Record, Subset
+from .funcgraph import _load_doc, _load_fn, _load_set, json_int, json_ints
 
 # Python prints no int of more than 4300 decimal digits (about 14,284
 # bits), so a size past this cap could be built but never reported.
@@ -491,3 +493,116 @@ def selector_free_check(
             if blocks.block_of_point(x) != blocks.block_of_point(y):
                 cross.append((x, y))
     return SelectorReport(tuple(cross))
+
+
+# === CLI handlers, named in cli._TABLE ===
+
+
+def _load_growth(text: str, depth: int) -> GrowthFunction:
+    """An inline array of bounds, or one integer (a scalar, which cannot nest)."""
+    stripped = text.strip()
+    if stripped.startswith(("{", "[")):
+        return GrowthFunction(json_ints(_load_doc(stripped), "g"))
+    return constant_growth(json_int(json.loads(stripped), "g"), depth)
+
+
+def _run_blocks_build(args) -> dict:
+    g = _load_growth(args.g, args.depth)
+    system = build_block_system(g, args.depth)
+    violations = []
+    total = 0
+    for n in range(system.depth):
+        lo, hi = system.interval(n)
+        if hi - lo != 2 * total + 1:
+            violations.append({"block": n, "reason": "interval size not minimal"})
+        f = 1
+        for i in range(lo, hi):
+            f *= g.values[i]
+        if f != system.f_sizes[n]:
+            violations.append({"block": n, "reason": "tuple count mismatch"})
+        total += f
+    return {"result": system.to_json(), "violations": violations}
+
+
+def _run_blocks_verify(args) -> dict:
+    g = _load_growth(args.g, args.depth)
+    system = build_block_system(g, args.depth)
+    fn = _load_fn(args.fn)
+    h = json_ints(_load_doc(args.h), "h")
+    shadows = [shadow_set(system, fn, n) for n in range(system.depth)]
+    violations = []
+    # |S_f(n)| <= 2 * start(J_n) < |I_n|, both bounds taken from the system
+    for n, s in enumerate(shadows):
+        lo, hi = system.interval(n)
+        if not len(s.elements) <= 2 * system.j_starts[n] < hi - lo:
+            violations.append({"block": n, "reason": "shadow bound"})
+    for n in verify_shadows(system.j_starts, fn, shadows):
+        violations.append({"block": n, "reason": "shadow set mismatch"})
+    claim = verify_freeness_claim(system, fn, h)
+    ell = meeting_function(system, shadows)
+    for n, e in verify_meeting(system, shadows, ell):
+        violations.append({"block": n, "element": e, "reason": "meeting miss"})
+    result = {
+        "coded_points": list(claim.coded_points),
+        "edges": [list(e) for e in claim.edges],
+        "certified": [list(c) for c in claim.certified],
+        "shadow_sizes": [len(s.elements) for s in shadows],
+        "meeting": list(ell),
+    }
+    return {"result": result, "violations": violations}
+
+
+def _run_ed_build(args) -> dict:
+    blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
+    violations = []
+    if args.fin:
+        if list(blocks.sizes) != list(range(args.depth + 1)):
+            violations.append({"reason": "size recurrence"})
+    else:
+        total = 1
+        for n in range(args.depth):
+            if blocks.sizes[n + 1] != 2 * (n + 1) * total:
+                violations.append({"block": n + 1, "reason": "size recurrence"})
+            if blocks.unit_masses[n + 1] != Fraction(1, total):
+                violations.append({"block": n + 1, "reason": "unit mass"})
+            total += blocks.sizes[n + 1]
+    return {"result": blocks.to_json(), "violations": violations}
+
+
+def _run_ed_badset(args) -> dict:
+    blocks = build_ed_blocks(args.depth)
+    fn = _load_fn(args.fn)
+    bads = [bad_set(blocks, fn, n) for n in range(blocks.block_count())]
+    per_block = []
+    violations = []
+    for n, b in enumerate(bads):
+        mass = str(b.mass)
+        per_block.append(
+            {"block": n, "elements": list(b.elements), "mass": mass}
+        )
+        if b.mass > 2:
+            violations.append({"block": n, "mass": mass})
+    # B_f(n) is S_f(n) over the measured blocks
+    for n in verify_shadows(blocks.starts, fn, bads):
+        violations.append({"block": n, "reason": "bad set mismatch"})
+    return {"result": {"per_block": per_block}, "violations": violations}
+
+
+def _run_ed_member(args) -> dict:
+    # imported here, so no other leaf of this module loads rosenthal
+    from .rosenthal import parse_fraction
+
+    bound = parse_fraction(args.k)
+    if bound < 0:
+        # masses are never negative, so no set could be a member
+        raise ValueError(f"--k is {bound}, must be at least 0")
+    blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
+    subset = _load_set(args.set, blocks.starts[-1])
+    member, worst = ed_membership(blocks, subset, bound)
+    result = {
+        "member": member,
+        "max_block_mass": str(worst),
+        "k": str(bound),
+    }
+    violations = [] if member else [{"max_block_mass": str(worst)}]
+    return {"result": result, "violations": violations}

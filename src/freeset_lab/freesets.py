@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
+from .funcgraph import _load_doc, _load_fn, image_overlap, random_fpf_function
 
 EXACT_WINDOW_CAP = 24
 
@@ -269,3 +270,57 @@ def find_unsplit_set(
     if len(best_members) < min_size:
         return None
     return Subset(window, tuple(best_members)), best_sig
+
+
+# === CLI handlers and batch row, named in cli._TABLE and cli._BATCH_ROWS ===
+
+
+def _run_katetov(args) -> dict:
+    fn = _load_fn(args.fn)
+    coloring = katetov_partition(fn)
+    bad = verify_coloring(coloring, fn)
+    result = coloring.to_json()
+    result["classes"] = [list(coloring.color_class(i).elements) for i in range(3)]
+    return {"result": result, "violations": [list(e) for e in bad]}
+
+
+def _run_oracle_freeset(args) -> dict:
+    family = [_load_fn(t) for t in args.fn]
+    subset = max_free_subset(family, args.n, args.mode)
+    violations = []
+    for i, fn in enumerate(family):
+        hit = image_overlap(subset, fn).elements
+        if hit:
+            violations.append({"function": i, "intersection": list(hit)})
+    if not is_maximal_free(subset, family, args.n):
+        violations.append({"reason": "not maximal under inclusion"})
+    result = {"set": list(subset.elements), "size": len(subset.elements)}
+    return {"result": result, "violations": violations}
+
+
+def _run_oracle_unsplit(args) -> dict:
+    if args.min_size < 0:
+        raise ValueError(f"--min-size is {args.min_size}, must be at least 0")
+    colorings = [Coloring.from_json(_load_doc(t)) for t in args.coloring]
+    found = find_unsplit_set(colorings, args.min_size)
+    if found is None:
+        return {"result": {"set": None}, "violations": []}
+    subset, choice = found
+    violations = []
+    for j, coloring in enumerate(colorings):
+        for x in subset.elements:
+            if coloring.colors[x] != choice[j]:
+                violations.append({"coloring": j, "point": x})
+    result = {"set": list(subset.elements), "choice": list(choice)}
+    return {"result": result, "violations": violations}
+
+
+def _katetov_row(seed: int, n: int) -> dict:
+    fn = random_fpf_function(seed, n)
+    coloring = katetov_partition(fn)
+    bad = verify_coloring(coloring, fn)
+    return {
+        "ok": not bad,
+        "classes": len(set(coloring.colors)),
+        "violations": len(bad),
+    }

@@ -215,6 +215,26 @@ def json_ints(items: object, what: str) -> tuple[int, ...]:
     return tuple(items)
 
 
+def _load_doc(text: str):
+    """Inline JSON if it looks like JSON, otherwise a path to a JSON file."""
+    stripped = text.strip()
+    try:
+        if stripped.startswith(("{", "[")):
+            return json.loads(stripped)
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
+def _load_fn(text: str) -> FiniteFunction:
+    return FiniteFunction.from_json(_load_doc(text))
+
+
+def _load_set(text: str, window: int) -> Subset:
+    return Subset.of(window, json_ints(_load_doc(text), "set"))
+
+
 class Subset(Record):
     """A subset of a window, kept as a strictly increasing tuple."""
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
+from .funcgraph import _load_doc, _load_fn, random_fpf_function
 
 if TYPE_CHECKING:
     from .partitions import IntervalPartition
@@ -340,3 +341,51 @@ def combine_on_blocks(
                 chosen.append(x)
                 pairing[x] = y
     return Subset.of(window, chosen), _complete(pairing)
+
+
+# === CLI handlers and batch row, named in cli._TABLE and cli._BATCH_ROWS ===
+
+
+def _run_inv_decompose(args) -> dict:
+    fn = _load_fn(args.fn)
+    res = decompose_into_involutions(fn)
+    ok, unexplained = verify_decomposition(fn, res)
+    violations = [list(e) for e in unexplained]
+    if not ok and not violations:
+        # a malformed cover of a function with no in-window edge
+        violations.append({"reason": "verifier rejects the cover"})
+    return {"result": res.to_json(), "violations": violations}
+
+
+def _run_inv_combine(args) -> dict:
+    # imported here, so `involutions decompose` does not load partitions
+    from .partitions import IntervalPartition
+
+    parts = [Involution.from_json(_load_doc(t)) for t in args.part]
+    blocks = IntervalPartition.from_json(_load_doc(args.blocks))
+    colors = json_ints(_load_doc(args.colors), "colors")
+    d, combined = combine_on_blocks(parts, blocks, colors)
+    violations = []
+    members = set(d.elements)
+    for idx, (lo, hi) in enumerate(blocks.blocks()):
+        part = parts[colors[idx]]
+        exc = set(part.exceptions)
+        for x in range(lo, hi):
+            y = part.pairing[x]
+            should = x not in exc and lo <= y < hi
+            if should != (x in members):
+                violations.append({"point": x, "reason": "membership"})
+            if should and combined.pairing[x] != y:
+                violations.append({"point": x, "reason": "pairing"})
+    # a point past the blocks is chosen by no part
+    end = blocks.endpoints[-1]
+    violations += [{"point": x, "reason": "membership"} for x in d.elements if x >= end]
+    result = {"d": list(d.elements), "combined": combined.to_json()}
+    return {"result": result, "violations": violations}
+
+
+def _decompose_row(seed: int, n: int) -> dict:
+    fn = random_fpf_function(seed, n, injective=True)
+    res = decompose_into_involutions(fn)
+    ok, _ = verify_decomposition(fn, res)
+    return {"ok": ok, "case": res.case, "uncovered": len(res.uncovered_edges)}

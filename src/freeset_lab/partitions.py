@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
+from .funcgraph import _load_doc, _load_fn, _load_set, random_fpf_function
 
 
 class IntervalPartition(Record):
@@ -243,3 +244,59 @@ def verify_localization(
         elif fn.values[i] != i + 1:
             bad.append((i, "should take successor"))
     return tuple(bad)
+
+
+# === CLI handlers and batch row, named in cli._TABLE and cli._BATCH_ROWS ===
+
+
+def _run_part_fp(args) -> dict:
+    partition = PartitionIntoParts.from_json(_load_doc(args.partition))
+    fn = partition_function(partition)
+    violations = []
+    for k in range(partition.window):
+        p = partition.part_of[k]
+        expected = p if p != k else k + 1
+        if fn.values[k] != expected:
+            violations.append({"point": k})
+    return {"result": fn.to_json(), "violations": violations}
+
+
+def _run_part_escape(args) -> dict:
+    fn = _load_fn(args.fn)
+    partition = escape_intervals(fn)
+    bad = verify_escape(partition, fn)
+    return {
+        "result": partition.to_json(),
+        "violations": [{"block": b, "point": x, "image": y} for b, x, y in bad],
+    }
+
+
+def _run_part_localize(args) -> dict:
+    g = _load_fn(args.fn)
+    subset = _load_set(args.set, g.window)
+    fn = localized_function(g, subset)
+    violations = [
+        {"point": i, "reason": reason}
+        for i, reason in verify_localization(g, subset, fn)
+    ]
+    agrees = [i for i, (x, y) in enumerate(zip(fn.values, g.values)) if x == y]
+    result = {"fn": fn.to_json(), "agrees": agrees}
+    return {"result": result, "violations": violations}
+
+
+def _run_dominates(args) -> dict:
+    outer = IntervalPartition.from_json(_load_doc(args.i))
+    inner = IntervalPartition.from_json(_load_doc(args.j))
+    count, last = dominates(outer, inner, args.n)
+    result = {"violations_count": count, "last_violating_block": last}
+    violations = (
+        [] if count == 0 else [{"count": count, "last_block": last}]
+    )
+    return {"result": result, "violations": violations}
+
+
+def _escape_row(seed: int, n: int) -> dict:
+    fn = random_fpf_function(seed, n, injective=True)
+    partition = escape_intervals(fn)
+    bad = verify_escape(partition, fn)
+    return {"ok": not bad, "blocks": partition.block_count}

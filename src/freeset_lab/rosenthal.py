@@ -16,6 +16,7 @@ from operator import add
 from typing import Optional
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int
+from .funcgraph import _load_doc, _load_set
 
 EXACT_DIM_CAP = 22
 # Python prints no int of more than 4300 digits, so no numerator or
@@ -277,3 +278,45 @@ def find_fragmenting_set(
     if len(best) < min_size:
         return None
     return Subset(dim, tuple(sorted(best)))
+
+
+# === CLI handlers, named in cli._TABLE ===
+
+
+def _witness(check: Fragmentation) -> dict:
+    """The heavy row a failed fragmentation check names, with its sum."""
+    return {"row": check.witness_row, "sum": str(check.witness_sum)}
+
+
+def _run_ros_check(args) -> dict:
+    matrix = RosenthalMatrix.from_json(_load_doc(args.matrix))
+    subset = _load_set(args.set, matrix.dim)
+    eps = parse_fraction(args.eps)
+    frag = fragments(matrix, subset, eps)
+    check = verify_fragmentation(matrix, subset, eps)
+    violations = []
+    if frag.ok != check.ok:
+        violations.append({"reason": "verifier disagrees with constructor"})
+    if not check.ok:
+        violations.append(_witness(check))
+    result = {"fragments": check.ok, "eps": str(eps)}
+    return {"result": result, "violations": violations}
+
+
+def _run_ros_search(args) -> dict:
+    if args.min_size < 0:
+        raise ValueError(f"--min-size is {args.min_size}, must be at least 0")
+    matrix = RosenthalMatrix.from_json(_load_doc(args.matrix))
+    eps = parse_fraction(args.eps)
+    found = find_fragmenting_set(matrix, eps, args.min_size, args.mode)
+    if found is None:
+        return {"result": {"set": None, "eps": str(eps)}, "violations": []}
+    check = verify_fragmentation(matrix, found, eps)
+    violations = [] if check.ok else [_witness(check)]
+    # both modes stop only when no index can join the set
+    dim, chosen = matrix.dim, found.elements
+    grown = [Subset.of(dim, (*chosen, v)) for v in range(dim) if v not in chosen]
+    if any(verify_fragmentation(matrix, s, eps).ok for s in grown):
+        violations.append({"reason": "not maximal under inclusion"})
+    result = {"set": list(found.elements), "eps": str(eps)}
+    return {"result": result, "violations": violations}

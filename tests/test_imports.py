@@ -3,11 +3,11 @@ every public name, member and slot field is read by something that
 reaches a verdict, no verifier names the constructor it checks, and each
 CLI call loads only the modules its subcommand needs.
 
-cli.py imports funcgraph at its top and every other layer inside the
-handler that calls it, so an import a function never reads compiles a
-module for nothing; anywhere else it is dead code. The benchmark's CLI
-tracer wraps the library functions bound in cli's namespace, which are
-funcgraph's alone.
+cli.py imports funcgraph alone. Its command table names each leaf's
+handler by module and function, and a call imports only that module, so
+an import nobody reads compiles a module for nothing; anywhere else it
+is dead code. The benchmark's CLI tracer wraps the library functions
+bound in cli's namespace, which are funcgraph's alone.
 """
 
 from __future__ import annotations
@@ -396,6 +396,14 @@ _LOADS = {
     "ed-member": (
         ["ed", "member", "--depth", "2", "--set", "[0]", "--k", "1"],
         [["fractions", "freeset_lab.boundedfam", *_CLI, "freeset_lab.rosenthal"]],
+    ),
+    "partition-escape": (
+        ["partition", "escape", "--fn", _FN],
+        [[*_CLI, "freeset_lab.partitions"]],
+    ),
+    "blocks-build": (
+        ["blocks", "build", "--g", "2", "--depth", "2"],
+        [["fractions", "freeset_lab.boundedfam", *_CLI]],
     ),
 }
 _CHILD = """

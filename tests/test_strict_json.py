@@ -2,13 +2,15 @@
 
 int() accepts true and truncates 1.5, so loaders read integers through
 funcgraph.json_int/json_ints instead. This guard fails on any int(...)
-call inside a from_json method or anywhere in cli.py. `type=int` on an
-argparse option names int without calling it, so it is unaffected.
+call inside a from_json method, a CLI handler or loader in any module
+(`_run_*`, `_load_*`), or anywhere in cli.py. `type=int` on an argparse
+option names int without calling it, so it is unaffected.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -19,12 +21,14 @@ MODULES = sorted(Path(freeset_lab.__file__).parent.glob("*.py"))
 
 
 def _int_calls(source: str, whole_module: bool) -> list[int]:
-    """Lines of int(...) calls in from_json methods, or anywhere if whole_module."""
+    """Lines of int(...) calls in from_json methods and CLI handlers and
+    loaders, or anywhere if whole_module."""
     tree = ast.parse(source)
     scopes = [tree] if whole_module else [
         node
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "from_json"
+        if isinstance(node, ast.FunctionDef)
+        and re.fullmatch(r"from_json|_run_\w+|_load_\w+", node.name)
     ]
     return sorted(
         node.lineno
@@ -44,10 +48,12 @@ def test_checker_flags_only_int_calls_in_scope():
         "        return cls(int(doc['n']))\n"
         "    def size(self):\n"
         "        return int('3')\n"
+        "def _run_x(args):\n"
+        "    return int(args.n)\n"
         "parser.add_argument('--n', type=int)\n"
     )
-    assert _int_calls(source, whole_module=False) == [4]
-    assert _int_calls(source, whole_module=True) == [4, 6]
+    assert _int_calls(source, whole_module=False) == [4, 8]
+    assert _int_calls(source, whole_module=True) == [4, 6, 8]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
