@@ -96,9 +96,6 @@ class BlockSystem(Record):
     def interval(self, n: int) -> tuple[int, int]:
         return self.i_endpoints[n], self.i_endpoints[n + 1]
 
-    def j_block(self, n: int) -> tuple[int, int]:
-        return self.j_starts[n], self.j_starts[n + 1]
-
     def encode(self, n: int, values: Sequence[int]) -> int:
         """Mixed-radix code of a tuple on I_n, lowest position least significant."""
         lo, hi = self.interval(n)
@@ -180,8 +177,18 @@ class ShadowSet(Record):
         return len(self.elements) <= self.size_bound < self.capacity
 
 
-def _touched_by_prefix(fn: FiniteFunction, lo: int, hi: int) -> tuple[int, ...]:
-    """Images and preimages of the prefix [0, lo) inside [lo, hi), sorted."""
+def _shadow_elements(
+    starts: Sequence[int], fn: FiniteFunction, n: int
+) -> tuple[int, ...]:
+    """S_f(n) over blocks [starts[m], starts[m + 1]): images and preimages
+    of the prefix [0, starts[n]) inside block n, sorted."""
+    if n < 0 or n >= len(starts) - 1:
+        raise ValueError(f"block {n} out of range")
+    lo, hi = starts[n], starts[n + 1]
+    if fn.window < hi:
+        raise ValueError("function window does not cover the coded prefix")
+    if not fn.injective_on_window:
+        raise ValueError("shadow sets need an injective function")
     elems = {v for v in fn.values[:lo] if lo <= v < hi}
     elems.update(x for x in range(lo, hi) if fn.values[x] < lo)
     return tuple(sorted(elems))
@@ -194,15 +201,9 @@ def shadow_set(system: BlockSystem, fn: FiniteFunction, n: int) -> ShadowSet:
     above it for the benchmark's `within_bounds`. No report prints them;
     `blocks verify` and criterion 4 recompute both from the block system.
     """
-    if n < 0 or n >= system.depth:
-        raise ValueError(f"block {n} outside depth {system.depth}")
-    lo, hi = system.j_block(n)
-    if fn.window < hi:
-        raise ValueError("function window does not cover the coded prefix")
-    if not fn.injective_on_window:
-        raise ValueError("shadow sets need an injective function")
-    size = system.interval(n)
-    return ShadowSet(_touched_by_prefix(fn, lo, hi), 2 * lo, size[1] - size[0])
+    elems = _shadow_elements(system.j_starts, fn, n)
+    lo, hi = system.interval(n)
+    return ShadowSet(elems, 2 * system.j_starts[n], hi - lo)
 
 
 def verify_shadows(
@@ -424,15 +425,8 @@ class BadSetBlock(Record):
 
 
 def bad_set(blocks: MeasuredBlocks, fn: FiniteFunction, n: int) -> BadSetBlock:
-    """Images and preimages of earlier blocks inside block n, with mass."""
-    if n < 0 or n >= blocks.block_count():
-        raise ValueError(f"block {n} out of range")
-    lo, hi = blocks.starts[n], blocks.starts[n + 1]
-    if fn.window < hi:
-        raise ValueError("function window does not cover the block prefix")
-    if not fn.injective_on_window:
-        raise ValueError("bad sets need an injective function")
-    elems = _touched_by_prefix(fn, lo, hi)
+    """B_f(n), which is S_f(n) over the measured blocks, with its mass."""
+    elems = _shadow_elements(blocks.starts, fn, n)
     return BadSetBlock(elems, len(elems) * blocks.unit_masses[n])
 
 

@@ -132,14 +132,6 @@ class DecompositionResult(Record):
         }
 
 
-def _place(pairing: list[int | None], x: int, y: int) -> None:
-    """Pair x with y in a partial pairing; both must still be free."""
-    if pairing[x] is not None or pairing[y] is not None:
-        raise ValueError(f"point reused by pair ({x}, {y})")
-    pairing[x] = y
-    pairing[y] = x
-
-
 def _complete(
     pairing: list[int | None], leftovers: list[int] | None = None
 ) -> Involution:
@@ -230,7 +222,8 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
         while True:
             y = values[x]
             if y == start:
-                _place(p2, x, start)
+                p2[x] = start
+                p2[start] = x
                 firsts.append(start)
                 lasts.append(x)
                 break
@@ -239,7 +232,8 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
             p0[y] = x
             x = values[y]
             if x == start:
-                _place(p1, y, start)
+                p1[y] = start
+                p1[start] = y
                 break
             state[x] = 2
             p1[y] = x

@@ -138,7 +138,7 @@ def test_shadow_bound_holds_for_random_functions():
             s = shadow_set(system, fn, n)
             assert s.within_bounds
             # oracle: recount forward and backward crossings directly
-            lo, hi = system.j_block(n)
+            lo, hi = system.j_starts[n], system.j_starts[n + 1]
             expected = set()
             for x in range(lo):
                 if lo <= fn.values[x] < hi:
@@ -157,7 +157,7 @@ def test_verify_shadows_accepts_the_definition_and_names_each_wrong_block():
         shadows = [shadow_set(system, fn, n) for n in range(2)]
         assert verify_shadows(system.j_starts, fn, shadows) == ()
         for n, s in enumerate(shadows):
-            lo, hi = system.j_block(n)
+            lo, hi = system.j_starts[n], system.j_starts[n + 1]
             outside = next(x for x in range(lo, hi) if x not in s.elements)
             edits = [tuple(sorted(s.elements + (outside,))), s.elements[::-1]]
             for k in range(len(s.elements)):
@@ -365,7 +365,7 @@ def test_claim_reports_match_the_shadow_definition():
         # that land in J_n, and points of J_n that map below it
         shadows = []
         for n in range(system.depth):
-            lo, hi = system.j_block(n)
+            lo, hi = system.j_starts[n], system.j_starts[n + 1]
             shadows.append(
                 {fn.values[x] for x in range(lo) if lo <= fn.values[x] < hi}
                 | {x for x in range(lo, hi) if fn.values[x] < lo}

@@ -3,7 +3,10 @@
 Oracles: an exhaustive scan over all 3^N colorings certifies that three
 classes always suffice on small windows, a 2^N subset sweep certifies
 max_free_subset, and a direct bucket rebuild certifies find_unsplit_set.
-All frozen values below were produced by those oracles first.
+Every single-point edit of their output over every fixed-point-free map
+of [0, N), N <= 5, checks verify_coloring and is_maximal_free against
+their definitions. All frozen values below were produced by those
+oracles first.
 """
 
 from __future__ import annotations
@@ -318,6 +321,59 @@ def test_maximality_matches_brute_force_with_window_exits():
             assert got == _maximal_free_oracle(elems, fam, n)
             checked += got
     assert checked >= 150
+
+
+def _fpf_maps(max_n: int):
+    """Every fixed-point-free map of [0, N) into itself, N <= max_n."""
+    for n in range(2, max_n + 1):
+        for values in product(range(n), repeat=n):
+            if all(x != v for x, v in enumerate(values)):
+                yield FiniteFunction(values)
+
+
+def test_verify_coloring_is_exact_under_every_recolouring():
+    maps = edits = 0
+    for fn in _fpf_maps(5):
+        n, values = fn.window, fn.values
+        colors = katetov_partition(fn).colors
+        maps += 1
+        for x, c in product(range(n), range(3)):
+            if c == colors[x]:
+                continue
+            edited = colors[:x] + (c,) + colors[x + 1 :]
+            # every edge of these maps stays in the window
+            mono = tuple((y, values[y]) for y in range(n) if edited[y] == edited[values[y]])
+            assert verify_coloring(Coloring(n, edited), fn) == mono, (values, edited)
+            edits += 1
+    assert maps == 1114 and edits == 10940
+
+
+def test_is_maximal_free_is_exact_under_every_single_point_edit():
+    maps = edits = 0
+    for fn in _fpf_maps(5):
+        n = fn.window
+        maps += 1
+        for mode in ("exact", "greedy"):
+            found = set(max_free_subset([fn], n, mode=mode).elements)
+            for x in range(n):
+                elems = tuple(sorted(found ^ {x}))
+                got = is_maximal_free(Subset(n, elems), [fn], n)
+                assert got == _maximal_free_oracle(elems, [fn], n), (fn.values, elems)
+                edits += 1
+    assert maps == 1114 and edits == 10940
+
+
+def test_is_maximal_free_is_exact_on_every_subset_of_small_windows():
+    checked = maximal = 0
+    for fn in _fpf_maps(4):
+        n = fn.window
+        for mask in range(1 << n):
+            elems = tuple(x for x in range(n) if mask >> x & 1)
+            got = is_maximal_free(Subset(n, elems), [fn], n)
+            assert got == _maximal_free_oracle(elems, [fn], n), (fn.values, elems)
+            checked += 1
+            maximal += got
+    assert checked == 1364 and maximal > 0
 
 
 def test_maximality_requires_the_search_window():

@@ -1,7 +1,8 @@
 """Every import in the package and its tests is used where it stands,
 every public name, member and slot field is read by something that
-reaches a verdict, no verifier names the constructor it checks, and each
-CLI call loads only the modules its subcommand needs.
+reaches a verdict, every private def or class is named by package code,
+no verifier names the constructor it checks, and each CLI call loads
+only the modules its subcommand needs.
 
 cli.py imports funcgraph alone. Its command table names each leaf's
 handler by module and function, and a call imports only that module, so
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -165,6 +167,60 @@ def test_every_public_name_reaches_a_verdict():
     assert _unreached(package, [acceptance]) == []
 
 
+def _private_definitions(tree: ast.Module):
+    """Names of the module's top-level defs and classes that carry a
+    leading underscore and are not dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                yield node.name
+
+
+def _names_in_tables(tree: ast.Module) -> set[str]:
+    """The function part of each "module.function" string in the module."""
+    return {
+        n.value.rsplit(".", 1)[1]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and re.fullmatch(r"\w+\.\w+", n.value)
+    }
+
+
+def _orphaned_private(package: dict[str, str]) -> list[str]:
+    """`module.name` for each private top-level def or class that no
+    package module names outside its own definition, by a read or by a
+    "module.function" table string."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    named = set()
+    for tree in trees.values():
+        named |= _names_read(tree) | _names_in_tables(tree)
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in named
+    )
+
+
+def test_private_name_checker_flags_an_orphan():
+    package = {
+        "a": "def _used():\n    return 1\n"
+        "def _orphan(n):\n    return _orphan(n - 1)\n"
+        "class _Row:\n    pass\n"
+        "def _tabled():\n    return 2\n"
+        "def f():\n    return _used()\n",
+        "b": 'TABLE = {"x": "a._tabled", "y": "_Row is unread"}\n',
+    }
+    assert _orphaned_private(package) == ["a._Row", "a._orphan"]
+
+
+def test_every_private_name_is_named_by_package_code():
+    """The public-name checks skip private names, so a helper its last
+    caller dropped would stay unseen without this."""
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _orphaned_private(package) == []
+
+
 def _attributes_read(node: ast.AST) -> Counter:
     return Counter(
         n.attr
@@ -314,7 +370,7 @@ _SEPARATION = {
     },
     "involutions": {
         "verify_decomposition": {
-            "_walk", "_place", "_complete", "decompose_into_involutions"
+            "_walk", "_complete", "decompose_into_involutions"
         },
     },
     "partitions": {
@@ -326,11 +382,11 @@ _SEPARATION = {
     "boundedfam": {
         "verify_meeting": {"meeting_function", "build_block_system"},
         "verify_freeness_claim": {
-            "shadow_set", "_touched_by_prefix", "meeting_function", "build_block_system"
+            "shadow_set", "_shadow_elements", "meeting_function", "build_block_system"
         },
-        "selector_free_check": {"bad_set", "_touched_by_prefix"},
+        "selector_free_check": {"bad_set", "_shadow_elements"},
         "verify_shadows": {
-            "shadow_set", "bad_set", "_touched_by_prefix", "build_block_system",
+            "shadow_set", "bad_set", "_shadow_elements", "build_block_system",
             "build_ed_blocks",
         },
     },
