@@ -12,6 +12,7 @@ once is free for the function the intervals were built from.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, zip_longest
 from typing import Optional
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
@@ -155,49 +156,45 @@ def escape_intervals(fn: FiniteFunction) -> IntervalPartition:
 
 def verify_escape(
     partition: IntervalPartition, fn: FiniteFunction
-) -> tuple[tuple[int, int, int], ...]:
-    """Direct check of the escape property, independent of the recurrence.
+) -> tuple[tuple[int, Optional[int], Optional[int]], ...]:
+    """The first block that does not end where the escape recurrence puts it.
 
-    For every endpoint pair (h_i, h_{i+1}) with h_{i+1} strictly inside
-    the window: points up to h_i must map below h_{i+1}, and points
-    mapping to or below h_i must sit below h_{i+1}. Violations are
-    reported as (block index, point, its image), ordered by block, then
-    forward before backward, then point. The final endpoint is exempt
-    when it reaches the window edge, where truncation cuts the
-    recurrence short.
-
-    The tightest pair a point z must respect is the first i with z <= h_i,
-    so bound[z] = h_{i+1} is filled block by block with slice assignment.
-    Each point x then makes two checks, f(x) < bound[x] and, for an
-    in-window image, x < bound[f(x)]; only a failing point walks its
-    further violated pairs. O(N + blocks + violations).
+    With R_i the largest of h_i, f[0..h_i] and the points mapping into
+    [0, h_i], each h_{i+1} must be min(N, R_i + 1), and the last endpoint
+    N. Returns () when the partition is right, else ((i, h_{i+1},
+    expected),) for the first block [h_i, h_{i+1}) that breaks this;
+    h_{i+1} is None when the partition stops short of the window,
+    expected None for a block starting at or past its end. While h_0 ..
+    h_i are right, the points up to h_{i-1} reach below h_i, so R_i needs
+    only the z with h_{i-1} < z <= h_i, the z whose first i with z <= h_i
+    is i: each x raises its own such R to f(x), and the one of f(x) to x.
+    Past the first wrong endpoint that argument fails, so later blocks are
+    not reported. O(N + blocks), whatever the size of the images.
     """
     n = fn.window
     vals = fn.values
     ends = partition.endpoints
-    # pairs 0 .. checked - 1 are the ones whose h_{i+1} lies inside the window
-    checked = bisect_left(ends, n) - 1
-    bound = [max(n, max(vals) + 1)] * n
-    lo = 0
-    for i in range(checked):
-        bound[lo : ends[i] + 1] = [ends[i + 1]] * (ends[i] + 1 - lo)
-        lo = ends[i] + 1
-    bad = []
+    # first[z], the first i with z <= h_i, counts the in-window endpoints
+    # below z; an image past the window is past them all, in block inside
+    inside = bisect_left(ends, n)
+    marks = [0] * (n + 1)
+    for h in ends[:inside]:
+        marks[h + 1] = 1
+    first = list(accumulate(marks))
+    reach = [*ends[:inside], 0]
     for x, y in enumerate(vals):
-        if y >= bound[x]:
-            # forward: x <= h_i forces f(x) < h_{i+1}
-            i = bisect_left(ends, x)
-            while i < checked and y >= ends[i + 1]:
-                bad.append((i, 0, x, y))
-                i += 1
-        if y < n and x >= bound[y]:
-            # backward: f(x) <= h_i forces x < h_{i+1}
-            i = bisect_left(ends, y)
-            while i < checked and x >= ends[i + 1]:
-                bad.append((i, 1, x, y))
-                i += 1
-    bad.sort()
-    return tuple((i, x, y) for i, _, x, y in bad)
+        i = first[x]
+        if y > reach[i]:
+            reach[i] = y
+        i = first[y] if y < n else inside
+        if x > reach[i]:
+            reach[i] = x
+    # min(n, r + 1), spelled out: a call per block costs more than the check
+    expected = [r + 1 if r < n else n for r in reach[:inside]]
+    for i, (end, want) in enumerate(zip_longest(ends[1:], expected)):
+        if end != want:
+            return ((i, end, want),)
+    return ()
 
 
 def localized_function(g: FiniteFunction, subset: Subset) -> FiniteFunction:
@@ -267,7 +264,7 @@ def _run_part_escape(args) -> dict:
     bad = verify_escape(partition, fn)
     return {
         "result": partition.to_json(),
-        "violations": [{"block": b, "point": x, "image": y} for b, x, y in bad],
+        "violations": [{"block": b, "end": e, "expected": x} for b, e, x in bad],
     }
 
 

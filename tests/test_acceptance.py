@@ -238,7 +238,7 @@ def test_criterion_7_constructor_vs_verifier():
         if not verify_fragmentation(matrix, found, Fraction(1)).ok:
             disagreements += 1
 
-    # 300 escape partitions certified by direct rescan
+    # 300 escape partitions, each endpoint checked against the recurrence
     for i in range(300):
         n = 2 + i % 11
         fn = random_fpf_function(8500 + i, n, injective=True)

@@ -18,6 +18,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -501,6 +502,7 @@ def _last_block_one_too_big(depth):
 _G10 = '{"n": 10, "values": [2, 2, 3, 5, 5, 6, 8, 8, 9, 5]}'
 _SPLIT = ['{"n": 4, "colors": [0, 1, 0, 1]}', '{"n": 4, "colors": [0, 1, 1, 0]}']
 _PART3 = '{"n": 3, "pairing": [1, 0, 2], "exceptions": [2]}'
+_SHIFT1 = json.dumps({"n": 10, "values": list(range(1, 11))})
 
 # "leaf" or "leaf: case": (argv, layer, constructor, a well-formed wrong output)
 _BROKEN = {
@@ -576,12 +578,28 @@ _BROKEN = {
         ["--partition", '{"n": 6, "parts": [0, 1, 0, 1, 2, 2]}'],
         partitions, "partition_function", _last_point_off_its_part,
     ),
-    # unit blocks: the shift-2 function sends 0 past h_1 = 1, which the
-    # forward check refuses
+    # unit blocks: the shift-2 function sends 0 to 2, so R_0 = 2 and the
+    # first block must end at min(N, R_0 + 1) = 3, not at 1
     "partition escape": (
         ["--fn", '{"n": 10, "values": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]}'],
         partitions, "escape_intervals",
         lambda fn: partitions.IntervalPartition(tuple(range(fn.window + 1))),
+    ),
+    # the shift-1 function's escape intervals are (0, 2, 4, 6, 8, 10)
+    "partition escape: one block": (
+        ["--fn", _SHIFT1],
+        partitions, "escape_intervals",
+        lambda fn: partitions.IntervalPartition((0, 10)),
+    ),
+    "partition escape: coarse blocks": (
+        ["--fn", _SHIFT1],
+        partitions, "escape_intervals",
+        lambda fn: partitions.IntervalPartition((0, 5, 10)),
+    ),
+    "partition escape: stops short": (
+        ["--fn", _SHIFT1],
+        partitions, "escape_intervals",
+        lambda fn: partitions.IntervalPartition((0, 2)),
     ),
     # I_0 = [0, 2) is one position longer than the minimal [0, 1), and
     # I_1 = [2, 6) then falls short of the 9 positions it needs
@@ -1166,6 +1184,17 @@ def test_rosenthal_search_none_is_ok(capsys):
     )
     assert code == 0
     assert doc["result"]["set"] is None
+
+
+def test_partition_escape_with_a_far_exit_value_is_quick(capsys):
+    start = time.perf_counter()
+    code, doc, _ = _run(
+        capsys, "partition", "escape", "--fn", '{"n": 1, "values": [1000000000000]}'
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert doc["result"] == {"endpoints": [0, 1]}
+    assert doc["violations"] == []
 
 
 def test_blocks_verify_flow(capsys, tmp_path):

@@ -1,17 +1,20 @@
 """Interval partitions, escape blocks, and localization.
 
-verify_escape rescans the defining inequality point by point, each point
-against its tightest endpoint pair, and serves as the oracle for
-escape_intervals. Both are also pinned to the plain O(N * blocks)
-recurrence and rescan kept below as references. Domination and
-localization get hand-checked frozen examples plus negative controls
-with planted violations.
+verify_escape checks each endpoint against the recurrence that defines
+escape intervals and serves as the oracle for escape_intervals. Both are
+pinned to the plain O(N * blocks) recurrence kept below as a reference,
+and every single edit of escape_intervals' output on the small
+injections is refused. Domination gets hand-checked frozen examples;
+localization gets those, planted violations and every one-point edit
+on the small maps, against a reference written from the definition.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import combinations, permutations, product
+from operator import lt, ne
 
 import pytest
 from hypothesis import given, settings
@@ -174,23 +177,6 @@ def _escape_reference(fn):
     return tuple(ends)
 
 
-def _violations_reference(ends, fn):
-    """Every point against every endpoint pair inside the window."""
-    n = fn.window
-    bad = []
-    for i in range(len(ends) - 1):
-        h, nxt = ends[i], ends[i + 1]
-        if nxt >= n:
-            continue
-        for x in range(h + 1):
-            if fn.values[x] >= nxt:
-                bad.append((i, x, fn.values[x]))
-        for x in range(n):
-            if fn.values[x] <= h and x >= nxt:
-                bad.append((i, x, fn.values[x]))
-    return tuple(bad)
-
-
 def _shift(k, n):
     return FiniteFunction([x + k for x in range(n)])
 
@@ -212,18 +198,28 @@ def test_escape_matches_reference_on_shifts():
             assert verify_escape(partition, fn) == ()
 
 
+def _first_divergence(ends, reference):
+    """(block, end, expected) at the first pair where the two differ."""
+    ends, reference = (*ends, None), (*reference, None)
+    i = next(i for i, (e, r) in enumerate(zip(ends, reference)) if e != r)
+    return (i - 1, ends[i], reference[i])
+
+
 def test_violations_match_reference_on_planted_partitions():
     rng = random.Random(20240)
     flagged = 0
     for seed in range(400):
         n = rng.randint(2, 60)
         fn = random_fpf_function(seed, n, injective=True)
+        reference = _escape_reference(fn)
         for _ in range(5):
             # endpoints may run past the window, up to n + 3
             inner = rng.sample(range(1, n + 4), rng.randint(1, min(n, 10)))
             ends = (0, *sorted(inner))
             got = verify_escape(IntervalPartition(ends), fn)
-            assert got == _violations_reference(ends, fn)
+            assert bool(got) == (ends != reference)
+            if got:
+                assert got == (_first_divergence(ends, reference),)
             flagged += bool(got)
     assert flagged > 1000
 
@@ -233,7 +229,53 @@ def test_violations_match_reference_on_too_fine_shift_blocks():
         fn = _shift(k, 40)
         ends = tuple(range(0, 41, k))
         got = verify_escape(IntervalPartition(ends), fn)
-        assert got and got == _violations_reference(ends, fn)
+        assert got == (_first_divergence(ends, _escape_reference(fn)),)
+
+
+def _endpoint_edits(ends, top):
+    """Every partition one edit away: an endpoint moved by one or dropped,
+    or a value in [1, top] inserted."""
+    edits = set()
+    for i in range(1, len(ends)):
+        for moved in (ends[i] - 1, ends[i] + 1):
+            edits.add((*ends[:i], moved, *ends[i + 1 :]))
+        edits.add((*ends[:i], *ends[i + 1 :]))
+    for v in range(1, top + 1):
+        edits.add(tuple(sorted({*ends, v})))
+    edits.discard(ends)
+    # a partition starts at 0 and has at least one block
+    return [e for e in edits if len(e) > 1 and all(map(lt, e, e[1:]))]
+
+
+def test_verify_escape_refuses_every_single_edit():
+    # every fixed-point-free injection of [0, N) into [0, N + 2), N <= 5
+    functions = edits = 0
+    for n in range(1, 6):
+        for values in permutations(range(n + 2), n):
+            if any(x == v for x, v in enumerate(values)):
+                continue
+            fn = FiniteFunction(values)
+            ends = escape_intervals(fn).endpoints
+            assert ends == _escape_reference(fn)
+            assert verify_escape(IntervalPartition(ends), fn) == ()
+            functions += 1
+            for edit in _endpoint_edits(ends, n + 2):
+                found = verify_escape(IntervalPartition(edit), fn)
+                assert found == (_first_divergence(edit, ends),), (values, edit)
+                edits += 1
+    assert functions == 1436 and edits == 12370
+
+
+def test_verify_escape_cost_does_not_grow_with_exit_values():
+    # an image past the window may be arbitrarily large
+    far = 10**12
+    start = time.perf_counter()
+    for values in ([far], [1, 2, far, 4, 0], [far - x for x in range(50)]):
+        fn = FiniteFunction(values)
+        assert verify_escape(escape_intervals(fn), fn) == ()
+    fn = FiniteFunction([1, 2, far, 4, 0])
+    assert verify_escape(IntervalPartition((0, 2, 5)), fn) == ((0, 2, 5),)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_escape_and_maximality_scale_linearly():
@@ -295,6 +337,49 @@ def test_verify_localization_refuses_a_window_other_than_gs():
     assert verify_localization(g, a, longer) == ((10, "window differs from g's"),)
     shorter = FiniteFunction(values[:9])
     assert verify_localization(g, a, shorter) == ((9, "window differs from g's"),)
+
+
+def _localized_by_definition(g, elements):
+    """Per point, its value and the complaint a wrong value earns: g's
+    image where the point and its image lie in one block [a_j, a_{j+1}),
+    the successor elsewhere."""
+    blocks = [range(a, b) for a, b in zip(elements, elements[1:])]
+    return [
+        (y, "should follow g")
+        if any(x in r and y in r for r in blocks)
+        else (x + 1, "should take successor")
+        for x, y in enumerate(g.values)
+    ]
+
+
+def test_verify_localization_names_every_one_point_edit():
+    # every fixed-point-free g of [0, N) into [0, N], 2 <= N <= 4, every
+    # set of at least two points, every other value in [0, N + 1] at one point
+    maps = edits = 0
+    for n in range(2, 5):
+        sets = [c for k in range(2, n + 1) for c in combinations(range(n), k)]
+        # every map an edit can give, built once
+        fns = {
+            values: FiniteFunction(values)
+            for values in product(range(n + 2), repeat=n)
+            if all(map(ne, values, range(n)))
+        }
+        for g in (fn for fn in fns.values() if max(fn.values) <= n):
+            maps += 1
+            for elements in sets:
+                subset = Subset(n, elements)
+                points = _localized_by_definition(g, elements)
+                truth = tuple(value for value, _ in points)
+                assert localized_function(g, subset).values == truth
+                assert verify_localization(g, subset, fns[truth]) == ()
+                for x, v in product(range(n), range(n + 2)):
+                    if v == x or v == truth[x]:
+                        continue
+                    edited = fns[(*truth[:x], v, *truth[x + 1 :])]
+                    found = verify_localization(g, subset, edited)
+                    assert found == ((x, points[x][1]),), (g.values, elements, x, v)
+                    edits += 1
+    assert maps == 287 and edits == 46044
 
 
 def test_localized_needs_two_anchors():

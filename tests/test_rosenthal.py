@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from freeset_lab.funcgraph import (
 )
 from freeset_lab.rosenthal import (
     EXACT_DIM_CAP,
+    Fragmentation,
     RosenthalMatrix,
     find_fragmenting_set,
     fragments,
@@ -132,6 +134,39 @@ def test_sparse_and_dense_checks_agree_everywhere():
                 epss.append(tie)
             for eps in epss:
                 assert fragments(m, a, eps) == verify_fragmentation(m, a, eps)
+
+
+def _small_matrices():
+    """Every matrix of at most 2 x 2 with entries in {0, 1/2, 1}, and every
+    3 x 3 0-1 matrix."""
+    halves = (Fraction(0), Fraction(1, 2), Fraction(1))
+    shapes = [(rows, cols, halves) for rows in (1, 2) for cols in (1, 2)]
+    for rows, cols, values in [*shapes, (3, 3, halves[::2])]:
+        for cells in product(values, repeat=rows * cols):
+            entries = tuple(cells[r * cols : (r + 1) * cols] for r in range(rows))
+            yield RosenthalMatrix(rows, cols, entries, Fraction(3))
+
+
+def test_verify_fragmentation_is_exact_on_every_small_matrix():
+    # A fragments at eps when every row of A sums to less than eps over
+    # the rest of A; the first row that does not is the witness
+    matrices = checks = 0
+    for m in _small_matrices():
+        matrices += 1
+        for mask in range(1 << m.dim):
+            elements = tuple(i for i in range(m.dim) if mask >> i & 1)
+            a = Subset(m.dim, elements)
+            sums = [
+                (k, sum(m.entries[k][j] for j in set(elements) - {k}))
+                for k in elements
+            ]
+            for eps in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+                failing = [(k, total) for k, total in sums if total >= eps]
+                want = (False, *failing[0]) if failing else (True, None, None)
+                got = verify_fragmentation(m, a, eps)
+                assert got == Fragmentation(*want), (m, elements, eps)
+                checks += 1
+    assert matrices == 614 and checks == 13386
 
 
 def test_failure_reports_offending_row():
