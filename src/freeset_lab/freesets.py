@@ -11,6 +11,7 @@ sets that a family of colorings cannot split.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
@@ -272,6 +273,50 @@ def find_unsplit_set(
     return Subset(window, tuple(best_members)), best_sig
 
 
+def verify_unsplit(
+    colorings: Sequence[Coloring],
+    min_size: int,
+    found: Optional[tuple[Subset, tuple[int, ...]]],
+) -> list[dict]:
+    """Check a claimed largest unsplit set, or the claim that there is none.
+
+    A set with color vector c must hold exactly the points that coloring
+    j colors c[j] for every j. No vector may hold more points, none as
+    many under a lexicographically smaller member list, and the set may
+    not be smaller than min_size. None is right only when every vector
+    holds fewer than min_size points.
+    """
+    vectors = list(zip(*(c.colors for c in colorings)))
+    counts = Counter(vectors)
+    largest = max(counts.values())
+    # vectors hold disjoint point lists, so among the largest the one
+    # whose first point comes first has the smallest list
+    best = next(v for v in vectors if counts[v] == largest)
+    if found is None:
+        if largest < min_size:
+            return []
+        return [{"choice": list(best), "reason": "meets --min-size"}]
+    subset, choice = found
+    violations: list[dict] = [
+        {"coloring": j, "point": x}
+        for j, coloring in enumerate(colorings)
+        for x in subset.elements
+        if coloring.colors[x] != choice[j]
+    ]
+    members = set(subset.elements)
+    violations += [
+        {"point": x, "reason": "has the chosen colors"}
+        for x, v in enumerate(vectors)
+        if v == choice and x not in members
+    ]
+    best_members = [x for x, v in enumerate(vectors) if v == best]
+    if (-largest, best_members) < (-len(members), list(subset.elements)):
+        violations.append({"choice": list(best), "reason": "outranks the set"})
+    if len(members) < min_size:
+        violations.append({"size": len(members), "reason": "below --min-size"})
+    return violations
+
+
 # === CLI handlers and batch row, named in cli._TABLE and cli._BATCH_ROWS ===
 
 
@@ -303,14 +348,10 @@ def _run_oracle_unsplit(args) -> dict:
         raise ValueError(f"--min-size is {args.min_size}, must be at least 0")
     colorings = [Coloring.from_json(_load_doc(t)) for t in args.coloring]
     found = find_unsplit_set(colorings, args.min_size)
+    violations = verify_unsplit(colorings, args.min_size, found)
     if found is None:
-        return {"result": {"set": None}, "violations": []}
+        return {"result": {"set": None}, "violations": violations}
     subset, choice = found
-    violations = []
-    for j, coloring in enumerate(colorings):
-        for x in subset.elements:
-            if coloring.colors[x] != choice[j]:
-                violations.append({"coloring": j, "point": x})
     result = {"set": list(subset.elements), "choice": list(choice)}
     return {"result": result, "violations": violations}
 

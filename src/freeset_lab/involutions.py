@@ -37,52 +37,35 @@ if TYPE_CHECKING:
 
 
 class Involution(Record):
-    """A self-inverse pairing of a window with explicit unpaired points.
+    """A self-inverse pairing of a window, given by its pairing tuple.
 
-    pairing[x] = y means x and y swap; points in exceptions map to
-    themselves and are the only ones allowed to.
+    pairing[x] = y means x and y swap; the window is the pairing's length.
+    The exceptions, the points it fixes, follow from the pairing, so they
+    take no part in equality or the repr.
     """
 
-    __slots__ = ("window", "pairing", "exceptions")
-    window: int
+    __slots__ = ("pairing", "exceptions")
+    _fields = ("pairing",)
     pairing: tuple[int, ...]
     exceptions: tuple[int, ...]
 
     def __post_init__(self) -> None:
         pairing = tuple(self.pairing)
-        exceptions = tuple(sorted(self.exceptions))
         object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "exceptions", exceptions)
-        n = self.window
-        if len(pairing) != n or n <= 0:
-            raise ValueError("pairing length must match a positive window")
-        exc = set(exceptions)
-        if len(exc) != len(exceptions):
-            raise ValueError("duplicate exception")
-        # with every exception a fixed point in the window, a point is
-        # valid exactly when it swaps with its partner or is an exception
-        if all(0 <= e < n and pairing[e] == e for e in exceptions):
-            for x, y in enumerate(pairing):
-                if not (0 <= y < n and y != x and pairing[y] == x or y == x and x in exc):
-                    break
-            else:
-                return
-        # something fails: name the first failing point, or else the
-        # first exception outside the window
+        n = len(pairing)
+        fixed = []
         for x, y in enumerate(pairing):
-            if y < 0 or y >= n:
+            if y == x:
+                fixed.append(x)
+            elif y < 0 or y >= n:
                 raise ValueError(f"pairing value {y} outside the window")
-            if x in exc:
-                if y != x:
-                    raise ValueError(f"exception {x} must map to itself")
-            else:
-                if y == x:
-                    raise ValueError(f"{x} is fixed but not listed as an exception")
-                if pairing[y] != x:
-                    raise ValueError(f"pairing is not self-inverse at {x}")
-        for e in exceptions:
-            if e < 0 or e >= n:
-                raise ValueError(f"exception {e} outside the window")
+            elif pairing[y] != x:
+                raise ValueError(f"pairing is not self-inverse at {x}")
+        object.__setattr__(self, "exceptions", tuple(fixed))
+
+    @property
+    def window(self) -> int:
+        return len(self.pairing)
 
     def to_json(self) -> dict:
         return {
@@ -93,16 +76,28 @@ class Involution(Record):
 
     @classmethod
     def from_json(cls, doc: dict) -> "Involution":
+        """n must be the pairing's length, exceptions its fixed points in any order."""
         shape = (
             "an involution must be a JSON object "
             '{"n": N, "pairing": [...], "exceptions": [...]}'
         )
         n, pairing, exceptions = json_fields(doc, shape, "n", "pairing", "exceptions")
-        return cls(
-            json_int(n, "n"),
-            json_ints(pairing, "pairing"),
-            json_ints(exceptions, "exceptions"),
-        )
+        n, pairing = json_int(n, "n"), json_ints(pairing, "pairing")
+        listed = sorted(json_ints(exceptions, "exceptions"))
+        if len(pairing) != n or n <= 0:
+            raise ValueError("pairing length must match a positive window")
+        if len(set(listed)) != len(listed):
+            raise ValueError("duplicate exception")
+        inv = cls(pairing)
+        for e in listed:
+            if e < 0 or e >= n:
+                raise ValueError(f"exception {e} outside the window")
+            if pairing[e] != e:
+                raise ValueError(f"exception {e} must map to itself")
+        if len(listed) != len(inv.exceptions):
+            missing = min(set(inv.exceptions).difference(listed))
+            raise ValueError(f"{missing} is fixed but not listed as an exception")
+        return inv
 
 
 class DecompositionResult(Record):
@@ -138,20 +133,18 @@ def _complete(
     """Pair the points a partial pairing leaves free, consecutively.
 
     Free points are taken ascending and paired in order; an odd count
-    leaves the last one as the single exception. A caller that already
-    knows the free points passes them ascending, and nothing is scanned.
+    leaves the last one fixed, the single exception. A caller that
+    already knows the free points passes them ascending, and nothing is
+    scanned.
     """
     if leftovers is None:
         leftovers = [x for x, y in enumerate(pairing) if y is None]
     for a, b in zip(leftovers[::2], leftovers[1::2]):
         pairing[a] = b
         pairing[b] = a
-    exceptions = ()
     if len(leftovers) % 2:
-        last = leftovers[-1]
-        pairing[last] = last
-        exceptions = (last,)
-    return Involution(len(pairing), tuple(pairing), exceptions)
+        pairing[leftovers[-1]] = leftovers[-1]
+    return Involution(tuple(pairing))
 
 
 def _walk(
@@ -244,7 +237,7 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     p3 = list(range(n))
     p3[0:even:2] = range(1, even, 2)
     p3[1:even:2] = range(0, even, 2)
-    fourth = Involution(n, tuple(p3), (n - 1,) if n % 2 else ())
+    fourth = Involution(tuple(p3))
     if permutes:
         # with no path, parts 0 and 1 leave free only a_k and a_0 of each
         # odd cycle a_0 .. a_k, so their leftovers need no scan
@@ -301,9 +294,9 @@ def combine_on_blocks(
     Each block is assigned one part by colors; D collects the points the
     assigned part pairs without leaving the block. D is closed under the
     assigned pairings: a chosen point's partner lies in the same block, is
-    no exception and pairs back, so it is chosen too. Each chosen point's
-    pair is written into the combined involution as it is chosen, and
-    everything outside D is paired by the canonical leftover rule. Odd
+    not the point itself and pairs back, so it is chosen too. Each chosen
+    point's pair is written into the combined involution as it is chosen,
+    and everything outside D is paired by the canonical leftover rule. Odd
     block sizes are required: they keep the complement of D nonempty in
     every block, which is what makes the completion safe at any window
     size.
@@ -328,10 +321,9 @@ def combine_on_blocks(
         if c not in (0, 1, 2, 3):
             raise ValueError(f"color {c} is not a part index")
         part = parts[c]
-        exc = set(part.exceptions)
         for x in range(lo, hi):
             y = part.pairing[x]
-            if x not in exc and lo <= y < hi:
+            if y != x and lo <= y < hi:
                 chosen.append(x)
                 pairing[x] = y
     return Subset.of(window, chosen), _complete(pairing)
@@ -363,10 +355,9 @@ def _run_inv_combine(args) -> dict:
     members = set(d.elements)
     for idx, (lo, hi) in enumerate(blocks.blocks()):
         part = parts[colors[idx]]
-        exc = set(part.exceptions)
         for x in range(lo, hi):
             y = part.pairing[x]
-            should = x not in exc and lo <= y < hi
+            should = y != x and lo <= y < hi
             if should != (x in members):
                 violations.append({"point": x, "reason": "membership"})
             if should and combined.pairing[x] != y:
@@ -374,6 +365,14 @@ def _run_inv_combine(args) -> dict:
     # a point past the blocks is chosen by no part
     end = blocks.endpoints[-1]
     violations += [{"point": x, "reason": "membership"} for x in d.elements if x >= end]
+    if combined.window != parts[0].window:
+        violations.append({"reason": "window"})
+    # the rest pair consecutively, ascending, and an odd count's last is fixed
+    rest = [x for x in range(parts[0].window) if x not in members]
+    pairs = zip(rest[::2], rest[1::2] + rest[-1:])
+    violations += [
+        {"point": a, "reason": "completion"} for a, b in pairs if combined.pairing[a] != b
+    ]
     result = {"d": list(d.elements), "combined": combined.to_json()}
     return {"result": result, "violations": violations}
 

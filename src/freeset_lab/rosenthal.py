@@ -9,6 +9,7 @@ fixed-point-free functions tie fragmentation at ε = 1 to freeness.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import ceil, lcm
@@ -51,6 +52,17 @@ def parse_fraction(text: str) -> Fraction:
         if max(abs(value.numerator), value.denominator) < _PAST_MAX_DIGITS:
             return value
     raise ValueError(f"digits of {text!r} are past the cap of {MAX_DIGITS}")
+
+
+def _json_fraction(value: object, what: str) -> Fraction:
+    """An exact rational from a JSON integer or string.
+
+    json reads any other number as a float, already rounded, so a float
+    is refused rather than coerced, and so are true and false.
+    """
+    if type(value) is not int and type(value) is not str:
+        raise ValueError(f"{what} is {json.dumps(value)}, not an integer or a string")
+    return parse_fraction(str(value))
 
 
 class RosenthalMatrix(Record):
@@ -119,9 +131,15 @@ class RosenthalMatrix(Record):
         k, n, bound, rows = json_fields(doc, shape, "k", "n", "row_bound", "entries")
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("entries must be a JSON array of arrays")
-        entries = tuple(tuple(parse_fraction(str(e)) for e in row) for row in rows)
+        entries = tuple(
+            tuple(_json_fraction(e, f"entries[{i}][{j}]") for j, e in enumerate(row))
+            for i, row in enumerate(rows)
+        )
         return cls(
-            json_int(k, "k"), json_int(n, "n"), entries, parse_fraction(str(bound))
+            json_int(k, "k"),
+            json_int(n, "n"),
+            entries,
+            _json_fraction(bound, "row_bound"),
         )
 
 

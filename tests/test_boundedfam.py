@@ -250,6 +250,37 @@ def test_verify_meeting_catches_a_total_miss():
     assert verify_meeting(system, shadows, ell) == ((1, 2),)
 
 
+def test_verify_meeting_matches_its_definition_on_every_small_input():
+    # the system `blocks verify` uses: I_0 = [0, 1), I_1 = [1, 6), J_0 =
+    # [0, 2), J_1 = [2, 34). Every list of at most one code per block
+    # against all 64 sequences: point p of J_n is missed exactly when the
+    # tuple its code e = p - j_starts[n] codes differs from ell at every
+    # position i of I_n. g is 2 everywhere, so the tuple's entry at i is
+    # bit i - lo of e, the lowest position least significant.
+    system = build_block_system(constant_growth(2, 2), 2)
+    starts, ends = system.j_starts, system.i_endpoints
+    assert starts == (0, 2, 34) and ends == (0, 1, 6)
+    picks = [[()] + [(p,) for p in range(starts[n], starts[n + 1])] for n in range(2)]
+    calls = missed = 0
+    for ell in product(range(2), repeat=6):
+        for chosen in product(*picks):
+            shadows = [ShadowSet(points, 0, 1) for points in chosen]
+            expected = tuple(
+                (n, p)
+                for n, points in enumerate(chosen)
+                for p in points
+                if all(
+                    ell[i] != (p - starts[n]) >> (i - ends[n]) & 1
+                    for i in range(ends[n], ends[n + 1])
+                )
+            )
+            assert verify_meeting(system, shadows, ell) == expected, (ell, chosen)
+            calls += 1
+            missed += bool(expected)
+    assert calls == 6336
+    assert 0 < missed < calls
+
+
 def _meeting_case():
     system = build_block_system(constant_growth(2, 2), 2)
     fn = random_fpf_function(4001, 34, injective=True)

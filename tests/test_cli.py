@@ -107,8 +107,56 @@ def test_malformed_function_exits_two(capsys):
             ],
             "pairing[1] is false, not an integer",
         ),
+        # json rounds this entry to 1.0, which would put row 0's sum at eps
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", '
+                '"entries": [[0, 0.99999999999999999], [0, 0]]}',
+                "--set",
+                "[0, 1]",
+                "--eps",
+                "1",
+            ],
+            "entries[0][1] is 1.0, not an integer or a string",
+        ),
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": [[0, 1], [true, 0]]}',
+                "--set",
+                "[0, 1]",
+                "--eps",
+                "1",
+            ],
+            "entries[1][0] is true, not an integer or a string",
+        ),
+        (
+            [
+                "rosenthal",
+                "search",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": 1.5, "entries": [["0", "1"], ["1", "0"]]}',
+                "--eps",
+                "1",
+            ],
+            "row_bound is 1.5, not an integer or a string",
+        ),
     ],
-    ids=["float-value", "bool-value", "array-function", "float-set", "bool-pairing"],
+    ids=[
+        "float-value",
+        "bool-value",
+        "array-function",
+        "float-set",
+        "bool-pairing",
+        "float-entry",
+        "bool-entry",
+        "float-row-bound",
+    ],
 )
 def test_non_integer_input_exits_two(capsys, argv, error):
     code, doc, _ = _run(capsys, *argv)
@@ -488,6 +536,16 @@ def _d_past_the_blocks(parts, blocks, colors):
     return Subset.of(d.window, (*d.elements, 4, 5)), combined
 
 
+def _leftovers_out_of_order(parts, blocks, colors):
+    d, _ = _real_combine(parts, blocks, colors)
+    return d, involutions.Involution((1, 0, 2, 5, 4, 3, 6))
+
+
+def _two_points_more(parts, blocks, colors):
+    d, combined = _real_combine(parts, blocks, colors)
+    return d, involutions.Involution(combined.pairing + (8, 7))
+
+
 def _last_point_off_its_part(partition):
     values = _real_part_fp(partition).values
     return FiniteFunction((*values[:-1], partition.window))
@@ -501,6 +559,10 @@ def _last_block_one_too_big(depth):
 
 _G10 = '{"n": 10, "values": [2, 2, 3, 5, 5, 6, 8, 8, 9, 5]}'
 _SPLIT = ['{"n": 4, "colors": [0, 1, 0, 1]}', '{"n": 4, "colors": [0, 1, 1, 0]}']
+# the points 0 and 2 share the color vector (0, 0), and no other vector
+# holds two points
+_UNSPLIT = ['{"n": 4, "colors": [0, 1, 0, 1]}', '{"n": 4, "colors": [0, 1, 0, 0]}']
+_PARTS7 = '{"n": 7, "pairing": [1, 0, 3, 2, 5, 4, 6], "exceptions": [6]}'
 _PART3 = '{"n": 3, "pairing": [1, 0, 2], "exceptions": [2]}'
 _SHIFT1 = json.dumps({"n": 10, "values": list(range(1, 11))})
 
@@ -529,6 +591,15 @@ _BROKEN = {
         freesets, "find_unsplit_set",
         lambda colorings, min_size: (Subset(4, (0, 1)), (0, 0)),
     ),
+    "oracle unsplit: a smaller set": (
+        ["--coloring", _UNSPLIT[0], "--coloring", _UNSPLIT[1]],
+        freesets, "find_unsplit_set",
+        lambda colorings, min_size: (Subset(4, (1,)), (1, 1)),
+    ),
+    "oracle unsplit: no set": (
+        ["--coloring", _UNSPLIT[0], "--coloring", _UNSPLIT[1]],
+        freesets, "find_unsplit_set", lambda colorings, min_size: None,
+    ),
     "rosenthal check": (
         ["--matrix", '{"k": 2, "n": 2, "row_bound": "1", '
          '"entries": [["0", "1"], ["1", "0"]]}', "--set", "[0, 1]", "--eps", "1"],
@@ -542,9 +613,18 @@ _BROKEN = {
     ),
     # each part pairs 4 with 5, but no block holds them
     "involutions combine: D past the blocks": (
-        [*["--part", '{"n": 7, "pairing": [1, 0, 3, 2, 5, 4, 6], "exceptions": [6]}'] * 4,
-         "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
+        [*["--part", _PARTS7] * 4, "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
         involutions, "combine_on_blocks", _d_past_the_blocks,
+    ),
+    # D is {0, 1}, so 2 to 6 must pair as (2, 3), (4, 5) with 6 fixed
+    "involutions combine: leftovers out of order": (
+        [*["--part", _PARTS7] * 4, "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
+        involutions, "combine_on_blocks", _leftovers_out_of_order,
+    ),
+    # a correct completion of the parts' 7 points, then a pair past them
+    "involutions combine: longer window": (
+        [*["--part", _PARTS7] * 4, "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
+        involutions, "combine_on_blocks", _two_points_more,
     ),
     # cli binds funcgraph's names when it is imported, so it is patched there
     "orbits": (
@@ -571,7 +651,7 @@ _BROKEN = {
         ["--fn", '{"n": 3, "values": [1, 2, 3]}'],
         involutions, "decompose_into_involutions",
         lambda fn: involutions.DecompositionResult(
-            (involutions.Involution(3, (1, 0, 2), (2,)),) * 4, (), 1
+            (involutions.Involution((1, 0, 2)),) * 4, (), 1
         ),
     ),
     "partition fp": (

@@ -367,11 +367,15 @@ _SEPARATION = {
     "freesets": {
         "is_maximal_free": _FREESETS_CONSTRUCTORS,
         "verify_coloring": _FREESETS_CONSTRUCTORS,
+        "verify_unsplit": _FREESETS_CONSTRUCTORS,
     },
     "involutions": {
         "verify_decomposition": {
             "_walk", "_complete", "decompose_into_involutions"
         },
+        # the handler calls combine_on_blocks, but checks its completion
+        # without the helper that builds it
+        "_run_inv_combine": {"_complete"},
     },
     "partitions": {
         "verify_escape": {"escape_intervals"},

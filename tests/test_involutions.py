@@ -95,7 +95,7 @@ def _reference_parts(fn: FiniteFunction):
 def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
     """_reference_parts as a DecompositionResult."""
     parts, case = _reference_parts(fn)
-    involutions = tuple(Involution(fn.window, p, e) for p, e in parts)
+    involutions = tuple(Involution(p) for p, _ in parts)
     return DecompositionResult(involutions, (), case)
 
 
@@ -104,14 +104,15 @@ def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
 
 def test_involution_must_be_self_inverse():
     with pytest.raises(ValueError):
-        Involution(3, (1, 2, 0), ())
+        Involution((1, 2, 0))
 
 
 def test_exceptions_must_be_self_mapped():
-    with pytest.raises(ValueError):
-        Involution(3, (1, 0, 0), (2,))
-    ok = Involution(3, (1, 0, 2), (2,))
-    assert ok.pairing[0] == 1 and ok.pairing[2] == 2
+    doc = {"n": 3, "pairing": [1, 0, 2], "exceptions": [0, 2]}
+    with pytest.raises(ValueError, match="^exception 0 must map to itself$"):
+        Involution.from_json(doc)
+    ok = Involution((1, 0, 2))
+    assert ok.pairing[0] == 1 and ok.exceptions == (2,)
 
 
 @pytest.mark.parametrize(
@@ -121,33 +122,37 @@ def test_exceptions_must_be_self_mapped():
 def test_exception_outside_the_window_is_refused(window, pairing, exceptions):
     # (2, (1, 0), (5,)) pairs every window point, so only the range check on
     # the exception itself can refuse it
+    doc = {"n": window, "pairing": list(pairing), "exceptions": list(exceptions)}
     with pytest.raises(ValueError, match=f"^exception {exceptions[0]} outside the window$"):
-        Involution(window, pairing, exceptions)
+        Involution.from_json(doc)
 
 
-def _validation_reference(window, pairing, exceptions) -> str | None:
-    """The per-point checks Involution made before its one-loop fast path.
+def _document_reference(window, pairing, exceptions) -> str | None:
+    """The first fault of an involution document, by the definition.
 
-    Returns the ValueError message they raise, or None on acceptance.
-    They never looked at an exception outside the window.
+    The declared n must be the pairing's length and positive, and the
+    exceptions distinct; then the pairing must stay in the window and
+    pair back; then each exception, ascending, must lie in the window and
+    be fixed, and no fixed point may go unlisted. Returns the ValueError
+    message for the first fault, or None on acceptance.
     """
-    exceptions = tuple(sorted(exceptions))
     if len(pairing) != window or window <= 0:
         return "pairing length must match a positive window"
-    exc = set(exceptions)
-    if len(exc) != len(exceptions):
+    if len(set(exceptions)) != len(exceptions):
         return "duplicate exception"
     for x, y in enumerate(pairing):
-        if y < 0 or y >= window:
+        if not 0 <= y < window:
             return f"pairing value {y} outside the window"
-        if x in exc:
-            if y != x:
-                return f"exception {x} must map to itself"
-        else:
-            if y == x:
-                return f"{x} is fixed but not listed as an exception"
-            if pairing[y] != x:
-                return f"pairing is not self-inverse at {x}"
+        if pairing[y] != x:
+            return f"pairing is not self-inverse at {x}"
+    for e in sorted(exceptions):
+        if not 0 <= e < window:
+            return f"exception {e} outside the window"
+        if pairing[e] != e:
+            return f"exception {e} must map to itself"
+    for x, y in enumerate(pairing):
+        if y == x and x not in exceptions:
+            return f"{x} is fixed but not listed as an exception"
     return None
 
 
@@ -175,20 +180,19 @@ def _near_involutions(draw):
 @given(_near_involutions())
 def test_validation_matches_the_per_point_reference(case):
     window, pairing, exceptions = case
+    doc = {"n": window, "pairing": list(pairing), "exceptions": list(exceptions)}
     try:
-        Involution(window, pairing, exceptions)
+        inv = Involution.from_json(doc)
         got = None
     except ValueError as err:
         got = str(err)
-    expected = _validation_reference(window, pairing, exceptions)
-    outside = [e for e in sorted(exceptions) if not 0 <= e < window]
-    if expected is None and outside:
-        expected = f"exception {outside[0]} outside the window"
-    assert got == expected
+    assert got == _document_reference(window, pairing, exceptions)
+    if got is None:
+        assert inv.to_json() == {**doc, "exceptions": sorted(exceptions)}
 
 
 def test_involution_json_round_trip():
-    inv = Involution(3, (1, 0, 2), (2,))
+    inv = Involution((1, 0, 2))
     assert Involution.from_json(inv.to_json()) == inv
     assert inv.to_json() == {"n": 3, "pairing": [1, 0, 2], "exceptions": [2]}
 
@@ -370,7 +374,7 @@ def _swap_a_pair(part: Involution, rng: Lcg64) -> Involution:
     pairing = list(part.pairing)
     b, d = pairing[a], pairing[c]
     pairing[a], pairing[d], pairing[c], pairing[b] = d, a, b, c
-    return Involution(part.window, tuple(pairing), part.exceptions)
+    return Involution(tuple(pairing))
 
 
 def test_verifier_matches_the_zipped_reference():
@@ -418,22 +422,22 @@ def _repairings(part: Involution) -> tuple[Involution, ...]:
     pairing = part.pairing
     heads = [x for x, y in enumerate(pairing) if x < y]
 
-    def edited(pairs, exceptions):
+    def edited(pairs):
         new = list(pairing)
         for x, y in pairs:
             new[x], new[y] = y, x
-        return Involution(part.window, tuple(new), exceptions)
+        return Involution(tuple(new))
 
     out = []
     for a, c in combinations(heads, 2):
         b, d = pairing[a], pairing[c]
-        out.append(edited(((a, c), (b, d)), part.exceptions))
-        out.append(edited(((a, d), (b, c)), part.exceptions))
+        out.append(edited(((a, c), (b, d))))
+        out.append(edited(((a, d), (b, c))))
     for e in part.exceptions:
         for a in heads:
             b = pairing[a]
-            out.append(edited(((e, a), (b, b)), (b,)))
-            out.append(edited(((e, b), (a, a)), (a,)))
+            out.append(edited(((e, a), (b, b))))
+            out.append(edited(((e, b), (a, a))))
     return tuple(out)
 
 
@@ -472,7 +476,7 @@ def test_verifier_rejects_a_partial_cover_of_a_path():
     # x+1 on N = 8: pairing consecutive points covers only the even-start
     # edges, and the result claims nothing is left over
     fn = FiniteFunction([k + 1 for k in range(8)])
-    p = Involution(8, (1, 0, 3, 2, 5, 4, 7, 6), ())
+    p = Involution((1, 0, 3, 2, 5, 4, 7, 6))
     res = DecompositionResult((p, p, p, p), (), 1)
     assert verify_decomposition(fn, res) == (False, ((1, 2), (3, 4), (5, 6)))
 
@@ -497,8 +501,8 @@ def test_verifier_rejects_a_non_injective_function():
     # two parts cover every edge of (1, 0, 0), but the constructor refuses
     # it, and no case is defined for it
     fn = FiniteFunction([1, 0, 0])
-    p = Involution(3, (1, 0, 2), (2,))
-    q = Involution(3, (2, 1, 0), (1,))
+    p = Involution((1, 0, 2))
+    q = Involution((2, 1, 0))
     for case in (1, 2):
         res = DecompositionResult((p, q, p, q), (), case)
         assert verify_decomposition(fn, res) == (False, ((0, 1), (1, 0), (2, 0)))
@@ -507,7 +511,7 @@ def test_verifier_rejects_a_non_injective_function():
 def test_verifier_rejects_parts_with_two_exceptions():
     fn = FiniteFunction([1, 2, 3, 0])
     good = decompose_into_involutions(fn)
-    bad = Involution(4, (1, 0, 2, 3), (2, 3))
+    bad = Involution((1, 0, 2, 3))
     res = DecompositionResult((bad,) + good.parts[1:], (), good.case)
     ok, unexplained = verify_decomposition(fn, res)
     assert not ok
@@ -538,8 +542,8 @@ def test_result_json_shape():
 
 
 def test_combine_single_block_frozen_example():
-    p0 = Involution(3, (1, 0, 2), (2,))
-    other = Involution(3, (2, 1, 0), (1,))
+    p0 = Involution((1, 0, 2))
+    other = Involution((2, 1, 0))
     blocks = IntervalPartition((0, 3))
     d, combined = combine_on_blocks((p0, other, other, other), blocks, (0,))
     assert d.elements == (0, 1)
@@ -548,8 +552,8 @@ def test_combine_single_block_frozen_example():
 
 
 def test_combine_membership_is_closed_under_the_part():
-    p0 = Involution(9, (1, 0, 3, 2, 5, 4, 7, 6, 8), (8,))
-    p1 = Involution(9, (3, 2, 1, 0, 7, 6, 5, 4, 8), (8,))
+    p0 = Involution((1, 0, 3, 2, 5, 4, 7, 6, 8))
+    p1 = Involution((3, 2, 1, 0, 7, 6, 5, 4, 8))
     blocks = IntervalPartition((0, 3, 6, 9))
     colors = (0, 1, 0)
     d, combined = combine_on_blocks((p0, p1, p0, p1), blocks, colors)
@@ -587,10 +591,9 @@ def _combine_reference(parts, blocks, colors):
     rest = [x for x in range(window) if pairing[x] is None]
     for a, b in zip(rest[::2], rest[1::2]):
         pairing[a], pairing[b] = b, a
-    exceptions = rest[-1:] if len(rest) % 2 else []
-    for e in exceptions:
-        pairing[e] = e
-    return Subset.of(window, chosen), Involution(window, tuple(pairing), exceptions)
+    if len(rest) % 2:
+        pairing[rest[-1]] = rest[-1]
+    return Subset.of(window, chosen), Involution(tuple(pairing))
 
 
 def test_combine_matches_the_reference_on_seeded_covers():
@@ -613,14 +616,14 @@ def test_combine_matches_the_reference_on_seeded_covers():
 
 
 def test_combine_rejects_even_blocks():
-    p = Involution(4, (1, 0, 3, 2), ())
+    p = Involution((1, 0, 3, 2))
     with pytest.raises(ValueError):
         combine_on_blocks((p, p, p, p), IntervalPartition((0, 2, 4)), (0, 0))
 
 
 def test_combined_involution_is_total_and_fpf():
-    p0 = Involution(5, (1, 0, 3, 2, 4), (4,))
-    p1 = Involution(5, (4, 2, 1, 3, 0), (3,))
+    p0 = Involution((1, 0, 3, 2, 4))
+    p1 = Involution((4, 2, 1, 3, 0))
     blocks = IntervalPartition((0, 5))
     for color in range(2):
         d, combined = combine_on_blocks((p0, p1, p0, p1), blocks, (color,))

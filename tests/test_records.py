@@ -54,7 +54,7 @@ def _samples() -> list[Record]:
         build_ed_blocks(2),
         BadSetBlock((1,), Fraction(1)),
         SelectorReport(((1, 3),)),
-        Involution(3, (1, 0, 2), (2,)),
+        Involution((1, 0, 2)),
         decompose_into_involutions(fn),
         IntervalPartition((0, 2, 4)),
         PartitionIntoParts(3, (0, 1, 0)),
@@ -132,6 +132,8 @@ def test_derived_attributes_stay_out_of_equality_and_repr():
     assert "scaled" not in repr(matrix) and "scales" not in repr(matrix)
     assert matrix.scaled == ({1: 1}, {0: 1})
     assert repr(Subset(3, (0, 2))) == "Subset(window=3, elements=(0, 2))"
+    assert repr(Involution((1, 0, 2))) == "Involution(pairing=(1, 0, 2))"
+    assert Involution((1, 0, 2)).exceptions == (2,)
 
 
 def test_fragmentation_witness_defaults_to_none():
@@ -148,6 +150,6 @@ def test_fragmentation_witness_defaults_to_none():
 
 def test_post_init_still_normalises_and_checks():
     assert FiniteFunction([1, 0]).values == (1, 0)
-    assert Involution(3, [1, 0, 2], [2]).pairing == (1, 0, 2)
+    assert Involution([1, 0, 2]).pairing == (1, 0, 2)
     with pytest.raises(ValueError):
         Subset(3, (2, 1))
