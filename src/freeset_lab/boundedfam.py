@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 from typing import Sequence
 
 from .funcgraph import MAX_MATERIALIZED_POSITIONS, FiniteFunction, Record, Subset
@@ -83,15 +85,23 @@ class BlockSystem(Record):
 
     The J-blocks are only ever addressed as block index plus big-integer
     code; j_starts accumulates the F values so J_n = [j_starts[n],
-    j_starts[n+1]). Nothing below materializes a J-block.
+    j_starts[n+1]). Nothing below materializes a J-block. depth, the
+    number of blocks, and j_starts follow from f_sizes, so they take no
+    part in equality or the repr.
     """
 
-    __slots__ = ("g", "depth", "i_endpoints", "f_sizes", "j_starts")
+    __slots__ = ("g", "i_endpoints", "f_sizes", "depth", "j_starts")
+    _fields = ("g", "i_endpoints", "f_sizes")
     g: GrowthFunction
-    depth: int
     i_endpoints: tuple[int, ...]
     f_sizes: tuple[int, ...]
+    depth: int
     j_starts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "depth", len(self.f_sizes))
+        starts = tuple(accumulate(self.f_sizes, initial=0))
+        object.__setattr__(self, "j_starts", starts)
 
     def interval(self, n: int) -> tuple[int, int]:
         return self.i_endpoints[n], self.i_endpoints[n + 1]
@@ -140,10 +150,8 @@ def build_block_system(g: GrowthFunction, depth: int) -> BlockSystem:
         raise ValueError("depth must be positive")
     i_ends = [0]
     f_sizes: list[int] = []
-    total = 0
     for n in range(depth):
-        size = 2 * total + 1
-        lo, hi = i_ends[-1], i_ends[-1] + size
+        lo, hi = i_ends[-1], i_ends[-1] + 2 * sum(f_sizes) + 1
         if hi > len(g.values):
             raise ValueError(
                 f"growth function covers {len(g.values)} positions, need {hi}"
@@ -152,16 +160,9 @@ def build_block_system(g: GrowthFunction, depth: int) -> BlockSystem:
         _check_reportable(
             f"F({n})", sum((v - 1).bit_length() for v in g.values[lo:hi])
         )
-        f = 1
-        for i in range(lo, hi):
-            f *= g.values[i]
-        f_sizes.append(f)
-        total += f
+        f_sizes.append(prod(g.values[lo:hi]))
         i_ends.append(hi)
-    j_starts = [0]
-    for f in f_sizes:
-        j_starts.append(j_starts[-1] + f)
-    return BlockSystem(g, depth, tuple(i_ends), tuple(f_sizes), tuple(j_starts))
+    return BlockSystem(g, tuple(i_ends), tuple(f_sizes))
 
 
 class ShadowSet(Record):
@@ -302,9 +303,8 @@ def verify_meeting(
 class ClaimReport(Record):
     """Cross-block edges inside a coded set and their shadow certificates."""
 
-    __slots__ = ("coded_points", "edges", "certified", "uncertified")
+    __slots__ = ("coded_points", "certified", "uncertified")
     coded_points: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     certified: tuple[tuple[int, int, int], ...]
     uncertified: tuple[tuple[int, int], ...]
 
@@ -333,7 +333,6 @@ def verify_freeness_claim(
     }
     values = fn.values
     window = len(values)
-    edges = []
     certified = []
     for x, m in block_of.items():
         if x >= window:
@@ -342,23 +341,29 @@ def verify_freeness_claim(
         n = block_of.get(y)
         if n is None:
             continue
-        edges.append((x, y))
         target = max(m, n)
         if window < system.j_starts[target + 1]:
             raise ValueError("function window does not cover the coded prefix")
         if not fn.injective_on_window:
             raise ValueError("shadow sets need an injective function")
         certified.append((x, y, target))
-    return ClaimReport(tuple(block_of), tuple(edges), tuple(certified), ())
+    return ClaimReport(tuple(block_of), tuple(certified), ())
 
 
 class MeasuredBlocks(Record):
-    """Materialized blocks with one exact rational mass per singleton."""
+    """Materialized blocks with one exact rational mass per singleton.
+
+    starts, where each block begins, follows from the sizes, so it takes
+    no part in equality or the repr."""
 
     __slots__ = ("sizes", "unit_masses", "starts")
+    _fields = ("sizes", "unit_masses")
     sizes: tuple[int, ...]
     unit_masses: tuple[Fraction, ...]
     starts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "starts", tuple(accumulate(self.sizes, initial=0)))
 
     def block_count(self) -> int:
         return len(self.sizes)
@@ -373,13 +378,6 @@ class MeasuredBlocks(Record):
             "sizes": list(self.sizes),
             "mu": [str(m) for m in self.unit_masses],
         }
-
-
-def _with_starts(sizes: Sequence[int], units: Sequence[Fraction]) -> MeasuredBlocks:
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
-    return MeasuredBlocks(tuple(sizes), tuple(units), tuple(starts))
 
 
 def build_ed_blocks(depth: int) -> MeasuredBlocks:
@@ -402,7 +400,7 @@ def build_ed_blocks(depth: int) -> MeasuredBlocks:
         _check_reportable(
             f"the total size through J_{n + 1}", total.bit_length()
         )
-    return _with_starts(sizes, units)
+    return MeasuredBlocks(tuple(sizes), tuple(units))
 
 
 def ed_fin_blocks(depth: int) -> MeasuredBlocks:
@@ -411,9 +409,7 @@ def ed_fin_blocks(depth: int) -> MeasuredBlocks:
         raise ValueError("depth must be nonnegative")
     if depth * (depth + 1) // 2 > MAX_MATERIALIZED_POSITIONS:
         raise ValueError("blocks too large to materialize")
-    sizes = list(range(depth + 1))
-    units = [Fraction(1)] * (depth + 1)
-    return _with_starts(sizes, units)
+    return MeasuredBlocks(tuple(range(depth + 1)), (Fraction(1),) * (depth + 1))
 
 
 class BadSetBlock(Record):
@@ -500,35 +496,48 @@ def _load_growth(text: str, depth: int) -> GrowthFunction:
     return constant_growth(json_int(json.loads(stripped), "g"), depth)
 
 
-def _run_blocks_build(args) -> dict:
-    g = _load_growth(args.g, args.depth)
-    system = build_block_system(g, args.depth)
-    violations = []
-    total = 0
-    for n in range(system.depth):
-        lo, hi = system.interval(n)
+def _check_coded(g: GrowthFunction, depth: int, system: BlockSystem) -> list[dict]:
+    """Where a coded system breaks its definition for g and --depth: depth
+    blocks on g, I_0 from 0, |I_n| = 2 * (F(0) + ... + F(n - 1)) + 1 inside
+    g, and F(n) the product of g over I_n. A leaf builds nothing on it then."""
+    ends = system.i_endpoints
+    if system.depth != depth:
+        return [{"blocks": system.depth, "reason": "block count"}]
+    inside_g = len(ends) == depth + 1 and ends[0] == 0 and ends[-1] <= len(g.values)
+    if not inside_g or system.g != g:
+        return [{"reason": "intervals off g"}]
+    violations, total = [], 0
+    for n in range(depth):
+        lo, hi = ends[n], ends[n + 1]
         if hi - lo != 2 * total + 1:
             violations.append({"block": n, "reason": "interval size not minimal"})
-        f = 1
-        for i in range(lo, hi):
-            f *= g.values[i]
+        f = prod(g.values[lo:hi])
         if f != system.f_sizes[n]:
             violations.append({"block": n, "reason": "tuple count mismatch"})
         total += f
+    return violations
+
+
+def _run_blocks_build(args) -> dict:
+    g = _load_growth(args.g, args.depth)
+    system = build_block_system(g, args.depth)
+    violations = _check_coded(g, args.depth, system)
     return {"result": system.to_json(), "violations": violations}
 
 
 def _run_blocks_verify(args) -> dict:
     g = _load_growth(args.g, args.depth)
     system = build_block_system(g, args.depth)
+    violations = _check_coded(g, args.depth, system)
+    if violations:
+        return {"result": system.to_json(), "violations": violations}
     fn = _load_fn(args.fn)
     h = json_ints(_load_doc(args.h), "h")
     shadows = [shadow_set(system, fn, n) for n in range(system.depth)]
-    violations = []
-    # |S_f(n)| <= 2 * start(J_n) < |I_n|, both bounds taken from the system
+    # |S_f(n)| <= 2 * start(J_n), taken from the system, whose check above
+    # has made |I_n| = 2 * start(J_n) + 1
     for n, s in enumerate(shadows):
-        lo, hi = system.interval(n)
-        if not len(s.elements) <= 2 * system.j_starts[n] < hi - lo:
+        if len(s.elements) > 2 * system.j_starts[n]:
             violations.append({"block": n, "reason": "shadow bound"})
     for n in verify_shadows(system.j_starts, fn, shadows):
         violations.append({"block": n, "reason": "shadow set mismatch"})
@@ -538,7 +547,7 @@ def _run_blocks_verify(args) -> dict:
         violations.append({"block": n, "element": e, "reason": "meeting miss"})
     result = {
         "coded_points": list(claim.coded_points),
-        "edges": [list(e) for e in claim.edges],
+        "edges": [[x, y] for x, y, _ in claim.certified],
         "certified": [list(c) for c in claim.certified],
         "shadow_sizes": [len(s.elements) for s in shadows],
         "meeting": list(ell),
@@ -546,36 +555,49 @@ def _run_blocks_verify(args) -> dict:
     return {"result": result, "violations": violations}
 
 
+def _check_measured(blocks: MeasuredBlocks, depth: int, fin: bool) -> list[dict]:
+    """Where measured blocks break their definition for --depth and --fin:
+    depth + 1 blocks; under --fin, n points of mass 1 in block n; otherwise
+    one point of mass 0, then 2n * T points of mass 1/T in block n, T being
+    the points before it. A leaf builds nothing on them then."""
+    count = blocks.block_count()
+    if count != depth + 1 or len(blocks.unit_masses) != count:
+        return [{"blocks": count, "reason": "block count"}]
+    violations, total = [], 0
+    for n, (size, unit) in enumerate(zip(blocks.sizes, blocks.unit_masses)):
+        want = (n, 1) if fin else (2 * n * total, Fraction(1, total)) if n else (1, 0)
+        total += want[0]
+        if size != want[0]:
+            violations.append({"block": n, "reason": "size recurrence"})
+        if unit != want[1]:
+            violations.append({"block": n, "reason": "unit mass"})
+    return violations
+
+
 def _run_ed_build(args) -> dict:
     blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
-    violations = []
-    if args.fin:
-        if list(blocks.sizes) != list(range(args.depth + 1)):
-            violations.append({"reason": "size recurrence"})
-    else:
-        total = 1
-        for n in range(args.depth):
-            if blocks.sizes[n + 1] != 2 * (n + 1) * total:
-                violations.append({"block": n + 1, "reason": "size recurrence"})
-            if blocks.unit_masses[n + 1] != Fraction(1, total):
-                violations.append({"block": n + 1, "reason": "unit mass"})
-            total += blocks.sizes[n + 1]
+    violations = _check_measured(blocks, args.depth, args.fin)
     return {"result": blocks.to_json(), "violations": violations}
 
 
 def _run_ed_badset(args) -> dict:
     blocks = build_ed_blocks(args.depth)
+    violations = _check_measured(blocks, args.depth, False)
+    if violations:
+        return {"result": blocks.to_json(), "violations": violations}
     fn = _load_fn(args.fn)
     bads = [bad_set(blocks, fn, n) for n in range(blocks.block_count())]
     per_block = []
-    violations = []
     for n, b in enumerate(bads):
-        mass = str(b.mass)
+        # the mass of B_f(n)'s points, which verify_shadows checks below
+        mass = len(b.elements) * blocks.unit_masses[n]
         per_block.append(
-            {"block": n, "elements": list(b.elements), "mass": mass}
+            {"block": n, "elements": list(b.elements), "mass": str(mass)}
         )
-        if b.mass > 2:
-            violations.append({"block": n, "mass": mass})
+        if mass > 2:
+            violations.append({"block": n, "mass": str(mass)})
+        if b.mass != mass:
+            violations.append({"block": n, "reason": "mass"})
     # B_f(n) is S_f(n) over the measured blocks
     for n in verify_shadows(blocks.starts, fn, bads):
         violations.append({"block": n, "reason": "bad set mismatch"})
@@ -591,6 +613,9 @@ def _run_ed_member(args) -> dict:
         # masses are never negative, so no set could be a member
         raise ValueError(f"--k is {bound}, must be at least 0")
     blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
+    violations = _check_measured(blocks, args.depth, args.fin)
+    if violations:
+        return {"result": blocks.to_json(), "violations": violations}
     subset = _load_set(args.set, blocks.starts[-1])
     member, worst = ed_membership(blocks, subset, bound)
     result = {

@@ -56,11 +56,9 @@ MAX_BATCH_COUNT = 100_000
 
 def _run_orbits(args) -> dict:
     fn = _load_fn(args.fn)
-    dec = orbit_decomposition(fn)
-    complaints = verify_orbits(fn, dec)
-    result = {
-        "orbits": [{"kind": o.kind, "nodes": list(o.nodes)} for o in dec.orbits]
-    }
+    orbits = orbit_decomposition(fn)
+    complaints = verify_orbits(fn, orbits)
+    result = {"orbits": [{"kind": o.kind, "nodes": list(o.nodes)} for o in orbits]}
     return {"result": result, "violations": list(complaints)}
 
 
@@ -89,9 +87,11 @@ def _run_free(args) -> dict:
 
 def _orbits_row(seed: int, n: int) -> dict:
     fn = random_fpf_function(seed, n, injective=True)
-    dec = orbit_decomposition(fn)
-    complaints = verify_orbits(fn, dec)
-    return {"ok": not complaints, "cycles": len(dec.cycles), "paths": len(dec.paths)}
+    orbits = orbit_decomposition(fn)
+    complaints = verify_orbits(fn, orbits)
+    kinds = [o.kind for o in orbits]
+    cycles, paths = kinds.count("cycle"), kinds.count("path")
+    return {"ok": not complaints, "cycles": cycles, "paths": paths}
 
 
 _BATCH_ROWS = {

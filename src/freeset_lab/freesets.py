@@ -297,6 +297,9 @@ def verify_unsplit(
             return []
         return [{"choice": list(best), "reason": "meets --min-size"}]
     subset, choice = found
+    if len(choice) != len(colorings) or subset.window != len(vectors):
+        # the checks below read one color per coloring at every member
+        return [{"choice": list(choice), "window": subset.window, "reason": "shape"}]
     violations: list[dict] = [
         {"coloring": j, "point": x}
         for j, coloring in enumerate(colorings)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from operator import eq
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 # Most points any one call may hold in memory: a batch's seeded functions
 # together, or a block system's materialized positions.
@@ -281,24 +281,8 @@ class Orbit(Record):
     nodes: tuple[int, ...]
 
 
-class OrbitDecomposition(Record):
-    """The orbits of a window function, in ascending order of first node."""
-
-    __slots__ = ("window", "orbits")
-    window: int
-    orbits: tuple[Orbit, ...]
-
-    @property
-    def cycles(self) -> tuple[Orbit, ...]:
-        return tuple(o for o in self.orbits if o.kind == "cycle")
-
-    @property
-    def paths(self) -> tuple[Orbit, ...]:
-        return tuple(o for o in self.orbits if o.kind == "path")
-
-
-def orbit_decomposition(fn: FiniteFunction) -> OrbitDecomposition:
-    """Split an injective window function into cycles and paths.
+def orbit_decomposition(fn: FiniteFunction) -> tuple[Orbit, ...]:
+    """The orbits of an injective window function, by ascending first node.
 
     Injectivity makes every in-window point have at most one preimage, so
     each connected component is a cycle or a single path. Paths begin at
@@ -341,29 +325,35 @@ def orbit_decomposition(fn: FiniteFunction) -> OrbitDecomposition:
         # the scan ascends, so start is the cycle's least node
         orbits.append(Orbit("cycle", tuple(nodes)))
     orbits.sort(key=lambda o: o.nodes[0])
-    return OrbitDecomposition(n, tuple(orbits))
+    return tuple(orbits)
 
 
-def verify_orbits(fn: FiniteFunction, dec: OrbitDecomposition) -> tuple[str, ...]:
-    """Re-check a decomposition against the function; returns complaints.
+def verify_orbits(fn: FiniteFunction, orbits: Sequence[Orbit]) -> tuple[str, ...]:
+    """Re-check orbits against the function; returns complaints.
 
-    Confirms the orbits partition the window in ascending order of first
-    node, consecutive nodes are f-edges, cycles close and start at their
-    least node, paths exit the window, and path heads have no in-window
-    preimage.
+    Confirms every orbit has a node, every node lies in the window, the
+    orbits partition the window in ascending order of first node,
+    consecutive nodes are f-edges, cycles close and start at their least
+    node, paths exit the window, and path heads have no in-window
+    preimage. An empty orbit, or one with a node outside the window, gets
+    no further check, since f has no value there to compare.
     """
     n = fn.window
     complaints = []
-    if dec.window != n:
-        complaints.append("window mismatch")
-        return tuple(complaints)
     seen: set[int] = set()
     image = {v for v in fn.values if v < n}
     prev_first = -1
-    for idx, orbit in enumerate(dec.orbits):
+    for idx, orbit in enumerate(orbits):
+        if not orbit.nodes:
+            complaints.append(f"orbit {idx} is empty")
+            continue
         if orbit.nodes[0] <= prev_first:
             complaints.append(f"orbit {idx} is out of order")
         prev_first = orbit.nodes[0]
+        outside = [x for x in orbit.nodes if not 0 <= x < n]
+        if outside:
+            complaints += [f"node {x} is outside the window" for x in outside]
+            continue
         for node in orbit.nodes:
             if node in seen:
                 complaints.append(f"node {node} repeats")
@@ -399,12 +389,6 @@ def image_overlap(subset: Subset, fn: FiniteFunction) -> Subset:
         raise ValueError("subset window exceeds function window")
     hits = {fn.values[x] for x in subset.elements}.intersection(subset.elements)
     return Subset(subset.window, tuple(sorted(hits)))
-
-
-def is_free(subset: Subset, fn: FiniteFunction) -> bool:
-    if subset.window > fn.window:
-        raise ValueError("subset window exceeds function window")
-    return set(subset.elements).isdisjoint(map(fn.values.__getitem__, subset.elements))
 
 
 def random_fpf_function(

@@ -351,7 +351,14 @@ def _run_inv_combine(args) -> dict:
     blocks = IntervalPartition.from_json(_load_doc(args.blocks))
     colors = json_ints(_load_doc(args.colors), "colors")
     d, combined = combine_on_blocks(parts, blocks, colors)
-    violations = []
+    result = {"d": list(d.elements), "combined": combined.to_json()}
+    # a point past the blocks is chosen by no part
+    end = blocks.endpoints[-1]
+    violations = [{"point": x, "reason": "membership"} for x in d.elements if x >= end]
+    if combined.window != parts[0].window:
+        # the pairings below are read at every point of the parts' window
+        violations.append({"reason": "window"})
+        return {"result": result, "violations": violations}
     members = set(d.elements)
     for idx, (lo, hi) in enumerate(blocks.blocks()):
         part = parts[colors[idx]]
@@ -362,18 +369,12 @@ def _run_inv_combine(args) -> dict:
                 violations.append({"point": x, "reason": "membership"})
             if should and combined.pairing[x] != y:
                 violations.append({"point": x, "reason": "pairing"})
-    # a point past the blocks is chosen by no part
-    end = blocks.endpoints[-1]
-    violations += [{"point": x, "reason": "membership"} for x in d.elements if x >= end]
-    if combined.window != parts[0].window:
-        violations.append({"reason": "window"})
     # the rest pair consecutively, ascending, and an odd count's last is fixed
     rest = [x for x in range(parts[0].window) if x not in members]
     pairs = zip(rest[::2], rest[1::2] + rest[-1:])
     violations += [
         {"point": a, "reason": "completion"} for a, b in pairs if combined.pairing[a] != b
     ]
-    result = {"d": list(d.elements), "combined": combined.to_json()}
     return {"result": result, "violations": violations}
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from freeset_lab.boundedfam import (
     BadSetBlock,
+    BlockSystem,
     ClaimReport,
     GrowthFunction,
     bad_set,
@@ -343,7 +344,7 @@ def test_claim_certificates_point_into_the_shadow():
             witness = y if bisect_right(system.j_starts, y) - 1 == target else x
             assert witness in shadow_set(system, fn, target).elements
     assert seen_edge or all(
-        not verify_freeness_claim(system, fn, list(h)).edges
+        not verify_freeness_claim(system, fn, list(h)).uncertified
         for h in product(range(2), repeat=6)
     )
 
@@ -354,7 +355,6 @@ def test_claim_certifies_both_crossings_by_the_later_block():
     system = build_block_system(constant_growth(2, 2), 2)
     fn = FiniteFunction([2, 3, 0, 1] + [x ^ 1 for x in range(4, 34)])
     claim = verify_freeness_claim(system, fn, [0] * 6)
-    assert claim.edges == ((0, 2), (2, 0))
     assert claim.certified == ((0, 2, 1), (2, 0, 1))
 
 
@@ -383,7 +383,17 @@ def _claim_oracle(system, fn, shadows, h):
             certified.append((x, y, target))
         else:
             uncertified.append((x, y))
-    return ClaimReport(tuple(coded), tuple(edges), tuple(certified), tuple(uncertified))
+    return ClaimReport(tuple(coded), tuple(certified), tuple(uncertified))
+
+
+def _shadows_by_definition(starts, values) -> list[set[int]]:
+    """S_f(n) for each block [starts[n], starts[n + 1]): images of the
+    prefix before block n that land in it, and its points that map below it."""
+    return [
+        {y for y in values[:lo] if lo <= y < hi}
+        | {x for x in range(lo, hi) if values[x] < lo}
+        for lo, hi in zip(starts, starts[1:])
+    ]
 
 
 def test_claim_reports_match_the_shadow_definition():
@@ -392,15 +402,7 @@ def test_claim_reports_match_the_shadow_definition():
     crossings = 0
     for seed in range(200):
         fn = random_fpf_function(9000 + seed, 34, injective=True)
-        # S_f(n) from its definition: images of the prefix before J_n
-        # that land in J_n, and points of J_n that map below it
-        shadows = []
-        for n in range(system.depth):
-            lo, hi = system.j_starts[n], system.j_starts[n + 1]
-            shadows.append(
-                {fn.values[x] for x in range(lo) if lo <= fn.values[x] < hi}
-                | {x for x in range(lo, hi) if fn.values[x] < lo}
-            )
+        shadows = _shadows_by_definition(system.j_starts, fn.values)
         for h in hs:
             claim = verify_freeness_claim(system, fn, h)
             assert claim == _claim_oracle(system, fn, shadows, h), (seed, h)
@@ -408,10 +410,34 @@ def test_claim_reports_match_the_shadow_definition():
     assert crossings > 0
 
 
+def test_verify_freeness_claim_matches_its_definition_on_every_small_input():
+    # every fixed-point-free injection of [0, 6) into [0, 7), so 6 leaves
+    # the prefix, and every h over three one-position intervals with
+    # bound 2: J_n = [2n, 2n + 2), and block n codes the point 2n + h[n]
+    system = BlockSystem(GrowthFunction((2, 2, 2)), (0, 1, 2, 3), (2, 2, 2))
+    assert system.j_starts == (0, 2, 4, 6)
+    hs = list(product(range(2), repeat=3))
+    functions = calls = crossings = 0
+    for values in permutations(range(7), 6):
+        if any(map(eq, values, range(6))):
+            continue
+        fn = FiniteFunction(values)
+        shadows = _shadows_by_definition(system.j_starts, values)
+        for h in hs:
+            claim = verify_freeness_claim(system, fn, h)
+            assert claim == _claim_oracle(system, fn, shadows, h), (values, h)
+            crossings += len(claim.certified)
+            calls += 1
+        functions += 1
+    assert functions == 2119 and calls == 16952
+    assert crossings > 0
+
+
 def test_claim_needs_a_covering_window_for_a_cross_edge():
     system = build_block_system(constant_growth(2, 2), 2)
     # no edge joins the coded points 0 and 2, so nothing needs J_1
-    assert verify_freeness_claim(system, FiniteFunction([1, 0]), [0] * 6).edges == ()
+    claim = verify_freeness_claim(system, FiniteFunction([1, 0]), [0] * 6)
+    assert claim.certified == ()
     with pytest.raises(ValueError) as err:
         verify_freeness_claim(system, FiniteFunction([2, 3, 0, 1]), [0] * 6)
     assert str(err.value) == "function window does not cover the coded prefix"

@@ -19,10 +19,8 @@ from freeset_lab.funcgraph import (
     FiniteFunction,
     Lcg64,
     Orbit,
-    OrbitDecomposition,
     Subset,
     image_overlap,
-    is_free,
     orbit_decomposition,
     random_fpf_function,
     verify_orbits,
@@ -122,22 +120,20 @@ def test_star_free_scan_lists_hits_in_order():
     fn = FiniteFunction([1, 2, 0])
     a = Subset.of(3, [0, 1])
     assert image_overlap(a, fn).elements == (1,)
-    assert not is_free(a, fn)
-    assert is_free(Subset.of(3, [0]), fn)
+    assert not image_overlap(Subset.of(3, [0]), fn).elements
 
 
 def test_star_free_scan_ignores_boundary_edges():
     fn = FiniteFunction([3, 3, 3, 7])
 
     # f(3) = 7 leaves the window, so {3} is free even though 3 is in A
-    assert is_free(Subset.of(4, [3]), fn)
+    assert not image_overlap(Subset.of(4, [3]), fn).elements
 
 
 def test_freeness_scans_refuse_a_wider_subset_window():
     fn = FiniteFunction([1, 2, 0])
-    for scan in (is_free, image_overlap):
-        with pytest.raises(ValueError, match="subset window exceeds function window"):
-            scan(Subset.of(4, [0]), fn)
+    with pytest.raises(ValueError, match="subset window exceeds function window"):
+        image_overlap(Subset.of(4, [0]), fn)
 
 
 # === orbit decomposition against a walk oracle ===
@@ -166,46 +162,55 @@ def _walk_orbit_oracle(fn: FiniteFunction) -> set[frozenset[int]]:
 
 def test_two_cycles_decompose():
     fn = FiniteFunction([1, 2, 0, 4, 5, 6, 3])
-    dec = orbit_decomposition(fn)
-    assert [(o.kind, o.nodes) for o in dec.orbits] == [
+    orbits = orbit_decomposition(fn)
+    assert [(o.kind, o.nodes) for o in orbits] == [
         ("cycle", (0, 1, 2)),
         ("cycle", (3, 4, 5, 6)),
     ]
-    assert verify_orbits(fn, dec) == ()
+    assert verify_orbits(fn, orbits) == ()
 
 
 def test_truncated_path_flags():
     # 2 -> 0 -> 1 -> 5 exits the window; 2 has no preimage
     fn = FiniteFunction([1, 5, 0])
-    dec = orbit_decomposition(fn)
-    path = dec.paths[0]
-    assert path.kind == "path"
-    assert path.nodes == (2, 0, 1)
-    assert verify_orbits(fn, dec) == ()
+    orbits = orbit_decomposition(fn)
+    assert orbits == (Orbit("path", (2, 0, 1)),)
+    assert verify_orbits(fn, orbits) == ()
 
 
 def test_orbits_match_walk_oracle_on_seeded_instances():
     for seed in range(40):
         fn = random_fpf_function(seed, 30, injective=True)
-        dec = orbit_decomposition(fn)
-        assert verify_orbits(fn, dec) == ()
-        got = {frozenset(o.nodes) for o in dec.orbits}
+        orbits = orbit_decomposition(fn)
+        assert verify_orbits(fn, orbits) == ()
+        got = {frozenset(o.nodes) for o in orbits}
         assert got == _walk_orbit_oracle(fn)
 
 
 def test_verifier_rejects_a_cycle_not_listed_from_its_least_node():
     fn = FiniteFunction([1, 2, 0])
-    dec = OrbitDecomposition(3, (Orbit("cycle", (1, 2, 0)),))
-    assert verify_orbits(fn, dec) == ("cycle 0 does not start at its least node",)
+    orbits = (Orbit("cycle", (1, 2, 0)),)
+    assert verify_orbits(fn, orbits) == ("cycle 0 does not start at its least node",)
 
 
 def test_verifier_rejects_orbits_out_of_order():
     fn = FiniteFunction([1, 0, 3, 2])
-    dec = OrbitDecomposition(4, (Orbit("cycle", (2, 3)), Orbit("cycle", (0, 1))))
-    assert verify_orbits(fn, dec) == ("orbit 1 is out of order",)
+    orbits = (Orbit("cycle", (2, 3)), Orbit("cycle", (0, 1)))
+    assert verify_orbits(fn, orbits) == ("orbit 1 is out of order",)
 
 
-def _orbits_by_definition(fn: FiniteFunction) -> OrbitDecomposition:
+def test_verifier_rejects_empty_orbits_and_nodes_past_the_window():
+    fn = FiniteFunction([1, 0])
+    assert verify_orbits(fn, (Orbit("cycle", ()), Orbit("cycle", (0, 1)))) == (
+        "orbit 0 is empty",
+    )
+    assert verify_orbits(fn, (Orbit("cycle", (0, 1, 2)),)) == (
+        "node 2 is outside the window",
+        "orbits do not cover the window",
+    )
+
+
+def _orbits_by_definition(fn: FiniteFunction) -> tuple[Orbit, ...]:
     """A path from each point with no in-window preimage until f leaves the
     window, a cycle from each least point left, orbits by first node."""
     n = fn.window
@@ -229,19 +234,18 @@ def _orbits_by_definition(fn: FiniteFunction) -> OrbitDecomposition:
         orbits.append(Orbit("cycle", tuple(nodes)))
         placed.update(nodes)
     orbits.sort(key=lambda o: o.nodes[0])
-    return OrbitDecomposition(n, tuple(orbits))
+    return tuple(orbits)
 
 
-def _orbit_edits(dec: OrbitDecomposition):
-    """Every single edit of a decomposition: its window, or one orbit's
-    kind, rotation, direction, a node dropped or appended, a split, or
-    two neighbouring orbits swapped or merged."""
-    n, orbits = dec.window, dec.orbits
+def _orbit_edits(orbits: tuple[Orbit, ...], n: int):
+    """Every single edit of the orbits of a function on [0, n): one orbit's
+    kind, rotation, direction, a node dropped, a node of [0, n] appended
+    (n lies outside the window), a split, or two neighbouring orbits
+    swapped or merged."""
 
     def replace(i, *new):
-        return OrbitDecomposition(n, orbits[:i] + new + orbits[i + 1 :])
+        return orbits[:i] + new + orbits[i + 1 :]
 
-    yield OrbitDecomposition(n + 1, orbits)
     for i, (kind, nodes) in enumerate((o.kind, o.nodes) for o in orbits):
         for other in ("cycle", "path", "loop"):
             if other != kind:
@@ -252,14 +256,14 @@ def _orbit_edits(dec: OrbitDecomposition):
         for j in range(len(nodes)):
             rest = nodes[:j] + nodes[j + 1 :]
             yield replace(i, Orbit(kind, rest)) if rest else replace(i)
-        for x in range(n):
+        for x in range(n + 1):
             yield replace(i, Orbit(kind, nodes + (x,)))
         for j in range(1, len(nodes)):
             yield replace(i, Orbit(kind, nodes[:j]), Orbit(kind, nodes[j:]))
     for i, (a, b) in enumerate(zip(orbits, orbits[1:])):
         pair = orbits[:i], orbits[i + 2 :]
-        yield OrbitDecomposition(n, pair[0] + (b, a) + pair[1])
-        yield OrbitDecomposition(n, pair[0] + (Orbit(a.kind, a.nodes + b.nodes),) + pair[1])
+        yield pair[0] + (b, a) + pair[1]
+        yield pair[0] + (Orbit(a.kind, a.nodes + b.nodes),) + pair[1]
 
 
 def test_verify_orbits_accepts_exactly_the_definition_under_single_edits():
@@ -275,14 +279,14 @@ def test_verify_orbits_accepts_exactly_the_definition_under_single_edits():
             assert orbit_decomposition(fn) == truth
             assert verify_orbits(fn, truth) == ()
             functions += 1
-            for edit in _orbit_edits(truth):
+            for edit in _orbit_edits(truth, n):
                 found = verify_orbits(fn, edit)
                 assert (found == ()) == (edit == truth), (values, edit, found)
                 complaints.update(re.sub(r"\d+", "#", c) for c in found)
                 edits += 1
-    assert functions == 377 and edits == 9561
+    assert functions == 377 and edits == 9767
     assert complaints == {
-        "window mismatch",
+        "node # is outside the window",
         "orbit # is out of order",
         "node # repeats",
         "orbit # breaks at #",

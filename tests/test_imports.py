@@ -362,6 +362,9 @@ _FREESETS_CONSTRUCTORS = {
     "_mis_size",
     "find_unsplit_set",
 }
+_BLOCK_CONSTRUCTORS = {
+    "build_block_system", "constant_growth", "build_ed_blocks", "ed_fin_blocks"
+}
 _SEPARATION = {
     "funcgraph": {"verify_orbits": {"orbit_decomposition"}},
     "freesets": {
@@ -393,6 +396,10 @@ _SEPARATION = {
             "shadow_set", "bad_set", "_shadow_elements", "build_block_system",
             "build_ed_blocks",
         },
+        # the handlers build the blocks; each check recomputes them from
+        # their definition
+        "_check_coded": _BLOCK_CONSTRUCTORS,
+        "_check_measured": _BLOCK_CONSTRUCTORS,
     },
     "rosenthal": {
         "verify_fragmentation": {"fragments", "find_fragmenting_set", "_join"},

@@ -57,9 +57,9 @@ def _reference_parts(fn: FiniteFunction):
     part's leftovers are then paired consecutively, lowest first.
     Returns each part's (pairing, exceptions) and the case.
     """
-    dec = orbit_decomposition(fn)
+    orbits = orbit_decomposition(fn)
     pairs: list[list[tuple[int, int]]] = [[], [], [], []]
-    for orbit in dec.orbits:
+    for orbit in orbits:
         a = orbit.nodes
         s = len(a)
         if orbit.kind == "path":
@@ -87,9 +87,13 @@ def _reference_parts(fn: FiniteFunction):
         for e in exceptions:
             pairing[e] = e
         parts.append((tuple(pairing), tuple(exceptions)))
-    odd_cycles = sum(len(o.nodes) % 2 for o in dec.cycles)
-    case = 2 if odd_cycles % 2 and not dec.paths else 1
-    return parts, case
+    return parts, _case_of(orbits)
+
+
+def _case_of(orbits) -> int:
+    """Case 2 is an odd number of odd cycles and no path."""
+    odd_cycles = sum(len(o.nodes) % 2 for o in orbits if o.kind == "cycle")
+    return 2 if odd_cycles % 2 and all(o.kind == "cycle" for o in orbits) else 1
 
 
 def _cover_reference(fn: FiniteFunction) -> DecompositionResult:
@@ -333,9 +337,7 @@ def _true_case(values: tuple[int, ...]) -> int | None:
     fn = FiniteFunction(values)
     if not fn.injective_on_window:
         return None
-    dec = orbit_decomposition(fn)
-    odd_cycles = sum(len(o.nodes) % 2 for o in dec.cycles)
-    return 2 if odd_cycles % 2 and not dec.paths else 1
+    return _case_of(orbit_decomposition(fn))
 
 
 def _coverage_reference(fn, result):

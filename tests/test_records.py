@@ -15,7 +15,10 @@ import pytest
 
 from freeset_lab.boundedfam import (
     BadSetBlock,
+    BlockSystem,
     ClaimReport,
+    GrowthFunction,
+    MeasuredBlocks,
     SelectorReport,
     ShadowSet,
     build_block_system,
@@ -28,7 +31,6 @@ from freeset_lab.funcgraph import (
     Orbit,
     Record,
     Subset,
-    orbit_decomposition,
 )
 from freeset_lab.involutions import Involution, decompose_into_involutions
 from freeset_lab.partitions import IntervalPartition, PartitionIntoParts
@@ -46,11 +48,10 @@ def _samples() -> list[Record]:
         fn,
         Subset(4, (0, 2)),
         Orbit("cycle", (0, 1, 2)),
-        orbit_decomposition(fn),
         constant_growth(2, 1),
         build_block_system(constant_growth(2, 2), 2),
         ShadowSet((2,), 2, 3),
-        ClaimReport((0, 3), ((0, 3),), ((0, 3, 1),), ()),
+        ClaimReport((0, 3), ((0, 3, 1),), ()),
         build_ed_blocks(2),
         BadSetBlock((1,), Fraction(1)),
         SelectorReport(((1, 3),)),
@@ -134,6 +135,15 @@ def test_derived_attributes_stay_out_of_equality_and_repr():
     assert repr(Subset(3, (0, 2))) == "Subset(window=3, elements=(0, 2))"
     assert repr(Involution((1, 0, 2))) == "Involution(pairing=(1, 0, 2))"
     assert Involution((1, 0, 2)).exceptions == (2,)
+    system = BlockSystem(GrowthFunction((2, 3)), (0, 1, 2), (2, 3))
+    assert repr(system) == (
+        "BlockSystem(g=GrowthFunction(values=(2, 3)), i_endpoints=(0, 1, 2), "
+        "f_sizes=(2, 3))"
+    )
+    assert (system.depth, system.j_starts) == (2, (0, 2, 5))
+    blocks = MeasuredBlocks((1, 2), (Fraction(0), Fraction(1)))
+    assert "starts" not in repr(blocks)
+    assert blocks.starts == (0, 1, 3)
 
 
 def test_fragmentation_witness_defaults_to_none():
