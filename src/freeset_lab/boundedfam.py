@@ -108,26 +108,27 @@ class BlockSystem(Record):
 
     def encode(self, n: int, values: Sequence[int]) -> int:
         """Mixed-radix code of a tuple on I_n, lowest position least significant."""
-        lo, hi = self.interval(n)
-        if len(values) != hi - lo:
+        ends = self.i_endpoints
+        lo = ends[n]
+        if len(values) != ends[n + 1] - lo:
             raise ValueError("tuple length must match the interval")
+        bounds = self.g.values
         code = 0
         mult = 1
-        for i, v in enumerate(values):
-            bound = self.g.values[lo + i]
+        for i, v in enumerate(values, lo):
+            bound = bounds[i]
             if v < 0 or v >= bound:
-                raise ValueError(f"value {v} breaks the bound {bound} at {lo + i}")
+                raise ValueError(f"value {v} breaks the bound {bound} at {i}")
             code += v * mult
             mult *= bound
         return code
 
     def decode(self, n: int, code: int) -> tuple[int, ...]:
-        lo, hi = self.interval(n)
         if code < 0 or code >= self.f_sizes[n]:
             raise ValueError(f"code {code} outside block {n}")
         out = []
-        for i in range(lo, hi):
-            code, digit = divmod(code, self.g.values[i])
+        for bound in self.g.values[self.i_endpoints[n] : self.i_endpoints[n + 1]]:
+            code, digit = divmod(code, bound)
             out.append(digit)
         return tuple(out)
 
@@ -328,9 +329,10 @@ def verify_freeness_claim(
     ends = system.i_endpoints
     if len(h) != ends[-1]:
         raise ValueError("tuple must cover the whole interval prefix")
-    block_of = {
-        system.code_point(n, h[ends[n] : ends[n + 1]]): n for n in range(system.depth)
-    }
+    block_of = {}
+    code_point = system.code_point
+    for n in range(system.depth):
+        block_of[code_point(n, h[ends[n] : ends[n + 1]])] = n
     values = fn.values
     window = len(values)
     certified = []
@@ -341,7 +343,7 @@ def verify_freeness_claim(
         n = block_of.get(y)
         if n is None:
             continue
-        target = max(m, n)
+        target = m if m > n else n
         if window < system.j_starts[target + 1]:
             raise ValueError("function window does not cover the coded prefix")
         if not fn.injective_on_window:

@@ -23,20 +23,21 @@ EXACT_WINDOW_CAP = 24
 class Coloring(Record):
     """An assignment of a color in {0, 1, 2} to every point of a window."""
 
-    __slots__ = ("window", "colors")
-    window: int
+    __slots__ = ("colors",)
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
         colors = tuple(self.colors)
         object.__setattr__(self, "colors", colors)
-        if self.window <= 0:
+        if not colors:
             raise ValueError("window must be positive")
-        if len(colors) != self.window:
-            raise ValueError("color count must match window")
         for x, c in enumerate(colors):
             if c not in (0, 1, 2):
                 raise ValueError(f"color {c} at {x} is not in {{0, 1, 2}}")
+
+    @property
+    def window(self) -> int:
+        return len(self.colors)
 
     def color_class(self, i: int) -> Subset:
         return Subset.of(
@@ -48,9 +49,15 @@ class Coloring(Record):
 
     @classmethod
     def from_json(cls, doc: dict) -> "Coloring":
+        """n must be the color list's length."""
         shape = 'a coloring must be a JSON object {"n": N, "colors": [...]}'
         n, colors = json_fields(doc, shape, "n", "colors")
-        return cls(json_int(n, "n"), json_ints(colors, "colors"))
+        n, colors = json_int(n, "n"), json_ints(colors, "colors")
+        if n <= 0:
+            raise ValueError("window must be positive")
+        if len(colors) != n:
+            raise ValueError("color count must match window")
+        return cls(colors)
 
 
 def katetov_partition(fn: FiniteFunction) -> Coloring:
@@ -95,7 +102,7 @@ def katetov_partition(fn: FiniteFunction) -> Coloring:
             if odd_cycle:
                 # the closing edge is monochromatic, break it
                 colors[chain[-1]] = 2
-    return Coloring(n, tuple(colors))
+    return Coloring(colors)
 
 
 def verify_coloring(

@@ -56,14 +56,13 @@ class IntervalPartition(Record):
 class PartitionIntoParts(Record):
     """A labeling of the window into finitely many nonempty parts."""
 
-    __slots__ = ("window", "part_of")
-    window: int
+    __slots__ = ("part_of",)
     part_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
         labels = tuple(self.part_of)
         object.__setattr__(self, "part_of", labels)
-        if len(labels) != self.window or not labels:
+        if not labels:
             raise ValueError("labeling length must match a positive window")
         if min(labels) < 0:
             raise ValueError("part indices must be nonnegative")
@@ -71,11 +70,19 @@ class PartitionIntoParts(Record):
         if len(set(labels)) != max(labels) + 1:
             raise ValueError("every part index up to the maximum must be used")
 
+    @property
+    def window(self) -> int:
+        return len(self.part_of)
+
     @classmethod
     def from_json(cls, doc: dict) -> "PartitionIntoParts":
+        """n must be the labeling's length."""
         shape = 'a partition must be a JSON object {"n": N, "parts": [...]}'
         n, parts = json_fields(doc, shape, "n", "parts")
-        return cls(json_int(n, "n"), json_ints(parts, "parts"))
+        n, parts = json_int(n, "n"), json_ints(parts, "parts")
+        if len(parts) != n:
+            raise ValueError("labeling length must match a positive window")
+        return cls(parts)
 
 
 def dominates(

@@ -83,17 +83,22 @@ def test_block_system_json_round_trip():
 
 
 def test_codec_is_a_bijection_per_block():
-    system = build_block_system(GrowthFunction((2, 2, 2, 3, 3, 3)), 2)
-    for n in range(system.depth):
-        lo, hi = system.interval(n)
-        seen = set()
-        ranges = [range(system.g.values[i]) for i in range(lo, hi)]
-        for tup in product(*ranges):
-            code = system.encode(n, tup)
-            assert 0 <= code < system.f_sizes[n]
-            assert system.decode(n, code) == tup
-            seen.add(code)
-        assert len(seen) == system.f_sizes[n]
+    systems = (
+        build_block_system(GrowthFunction((2, 2, 2, 3, 3, 3)), 2),
+        # three hand-built blocks, each with its own radix
+        BlockSystem(GrowthFunction((2, 3, 3, 4, 4)), (0, 1, 3, 5), (2, 9, 16)),
+    )
+    for system in systems:
+        for n in range(system.depth):
+            lo, hi = system.interval(n)
+            seen = set()
+            ranges = [range(system.g.values[i]) for i in range(lo, hi)]
+            for tup in product(*ranges):
+                code = system.encode(n, tup)
+                assert 0 <= code < system.f_sizes[n]
+                assert system.decode(n, code) == tup
+                seen.add(code)
+            assert len(seen) == system.f_sizes[n]
 
 
 def test_lowest_position_is_least_significant():
@@ -111,10 +116,33 @@ def test_code_point_lands_in_the_j_block():
     assert bisect_right(system.j_starts, 3) - 1 == 1
 
 
-def test_encode_validates_digits():
-    system = build_block_system(constant_growth(2, 2), 2)
-    with pytest.raises(ValueError):
-        system.encode(1, (2, 0, 0, 0, 0))
+_MIXED = build_block_system(GrowthFunction((2, 2, 2, 3, 3, 3)), 2)
+
+
+# block 1 is I_1 = [1, 6), so position i is digit i - 1 of its tuple
+@pytest.mark.parametrize("i", range(1, 6))
+def test_encode_validates_digits(i):
+    assert _MIXED.interval(1) == (1, 6)
+    bound = _MIXED.g.values[i]
+    for v in (bound, -1):
+        tup = [0] * 5
+        tup[i - 1] = v
+        with pytest.raises(ValueError) as err:
+            _MIXED.encode(1, tup)
+        assert str(err.value) == f"value {v} breaks the bound {bound} at {i}"
+    # the length is checked before any digit
+    for tup in ([bound] * 4, [bound] * 6):
+        with pytest.raises(ValueError) as err:
+            _MIXED.encode(1, tup)
+        assert str(err.value) == "tuple length must match the interval"
+
+
+@pytest.mark.parametrize("n", range(2))
+def test_decode_refuses_codes_outside_the_block(n):
+    for code in (-1, _MIXED.f_sizes[n]):
+        with pytest.raises(ValueError) as err:
+            _MIXED.decode(n, code)
+        assert str(err.value) == f"code {code} outside block {n}"
 
 
 # === shadow sets ===

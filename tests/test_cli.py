@@ -244,6 +244,21 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ],
             "h[5] is 1.5, not an integer",
         ),
+        (
+            [
+                "blocks",
+                "verify",
+                "--g",
+                "2",
+                "--depth",
+                "2",
+                "--fn",
+                _SUCC34,
+                "--h",
+                "[0, 0, 0, 2, 0, 0]",
+            ],
+            "value 2 breaks the bound 2 at 3",
+        ),
         (["blocks", "build", "--g", "true", "--depth", "2"], "g is true, not an integer"),
         (["blocks", "build", "--g", "1.5", "--depth", "2"], "g is 1.5, not an integer"),
         (
@@ -304,6 +319,14 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             "window must be positive",
         ),
         (
+            ["oracle", "unsplit", "--coloring", '{"n": 3, "colors": [0, 1]}'],
+            "color count must match window",
+        ),
+        (
+            ["partition", "fp", "--partition", '{"n": 3, "parts": [0, 1]}'],
+            "labeling length must match a positive window",
+        ),
+        (
             [
                 "dominates",
                 "--i",
@@ -330,6 +353,7 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "endpoints",
         "parts",
         "h",
+        "h-digit",
         "g-bool",
         "g-float",
         "g-array",
@@ -339,6 +363,8 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "search-negative-min-size",
         "unsplit-negative-min-size",
         "unsplit-empty-coloring",
+        "unsplit-coloring-count",
+        "parts-count",
         "dominates-negative-window",
         "member-negative-k",
     ],
@@ -599,7 +625,7 @@ _BROKEN = {
     "katetov": (
         ["--fn", '{"n": 5, "values": [1, 2, 3, 4, 0]}'],
         freesets, "katetov_partition",
-        lambda fn: freesets.Coloring(fn.window, (0,) * fn.window),
+        lambda fn: freesets.Coloring((0,) * fn.window),
     ),
     "oracle unsplit": (
         ["--coloring", _SPLIT[0], "--coloring", _SPLIT[1]],
@@ -753,7 +779,7 @@ _BROKEN = {
     "batch": (
         ["--op", "katetov", "--seed", "1", "--count", "2", "--n", "9"],
         freesets, "katetov_partition",
-        lambda fn: freesets.Coloring(fn.window, (0,) * fn.window),
+        lambda fn: freesets.Coloring((0,) * fn.window),
     ),
 }
 

@@ -173,12 +173,12 @@ def test_katetov_matches_the_reference_on_shifts():
 
 def test_verify_coloring_catches_planted_violation():
     fn = FiniteFunction([1, 2, 3, 0])
-    bad = Coloring(4, (0, 0, 1, 1))
+    bad = Coloring((0, 0, 1, 1))
     assert (0, 1) in verify_coloring(bad, fn)
 
 
 def test_coloring_json_round_trip():
-    col = Coloring(4, (0, 1, 0, 2))
+    col = Coloring((0, 1, 0, 2))
     assert Coloring.from_json(col.to_json()) == col
     assert col.to_json() == {"n": 4, "colors": [0, 1, 0, 2]}
 
@@ -342,7 +342,7 @@ def test_verify_coloring_is_exact_under_every_recolouring():
             edited = colors[:x] + (c,) + colors[x + 1 :]
             # every edge of these maps stays in the window
             mono = tuple((y, values[y]) for y in range(n) if edited[y] == edited[values[y]])
-            assert verify_coloring(Coloring(n, edited), fn) == mono, (values, edited)
+            assert verify_coloring(Coloring(edited), fn) == mono, (values, edited)
             edits += 1
     assert maps == 1114 and edits == 10940
 
@@ -406,8 +406,8 @@ def _unsplit_oracle(colorings, min_size):
 
 
 def test_unsplit_finds_largest_bucket():
-    c1 = Coloring(8, (0, 0, 0, 0, 1, 1, 1, 1))
-    c2 = Coloring(8, (0, 1, 0, 1, 0, 1, 0, 1))
+    c1 = Coloring((0, 0, 0, 0, 1, 1, 1, 1))
+    c2 = Coloring((0, 1, 0, 1, 0, 1, 0, 1))
     got = find_unsplit_set([c1, c2], 2)
     assert got is not None
     subset, choice = got
@@ -417,8 +417,8 @@ def test_unsplit_finds_largest_bucket():
 
 
 def test_unsplit_none_when_all_buckets_small():
-    c1 = Coloring(6, (0, 0, 1, 1, 2, 2))
-    c2 = Coloring(6, (0, 1, 0, 1, 0, 1))
+    c1 = Coloring((0, 0, 1, 1, 2, 2))
+    c2 = Coloring((0, 1, 0, 1, 0, 1))
     assert find_unsplit_set([c1, c2], 2) is None
     assert all(len(v) < 2 for v in _unsplit_oracle([c1, c2], 2).values())
 
@@ -427,7 +427,7 @@ def test_unsplit_ties_break_to_lex_smallest_members():
     # in the second, the smallest members carry the larger color, so
     # ordering the buckets by color would pick (2, 3)
     for colors in ((0, 0, 1, 1), (1, 1, 0, 0)):
-        got = find_unsplit_set([Coloring(4, colors)], 2)
+        got = find_unsplit_set([Coloring(colors)], 2)
         assert got is not None
         assert got[0].elements == (0, 1)
 
@@ -460,4 +460,4 @@ def test_unsplit_search_runs_on_large_windows():
 
 def test_unsplit_requires_matching_windows():
     with pytest.raises(ValueError):
-        find_unsplit_set([Coloring(3, (0, 1, 0)), Coloring(4, (0, 1, 0, 1))], 1)
+        find_unsplit_set([Coloring((0, 1, 0)), Coloring((0, 1, 0, 1))], 1)

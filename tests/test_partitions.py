@@ -99,7 +99,7 @@ def test_window_truncates_the_tail():
 
 
 def test_parity_partition_function():
-    part = PartitionIntoParts(10, (0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
+    part = PartitionIntoParts((0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
     fn = partition_function(part)
     assert fn.values == (1, 2, 0, 1, 0, 1, 0, 1, 0, 1)
     assert all(v != x for x, v in enumerate(fn.values))
@@ -109,7 +109,7 @@ def test_partition_function_finds_no_fixed_point_anywhere():
     for seed in range(30):
         rng_fn = random_fpf_function(seed, 15)
         parts = tuple(v % 4 for v in rng_fn.values)
-        part = PartitionIntoParts(15, parts)
+        part = PartitionIntoParts(parts)
         fn = partition_function(part)
         for k in range(15):
             assert fn.values[k] != k
@@ -120,7 +120,7 @@ def test_partition_function_finds_no_fixed_point_anywhere():
 def test_parts_json_round_trip():
     # the document `partition fp` reads; no report prints a partition back
     doc = {"n": 4, "parts": [0, 0, 1, 1]}
-    assert PartitionIntoParts.from_json(doc) == PartitionIntoParts(4, (0, 0, 1, 1))
+    assert PartitionIntoParts.from_json(doc) == PartitionIntoParts((0, 0, 1, 1))
 
 
 # === escape intervals ===

@@ -58,10 +58,10 @@ def _samples() -> list[Record]:
         Involution((1, 0, 2)),
         decompose_into_involutions(fn),
         IntervalPartition((0, 2, 4)),
-        PartitionIntoParts(3, (0, 1, 0)),
+        PartitionIntoParts((0, 1, 0)),
         function_to_matrix(fn),
         Fragmentation(False, 1, Fraction(1, 2)),
-        Coloring(3, (0, 1, 2)),
+        Coloring((0, 1, 2)),
     ]
 
 
