@@ -3,8 +3,10 @@
 A set A fragments such a matrix at ε when every row indexed by A sums to
 strictly less than ε over the other columns of A. All arithmetic is exact
 rational: the defining inequality is strict, so a single rounding error
-at the boundary would flip verdicts. The zeros-and-ones matrices of
-fixed-point-free functions tie fragmentation at ε = 1 to freeness.
+at the boundary would flip verdicts. verify_fragmentation evaluates that
+definition, once, for `rosenthal check` and for every set a search
+returns. The zeros-and-ones matrices of fixed-point-free functions tie
+fragmentation at ε = 1 to freeness.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ MAX_DIGITS = 4300
 _PAST_MAX_DIGITS = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 _DIGIT_RUN = re.compile(r"\d+")
+_ZERO = Fraction(0)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -144,60 +147,41 @@ class RosenthalMatrix(Record):
 
 
 class Fragmentation(Record):
-    """Outcome of a fragmentation check; the witness is the first bad row."""
+    """Outcome of a fragmentation check: the first row of A that sums to at
+    least eps over the rest of A, with its sum, or None and None when A
+    fragments."""
 
-    __slots__ = ("ok", "witness_row", "witness_sum")
-    ok: bool
+    __slots__ = ("witness_row", "witness_sum")
     witness_row: Optional[int]
     witness_sum: Optional[Fraction]
 
-
-def _check_subset(matrix: RosenthalMatrix, subset: Subset) -> None:
-    dim = matrix.dim
-    for x in subset.elements:
-        if x >= dim:
-            raise ValueError(f"element {x} outside [0, {dim})")
-
-
-def fragments(
-    matrix: RosenthalMatrix, subset: Subset, eps: Fraction
-) -> Fragmentation:
-    """Does every A-row sum to < eps over the other columns of A?
-
-    Strict inequality; a sum exactly equal to eps fails. Walks only the
-    stored nonzero integers of each row, so zeros-and-ones function matrices
-    cost one lookup per row; only a witness sum becomes a Fraction.
-    """
-    num, den = eps.numerator, eps.denominator
-    if num <= 0:
-        raise ValueError("eps must be positive")
-    _check_subset(matrix, subset)
-    members = set(subset.elements)
-    for k in subset.elements:
-        total = 0
-        for j, e in matrix.scaled[k].items():
-            if j != k and j in members:
-                total += e
-        if total * den >= num * matrix.scales[k]:
-            return Fragmentation(False, k, Fraction(total, matrix.scales[k]))
-    return Fragmentation(True, None, None)
+    @property
+    def ok(self) -> bool:
+        return self.witness_row is None
 
 
 def verify_fragmentation(
     matrix: RosenthalMatrix, subset: Subset, eps: Fraction
 ) -> Fragmentation:
-    """Dense recomputation of fragments, sharing no code path with it."""
+    """Does every A-row sum to < eps over the other columns of A?
+
+    Strict inequality; a sum exactly equal to eps fails. Reads every entry
+    of A x A from matrix.entries and adds the nonzero ones, sharing no code
+    with the searches it certifies.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _check_subset(matrix, subset)
-    for k in subset.elements:
-        total = sum(
-            (matrix.entries[k][j] for j in subset.elements if j != k),
-            Fraction(0),
-        )
+    entries, elements = matrix.entries, subset.elements
+    dim = min(len(entries), len(entries[0]))
+    for x in elements:
+        if x >= dim:
+            raise ValueError(f"element {x} outside [0, {dim})")
+    for k in elements:
+        row = entries[k]
+        total = sum([e for j in elements if (e := row[j]) and j != k], _ZERO)
         if total >= eps:
-            return Fragmentation(False, k, total)
-    return Fragmentation(True, None, None)
+            return Fragmentation(k, total)
+    return Fragmentation(None, None)
 
 
 def function_to_matrix(fn: FiniteFunction) -> RosenthalMatrix:
@@ -310,13 +294,8 @@ def _run_ros_check(args) -> dict:
     matrix = RosenthalMatrix.from_json(_load_doc(args.matrix))
     subset = _load_set(args.set, matrix.dim)
     eps = parse_fraction(args.eps)
-    frag = fragments(matrix, subset, eps)
     check = verify_fragmentation(matrix, subset, eps)
-    violations = []
-    if frag.ok != check.ok:
-        violations.append({"reason": "verifier disagrees with constructor"})
-    if not check.ok:
-        violations.append(_witness(check))
+    violations = [] if check.ok else [_witness(check)]
     result = {"fragments": check.ok, "eps": str(eps)}
     return {"result": result, "violations": violations}
 
@@ -326,9 +305,11 @@ def _run_ros_search(args) -> dict:
         raise ValueError(f"--min-size is {args.min_size}, must be at least 0")
     matrix = RosenthalMatrix.from_json(_load_doc(args.matrix))
     eps = parse_fraction(args.eps)
-    found = find_fragmenting_set(matrix, eps, args.min_size, args.mode)
+    # the best set is checked even when it falls short of --min-size
+    found = find_fragmenting_set(matrix, eps, 0, args.mode)
     if found is None:
-        return {"result": {"set": None, "eps": str(eps)}, "violations": []}
+        result = {"set": None, "eps": str(eps)}
+        return {"result": result, "violations": [{"reason": "no set"}]}
     check = verify_fragmentation(matrix, found, eps)
     violations = [] if check.ok else [_witness(check)]
     # both modes stop only when no index can join the set
@@ -336,5 +317,6 @@ def _run_ros_search(args) -> dict:
     grown = [Subset.of(dim, (*chosen, v)) for v in range(dim) if v not in chosen]
     if any(verify_fragmentation(matrix, s, eps).ok for s in grown):
         violations.append({"reason": "not maximal under inclusion"})
-    result = {"set": list(found.elements), "eps": str(eps)}
+    big_enough = len(chosen) >= args.min_size
+    result = {"set": list(chosen) if big_enough else None, "eps": str(eps)}
     return {"result": result, "violations": violations}

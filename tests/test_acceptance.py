@@ -37,7 +37,6 @@ from freeset_lab.involutions import decompose_into_involutions, verify_decomposi
 from freeset_lab.partitions import escape_intervals, verify_escape
 from freeset_lab.rosenthal import (
     find_fragmenting_set,
-    fragments,
     function_to_matrix,
     verify_fragmentation,
 )
@@ -98,7 +97,7 @@ def test_criterion_3_matrix_bridge():
                 a = Subset(n, tuple(i for i in range(n) if mask >> i & 1))
                 checked += 1
                 free = not image_overlap(a, fn).elements
-                if fragments(matrix, a, Fraction(1)).ok != free:
+                if verify_fragmentation(matrix, a, Fraction(1)).ok != free:
                     mismatches += 1
     ok = mismatches == 0
     _verdict(

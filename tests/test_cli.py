@@ -647,12 +647,6 @@ _BROKEN = {
         freesets, "find_unsplit_set",
         lambda colorings, min_size: (Subset(4, (0, 2)), (0,)),
     ),
-    "rosenthal check": (
-        ["--matrix", '{"k": 2, "n": 2, "row_bound": "1", '
-         '"entries": [["0", "1"], ["1", "0"]]}', "--set", "[0, 1]", "--eps", "1"],
-        rosenthal, "fragments",
-        lambda matrix, subset, eps: rosenthal.Fragmentation(True, None, None),
-    ),
     "involutions combine": (
         [*["--part", _PART3] * 4,
          "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
@@ -692,6 +686,12 @@ _BROKEN = {
          '"entries": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}', "--eps", "1"],
         rosenthal, "find_fragmenting_set",
         lambda matrix, eps, min_size, mode: Subset(matrix.dim, (0,)),
+    ),
+    # every singleton of the zero matrix fragments, so a set always exists
+    "rosenthal search: null": (
+        ["--matrix", '{"k": 3, "n": 3, "row_bound": "1", '
+         '"entries": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}', "--eps", "1"],
+        rosenthal, "find_fragmenting_set", lambda matrix, eps, min_size, mode: None,
     ),
     "ed badset": (
         ["--depth", "2", "--fn", json.dumps({"n": 15, "values": list(range(1, 16))})],
@@ -783,9 +783,10 @@ _BROKEN = {
     ),
 }
 
-# The leaves no broken constructor has yet been shown to fail: each wants
-# a _BROKEN row, and a new leaf joins one list or the other.
-_NO_BROKEN_ROW = ("free", "dominates")
+# The leaves without a _BROKEN row: each constructs nothing and evaluates
+# its definition once, so there is no constructor to break. A new leaf
+# joins one list or the other.
+_NO_BROKEN_ROW = ("free", "dominates", "rosenthal check")
 
 
 @pytest.mark.parametrize("key", list(_BROKEN))

@@ -36,7 +36,6 @@ from freeset_lab.involutions import Involution, decompose_into_involutions
 from freeset_lab.partitions import IntervalPartition, PartitionIntoParts
 from freeset_lab.rosenthal import (
     Fragmentation,
-    fragments,
     function_to_matrix,
     verify_fragmentation,
 )
@@ -60,7 +59,7 @@ def _samples() -> list[Record]:
         IntervalPartition((0, 2, 4)),
         PartitionIntoParts((0, 1, 0)),
         function_to_matrix(fn),
-        Fragmentation(False, 1, Fraction(1, 2)),
+        Fragmentation(1, Fraction(1, 2)),
         Coloring((0, 1, 2)),
     ]
 
@@ -144,18 +143,20 @@ def test_derived_attributes_stay_out_of_equality_and_repr():
     blocks = MeasuredBlocks((1, 2), (Fraction(0), Fraction(1)))
     assert "starts" not in repr(blocks)
     assert blocks.starts == (0, 1, 3)
+    failed = Fragmentation(1, Fraction(1, 2))
+    assert repr(failed) == "Fragmentation(witness_row=1, witness_sum=Fraction(1, 2))"
+    assert (failed.ok, Fragmentation(None, None).ok) == (False, True)
 
 
 def test_fragmentation_witness_defaults_to_none():
-    # a passing check names no witness; the record takes all three fields
+    # a passing check names no witness; the record takes both fields
     matrix = function_to_matrix(FiniteFunction((1, 2, 0)))
-    for check in (fragments, verify_fragmentation):
-        ok = check(matrix, Subset(3, (0,)), Fraction(1))
-        assert (ok.ok, ok.witness_row, ok.witness_sum) == (True, None, None)
-        assert ok == Fragmentation(True, None, None)
-    assert repr(ok) == "Fragmentation(ok=True, witness_row=None, witness_sum=None)"
+    ok = verify_fragmentation(matrix, Subset(3, (0,)), Fraction(1))
+    assert (ok.ok, ok.witness_row, ok.witness_sum) == (True, None, None)
+    assert ok == Fragmentation(None, None)
+    assert repr(ok) == "Fragmentation(witness_row=None, witness_sum=None)"
     with pytest.raises(TypeError):
-        Fragmentation(True)
+        Fragmentation(None)
 
 
 def test_post_init_still_normalises_and_checks():

@@ -1,9 +1,9 @@
 """Exact-arithmetic matrices and fragmentation search.
 
-verify_fragmentation recomputes row sums densely and is the oracle for
-the sparse fragments predicate; the 0-1 bridge ties both back to the
-edge scan from funcgraph. Searches are certified by the oracle, never
-by their own bookkeeping.
+verify_fragmentation is the one fragmentation predicate: it is checked
+against row sums computed here by definition, and the 0-1 bridge ties it
+back to the edge scan from funcgraph. Searches are certified by it,
+never by their own bookkeeping.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from freeset_lab.rosenthal import (
     Fragmentation,
     RosenthalMatrix,
     find_fragmenting_set,
-    fragments,
     function_to_matrix,
     parse_fraction,
     verify_fragmentation,
@@ -115,7 +114,7 @@ def test_exponent_past_the_cap_is_refused(text):
 # === fragmentation predicate ===
 
 
-def test_sparse_and_dense_checks_agree_everywhere():
+def test_verifier_matches_row_sums_by_definition():
     one = Fraction(1)
     matrices = [
         *(function_to_matrix(random_fpf_function(s, 8, True)) for s in range(20)),
@@ -125,15 +124,20 @@ def test_sparse_and_dense_checks_agree_everywhere():
     for m in matrices:
         for mask in range(1, 1 << m.dim):
             a = Subset(m.dim, tuple(i for i in range(m.dim) if mask >> i & 1))
+            sums = [
+                (k, sum(m.entries[k][j] for j in a.elements if j != k))
+                for k in a.elements
+            ]
             epss = [Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), one, Fraction(3, 2)]
             # the first row's own off-diagonal sum as eps: a sum equal to eps fails
-            k = a.elements[0]
-            tie = sum((m.entries[k][j] for j in a.elements if j != k), Fraction(0))
+            tie = sums[0][1]
             if tie:
-                assert not fragments(m, a, tie).ok
+                assert verify_fragmentation(m, a, tie) == Fragmentation(*sums[0])
                 epss.append(tie)
             for eps in epss:
-                assert fragments(m, a, eps) == verify_fragmentation(m, a, eps)
+                failing = [(k, total) for k, total in sums if total >= eps]
+                want = failing[0] if failing else (None, None)
+                assert verify_fragmentation(m, a, eps) == Fragmentation(*want)
 
 
 def _small_matrices():
@@ -162,7 +166,7 @@ def test_verify_fragmentation_is_exact_on_every_small_matrix():
             ]
             for eps in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
                 failing = [(k, total) for k, total in sums if total >= eps]
-                want = (False, *failing[0]) if failing else (True, None, None)
+                want = failing[0] if failing else (None, None)
                 got = verify_fragmentation(m, a, eps)
                 assert got == Fragmentation(*want), (m, elements, eps)
                 checks += 1
@@ -178,12 +182,21 @@ def test_failure_reports_offending_row():
     assert res.witness_sum == 1
 
 
+def test_verifier_refuses_sets_past_the_square_and_nonpositive_eps():
+    # a 2 x 3 matrix: column 2 has no row, so a set holding 2 is refused
+    m = _matrix([["0", "1/2", "1/2"], ["1/2", "0", "1/2"]])
+    with pytest.raises(ValueError, match=r"element 2 outside \[0, 2\)"):
+        verify_fragmentation(m, Subset(3, (0, 2)), Fraction(1))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        verify_fragmentation(m, Subset(2, (0,)), Fraction(0))
+
+
 def test_diagonal_entries_do_not_count():
     m = _matrix([["1", "0"], ["0", "1"]])
     a = Subset(2, (0, 1))
 
     # row k only sums entries at columns in A minus column k itself
-    assert fragments(m, a, Fraction(1, 2)).ok
+    assert verify_fragmentation(m, a, Fraction(1, 2)).ok
 
 
 # === the 0-1 bridge ===
@@ -197,7 +210,7 @@ def test_bridge_on_all_subsets_of_small_windows():
             for mask in range(1, 1 << n):
                 a = Subset(n, tuple(i for i in range(n) if mask >> i & 1))
                 free = not image_overlap(a, fn).elements
-                assert fragments(m, a, Fraction(1)).ok == free
+                assert verify_fragmentation(m, a, Fraction(1)).ok == free
 
 
 def test_function_matrix_shape():
@@ -221,9 +234,9 @@ def test_fragmentation_is_downward_closed(seed, n):
     if not rng_elems:
         rng_elems = [0]
     a = Subset(n, tuple(rng_elems))
-    if fragments(m, a, Fraction(1)).ok and len(rng_elems) > 1:
+    if verify_fragmentation(m, a, Fraction(1)).ok and len(rng_elems) > 1:
         smaller = Subset(n, tuple(rng_elems[:-1]))
-        assert fragments(m, smaller, Fraction(1)).ok
+        assert verify_fragmentation(m, smaller, Fraction(1)).ok
 
 
 # === search ===
@@ -385,9 +398,8 @@ def _named_in(function: str) -> tuple[set, set]:
 
 
 def test_verifier_shares_no_code_with_the_searches():
-    # the dense verifier is the oracle for fragments and both search modes
-    assert _named_in("verify_fragmentation") == ({"_check_subset"}, {"entries"})
-    assert _named_in("fragments") == ({"_check_subset"}, {"scaled", "scales"})
+    # the verifier certifies both search modes from the entries alone
+    assert _named_in("verify_fragmentation") == (set(), {"entries"})
 
 
 def test_exact_refuses_oversized_instance():
