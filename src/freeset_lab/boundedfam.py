@@ -538,22 +538,26 @@ def _run_blocks_verify(args) -> dict:
     shadows = [shadow_set(system, fn, n) for n in range(system.depth)]
     # |S_f(n)| <= 2 * start(J_n), taken from the system, whose check above
     # has made |I_n| = 2 * start(J_n) + 1
-    for n, s in enumerate(shadows):
-        if len(s.elements) > 2 * system.j_starts[n]:
-            violations.append({"block": n, "reason": "shadow bound"})
+    over = [
+        n for n, s in enumerate(shadows) if len(s.elements) > 2 * system.j_starts[n]
+    ]
+    violations += [{"block": n, "reason": "shadow bound"} for n in over]
     for n in verify_shadows(system.j_starts, fn, shadows):
         violations.append({"block": n, "reason": "shadow set mismatch"})
     claim = verify_freeness_claim(system, fn, h)
-    ell = meeting_function(system, shadows)
-    for n, e in verify_meeting(system, shadows, ell):
-        violations.append({"block": n, "element": e, "reason": "meeting miss"})
     result = {
         "coded_points": list(claim.coded_points),
         "edges": [[x, y] for x, y, _ in claim.certified],
         "certified": [list(c) for c in claim.certified],
         "shadow_sizes": [len(s.elements) for s in shadows],
-        "meeting": list(ell),
     }
+    if over:
+        # a shadow set past its bound leaves I_n no spare position to meet it
+        return {"result": result, "violations": violations}
+    ell = meeting_function(system, shadows)
+    for n, e in verify_meeting(system, shadows, ell):
+        violations.append({"block": n, "element": e, "reason": "meeting miss"})
+    result["meeting"] = list(ell)
     return {"result": result, "violations": violations}
 
 

@@ -6,7 +6,8 @@ into three free classes: 2-color along the chains of the functional graph
 and spend the third color only where an odd cycle closes. This module
 builds that partition, searches for large free sets under whole families
 of functions (exhaustively on small windows, greedily above), and finds
-sets that a family of colorings cannot split.
+sets that a family of colorings cannot split. A coloring is a window
+record of its colors.
 """
 
 from __future__ import annotations
@@ -14,50 +15,29 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Sequence
 
-from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
+from .funcgraph import FiniteFunction, Subset, WindowRecord
 from .funcgraph import _load_doc, _load_fn, image_overlap, random_fpf_function
 
 EXACT_WINDOW_CAP = 24
 
 
-class Coloring(Record):
+class Coloring(WindowRecord):
     """An assignment of a color in {0, 1, 2} to every point of a window."""
 
     __slots__ = ("colors",)
+    _shape = 'a coloring must be a JSON object {"n": N, "colors": [...]}'
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        colors = tuple(self.colors)
-        object.__setattr__(self, "colors", colors)
-        if not colors:
-            raise ValueError("window must be positive")
-        for x, c in enumerate(colors):
+        super().__post_init__()
+        for x, c in enumerate(self.colors):
             if c not in (0, 1, 2):
                 raise ValueError(f"color {c} at {x} is not in {{0, 1, 2}}")
-
-    @property
-    def window(self) -> int:
-        return len(self.colors)
 
     def color_class(self, i: int) -> Subset:
         return Subset.of(
             self.window, (x for x, c in enumerate(self.colors) if c == i)
         )
-
-    def to_json(self) -> dict:
-        return {"n": self.window, "colors": list(self.colors)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Coloring":
-        """n must be the color list's length."""
-        shape = 'a coloring must be a JSON object {"n": N, "colors": [...]}'
-        n, colors = json_fields(doc, shape, "n", "colors")
-        n, colors = json_int(n, "n"), json_ints(colors, "colors")
-        if n <= 0:
-            raise ValueError("window must be positive")
-        if len(colors) != n:
-            raise ValueError("color count must match window")
-        return cls(colors)
 
 
 def katetov_partition(fn: FiniteFunction) -> Coloring:
@@ -333,15 +313,22 @@ def verify_unsplit(
 def _run_katetov(args) -> dict:
     fn = _load_fn(args.fn)
     coloring = katetov_partition(fn)
-    bad = verify_coloring(coloring, fn)
     result = coloring.to_json()
     result["classes"] = [list(coloring.color_class(i).elements) for i in range(3)]
+    if coloring.window != fn.window:
+        # verify_coloring reads a color at both ends of every edge of f
+        return {"result": result, "violations": [{"reason": "window"}]}
+    bad = verify_coloring(coloring, fn)
     return {"result": result, "violations": [list(e) for e in bad]}
 
 
 def _run_oracle_freeset(args) -> dict:
     family = [_load_fn(t) for t in args.fn]
     subset = max_free_subset(family, args.n, args.mode)
+    result = {"set": list(subset.elements), "size": len(subset.elements)}
+    if subset.window != args.n:
+        # both checks below read the set as a subset of the search window
+        return {"result": result, "violations": [{"reason": "window"}]}
     violations = []
     for i, fn in enumerate(family):
         hit = image_overlap(subset, fn).elements
@@ -349,7 +336,6 @@ def _run_oracle_freeset(args) -> dict:
             violations.append({"function": i, "intersection": list(hit)})
     if not is_maximal_free(subset, family, args.n):
         violations.append({"reason": "not maximal under inclusion"})
-    result = {"set": list(subset.elements), "size": len(subset.elements)}
     return {"result": result, "violations": violations}
 
 

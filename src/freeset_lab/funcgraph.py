@@ -6,7 +6,9 @@ such edges leave the graph and are tracked as boundary exits rather than
 silently clipped. The functional graph of an injective window function
 splits into cycles and into paths that either start outside the image or
 fall off the window edge, and that decomposition is what the covering and
-partition constructions consume.
+partition constructions consume. A function, like a coloring, a partition
+into parts and an involution, is a WindowRecord: one integer tuple
+indexed by the window.
 """
 
 from __future__ import annotations
@@ -84,9 +86,8 @@ class Record:
     It equals only a record of its own type with equal fields, hashes its
     fields, prints as Name(field=value, ...) and refuses assignment and
     deletion, so __post_init__ normalises a field with object.__setattr__.
-    One record spells out its own __init__: Subset, built many times per
-    call, sets and checks its two fields in one call, with no loop and no
-    __post_init__.
+    WindowRecord adds the window, the document and the empty check of a
+    record that is one integer tuple indexed by its window.
     """
 
     __slots__ = ()
@@ -135,7 +136,44 @@ class Record:
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
-class FiniteFunction(Record):
+class WindowRecord(Record):
+    """A record whose first field is one integer tuple indexed by [0, N).
+
+    The window N is the tuple's length, and an empty tuple is refused.
+    The document is {"n": N, field: [...]}, N equal to the length; a
+    subclass names its shape message in _shape and adds its own checks
+    after this __post_init__.
+    """
+
+    __slots__ = ()
+    _shape: str
+
+    def __post_init__(self) -> None:
+        name = self._fields[0]
+        items = tuple(getattr(self, name))
+        object.__setattr__(self, name, items)
+        if not items:
+            raise ValueError("window must be positive")
+
+    @property
+    def window(self) -> int:
+        return len(getattr(self, self._fields[0]))
+
+    def to_json(self) -> dict:
+        name = self._fields[0]
+        return {"n": self.window, name: list(getattr(self, name))}
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        name = cls._fields[0]
+        n, items = json_fields(doc, cls._shape, "n", name)
+        n, items = json_int(n, "n"), json_ints(items, name)
+        if n != len(items):
+            raise ValueError(f"n is {n}, but {name} has length {len(items)}")
+        return cls(items)
+
+
+class FiniteFunction(WindowRecord):
     """A function on [0, N) given by its value tuple.
 
     values[x] is f(x); entries must be nonnegative and differ from their
@@ -146,14 +184,13 @@ class FiniteFunction(Record):
 
     __slots__ = ("values", "injective_on_window")
     _fields = ("values",)
+    _shape = 'a function must be a JSON object {"n": N, "values": [...]}'
     values: tuple[int, ...]
     injective_on_window: bool
 
     def __post_init__(self) -> None:
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ValueError("empty window")
+        super().__post_init__()
+        vals = self.values
         # a negative value anywhere is reported before a fixed point
         if min(vals) < 0:
             x = next(x for x, v in enumerate(vals) if v < 0)
@@ -163,28 +200,12 @@ class FiniteFunction(Record):
         inj = len(set(vals)) == len(vals)
         object.__setattr__(self, "injective_on_window", inj)
 
-    @property
-    def window(self) -> int:
-        return len(self.values)
-
     def in_window_edges(self) -> Iterator[tuple[int, int]]:
         """Edges (x, f(x)) with both ends inside the window."""
         n = len(self.values)
         for x, v in enumerate(self.values):
             if v < n:
                 yield (x, v)
-
-    def to_json(self) -> dict:
-        return {"n": len(self.values), "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FiniteFunction":
-        shape = 'a function must be a JSON object {"n": N, "values": [...]}'
-        n, values = json_fields(doc, shape, "n", "values")
-        vals = json_ints(values, "values")
-        if json_int(n, "n") != len(vals):
-            raise ValueError("declared window does not match value count")
-        return cls(vals)
 
 
 def json_fields(doc: object, message: str, *keys: str) -> tuple:
@@ -242,13 +263,12 @@ class Subset(Record):
     window: int
     elements: tuple[int, ...]
 
-    def __init__(self, window: int, elements: tuple[int, ...]) -> None:
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "elements", elements)
+    def __post_init__(self) -> None:
+        window = self.window
         if window <= 0:
             raise ValueError("window must be positive")
         prev = -1
-        for e in elements:
+        for e in self.elements:
             if e <= prev:
                 raise ValueError("elements must be strictly increasing")
             if e < 0 or e >= window:

@@ -18,25 +18,27 @@ canonically, lowest first, with at most one exception when the window
 is odd. No edge goes to part 3, so it is that canonical pairing of the
 whole window, built directly.
 
-A partial pairing marks a point not yet paired with None, so the
-leftover scans test identity and never read an int. The case of the
-input has a closed form: an injection with no path keeps every value in
-the window and so permutes it, its cycle lengths sum to the window
-size, and the count of odd cycles is odd exactly when the window is.
+An involution is a window record of its pairing, and its exceptions,
+the points it fixes, follow from that pairing. A partial pairing marks a
+point not yet paired with None, so the leftover scans test identity and
+never read an int. The case of the input has a closed form: an injection
+with no path keeps every value in the window and so permutes it, its
+cycle lengths sum to the window size, and the count of odd cycles is odd
+exactly when the window is.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
-from .funcgraph import _load_doc, _load_fn, random_fpf_function
+from .funcgraph import FiniteFunction, Record, Subset, WindowRecord, json_fields
+from .funcgraph import _load_doc, _load_fn, json_ints, random_fpf_function
 
 if TYPE_CHECKING:
     from .partitions import IntervalPartition
 
 
-class Involution(Record):
+class Involution(WindowRecord):
     """A self-inverse pairing of a window, given by its pairing tuple.
 
     pairing[x] = y means x and y swap; the window is the pairing's length.
@@ -46,12 +48,16 @@ class Involution(Record):
 
     __slots__ = ("pairing", "exceptions")
     _fields = ("pairing",)
+    _shape = (
+        "an involution must be a JSON object "
+        '{"n": N, "pairing": [...], "exceptions": [...]}'
+    )
     pairing: tuple[int, ...]
     exceptions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        pairing = tuple(self.pairing)
-        object.__setattr__(self, "pairing", pairing)
+        super().__post_init__()
+        pairing = self.pairing
         n = len(pairing)
         fixed = []
         for x, y in enumerate(pairing):
@@ -63,36 +69,21 @@ class Involution(Record):
                 raise ValueError(f"pairing is not self-inverse at {x}")
         object.__setattr__(self, "exceptions", tuple(fixed))
 
-    @property
-    def window(self) -> int:
-        return len(self.pairing)
-
     def to_json(self) -> dict:
-        return {
-            "n": self.window,
-            "pairing": list(self.pairing),
-            "exceptions": list(self.exceptions),
-        }
+        return {**super().to_json(), "exceptions": list(self.exceptions)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Involution":
-        """n must be the pairing's length, exceptions its fixed points in any order."""
-        shape = (
-            "an involution must be a JSON object "
-            '{"n": N, "pairing": [...], "exceptions": [...]}'
-        )
-        n, pairing, exceptions = json_fields(doc, shape, "n", "pairing", "exceptions")
-        n, pairing = json_int(n, "n"), json_ints(pairing, "pairing")
+        """The pairing document, then exceptions: its fixed points in any order."""
+        (exceptions,) = json_fields(doc, cls._shape, "exceptions")
+        inv = super().from_json(doc)
         listed = sorted(json_ints(exceptions, "exceptions"))
-        if len(pairing) != n or n <= 0:
-            raise ValueError("pairing length must match a positive window")
         if len(set(listed)) != len(listed):
             raise ValueError("duplicate exception")
-        inv = cls(pairing)
         for e in listed:
-            if e < 0 or e >= n:
+            if e < 0 or e >= inv.window:
                 raise ValueError(f"exception {e} outside the window")
-            if pairing[e] != e:
+            if inv.pairing[e] != e:
                 raise ValueError(f"exception {e} must map to itself")
         if len(listed) != len(inv.exceptions):
             missing = min(set(inv.exceptions).difference(listed))

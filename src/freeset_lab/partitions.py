@@ -6,7 +6,8 @@ function sending each point to its part index, a function induces the
 escape intervals that outrun both it and its preimages, and a set A
 localizes a function to the blocks A cuts out. Escape intervals are the
 workhorse: any set meeting every union of two consecutive blocks at most
-once is free for the function the intervals were built from.
+once is free for the function the intervals were built from. A
+partition into parts is a window record of its part labels.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, zip_longest
 from typing import Optional
 
-from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int, json_ints
-from .funcgraph import _load_doc, _load_fn, _load_set, random_fpf_function
+from .funcgraph import FiniteFunction, Record, Subset, WindowRecord, json_fields
+from .funcgraph import _load_doc, _load_fn, _load_set, json_ints, random_fpf_function
 
 
 class IntervalPartition(Record):
@@ -53,36 +54,21 @@ class IntervalPartition(Record):
         return cls(json_ints(endpoints, "endpoints"))
 
 
-class PartitionIntoParts(Record):
+class PartitionIntoParts(WindowRecord):
     """A labeling of the window into finitely many nonempty parts."""
 
-    __slots__ = ("part_of",)
-    part_of: tuple[int, ...]
+    __slots__ = ("parts",)
+    _shape = 'a partition must be a JSON object {"n": N, "parts": [...]}'
+    parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(self.part_of)
-        object.__setattr__(self, "part_of", labels)
-        if not labels:
-            raise ValueError("labeling length must match a positive window")
+        super().__post_init__()
+        labels = self.parts
         if min(labels) < 0:
             raise ValueError("part indices must be nonnegative")
         # labels in [0, max] use every index exactly when max + 1 are distinct
         if len(set(labels)) != max(labels) + 1:
             raise ValueError("every part index up to the maximum must be used")
-
-    @property
-    def window(self) -> int:
-        return len(self.part_of)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PartitionIntoParts":
-        """n must be the labeling's length."""
-        shape = 'a partition must be a JSON object {"n": N, "parts": [...]}'
-        n, parts = json_fields(doc, shape, "n", "parts")
-        n, parts = json_int(n, "n"), json_ints(parts, "parts")
-        if len(parts) != n:
-            raise ValueError("labeling length must match a positive window")
-        return cls(parts)
 
 
 def dominates(
@@ -119,7 +105,7 @@ def partition_function(partition: PartitionIntoParts) -> FiniteFunction:
     points), so it falls through to the successor.
     """
     vals = []
-    for k, p in enumerate(partition.part_of):
+    for k, p in enumerate(partition.parts):
         vals.append(p if p != k else k + 1)
     return FiniteFunction(tuple(vals))
 
@@ -256,9 +242,12 @@ def verify_localization(
 def _run_part_fp(args) -> dict:
     partition = PartitionIntoParts.from_json(_load_doc(args.partition))
     fn = partition_function(partition)
+    if fn.window != partition.window:
+        # the check below reads f at every point of the partition's window
+        return {"result": fn.to_json(), "violations": [{"reason": "window"}]}
     violations = []
     for k in range(partition.window):
-        p = partition.part_of[k]
+        p = partition.parts[k]
         expected = p if p != k else k + 1
         if fn.values[k] != expected:
             violations.append({"point": k})

@@ -310,13 +310,16 @@ def _run_ros_search(args) -> dict:
     if found is None:
         result = {"set": None, "eps": str(eps)}
         return {"result": result, "violations": [{"reason": "no set"}]}
+    dim, chosen = matrix.dim, found.elements
+    big_enough = len(chosen) >= args.min_size
+    result = {"set": list(chosen) if big_enough else None, "eps": str(eps)}
+    if found.window != dim:
+        # the checks below read the matrix at every member of the set
+        return {"result": result, "violations": [{"reason": "window"}]}
     check = verify_fragmentation(matrix, found, eps)
     violations = [] if check.ok else [_witness(check)]
     # both modes stop only when no index can join the set
-    dim, chosen = matrix.dim, found.elements
     grown = [Subset.of(dim, (*chosen, v)) for v in range(dim) if v not in chosen]
     if any(verify_fragmentation(matrix, s, eps).ok for s in grown):
         violations.append({"reason": "not maximal under inclusion"})
-    big_enough = len(chosen) >= args.min_size
-    result = {"set": list(chosen) if big_enough else None, "eps": str(eps)}
     return {"result": result, "violations": violations}

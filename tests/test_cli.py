@@ -320,11 +320,11 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         ),
         (
             ["oracle", "unsplit", "--coloring", '{"n": 3, "colors": [0, 1]}'],
-            "color count must match window",
+            "n is 3, but colors has length 2",
         ),
         (
             ["partition", "fp", "--partition", '{"n": 3, "parts": [0, 1]}'],
-            "labeling length must match a positive window",
+            "n is 3, but parts has length 2",
         ),
         (
             [
@@ -534,6 +534,8 @@ _real_part_fp = partitions.partition_function
 _real_ed_blocks = boundedfam.build_ed_blocks
 _real_block_system = boundedfam.build_block_system
 _real_bad_set = boundedfam.bad_set
+_real_katetov = freesets.katetov_partition
+_real_shadow_set = boundedfam.shadow_set
 
 
 def _empty_d(parts, blocks, colors):
@@ -583,6 +585,22 @@ def _last_point_off_its_part(partition):
     return FiniteFunction((*values[:-1], partition.window))
 
 
+def _part_fp_one_point_more(partition):
+    values = _real_part_fp(partition).values
+    return FiniteFunction((*values, partition.window + 1))
+
+
+def _coloring_one_point_more(fn):
+    return freesets.Coloring((*_real_katetov(fn).colors, 0))
+
+
+def _shadow_fills_i0(system, fn, n):
+    # |I_0| = 1 point of J_0 = [0, 2): past the bound 2 * start(J_0) = 0
+    if n == 0:
+        return boundedfam.ShadowSet((0,), 0, 1)
+    return _real_shadow_set(system, fn, n)
+
+
 def _last_block_one_too_big(depth):
     real = _real_ed_blocks(depth)
     sizes = (*real.sizes[:-1], real.sizes[-1] + 1)
@@ -626,6 +644,10 @@ _BROKEN = {
         ["--fn", '{"n": 5, "values": [1, 2, 3, 4, 0]}'],
         freesets, "katetov_partition",
         lambda fn: freesets.Coloring((0,) * fn.window),
+    ),
+    "katetov: longer window": (
+        ["--fn", '{"n": 5, "values": [1, 2, 3, 4, 0]}'],
+        freesets, "katetov_partition", _coloring_one_point_more,
     ),
     "oracle unsplit": (
         ["--coloring", _SPLIT[0], "--coloring", _SPLIT[1]],
@@ -681,6 +703,14 @@ _BROKEN = {
         ["--n", "4", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
         freesets, "max_free_subset", lambda family, n, mode: Subset(n, ()),
     ),
+    "oracle freeset: shorter window": (
+        ["--n", "4", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+        freesets, "max_free_subset", lambda family, n, mode: Subset(n - 1, ()),
+    ),
+    "oracle freeset: longer window": (
+        ["--n", "4", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+        freesets, "max_free_subset", lambda family, n, mode: Subset(n + 1, ()),
+    ),
     "rosenthal search": (
         ["--matrix", '{"k": 3, "n": 3, "row_bound": "1", '
          '"entries": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}', "--eps", "1"],
@@ -692,6 +722,12 @@ _BROKEN = {
         ["--matrix", '{"k": 3, "n": 3, "row_bound": "1", '
          '"entries": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}', "--eps", "1"],
         rosenthal, "find_fragmenting_set", lambda matrix, eps, min_size, mode: None,
+    ),
+    "rosenthal search: longer window": (
+        ["--matrix", '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1"], ["1", "0"]]}',
+         "--eps", "1"],
+        rosenthal, "find_fragmenting_set",
+        lambda matrix, eps, min_size, mode: Subset(5, (4,)),
     ),
     "ed badset": (
         ["--depth", "2", "--fn", json.dumps({"n": 15, "values": list(range(1, 16))})],
@@ -723,6 +759,14 @@ _BROKEN = {
     "partition fp": (
         ["--partition", '{"n": 6, "parts": [0, 1, 0, 1, 2, 2]}'],
         partitions, "partition_function", _last_point_off_its_part,
+    ),
+    "partition fp: longer window": (
+        ["--partition", '{"n": 6, "parts": [0, 1, 0, 1, 2, 2]}'],
+        partitions, "partition_function", _part_fp_one_point_more,
+    ),
+    "partition fp: shorter window": (
+        ["--partition", '{"n": 4, "parts": [0, 1, 0, 1]}'],
+        partitions, "partition_function", lambda partition: FiniteFunction((1,)),
     ),
     # unit blocks: the shift-2 function sends 0 to 2, so R_0 = 2 and the
     # first block must end at min(N, R_0 + 1) = 3, not at 1
@@ -775,6 +819,10 @@ _BROKEN = {
     "blocks verify": (
         ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
         boundedfam, "shadow_set", lambda system, fn, n: boundedfam.ShadowSet((), 0, 1),
+    ),
+    "blocks verify: over the bound": (
+        ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
+        boundedfam, "shadow_set", _shadow_fills_i0,
     ),
     "batch": (
         ["--op", "katetov", "--seed", "1", "--count", "2", "--n", "9"],

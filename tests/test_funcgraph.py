@@ -49,7 +49,7 @@ def _construction_reference(values) -> tuple[str | None, bool | None]:
     """FiniteFunction's checks as plain loops: (error message, injective)."""
     vals = tuple(values)
     if not vals:
-        return "empty window", None
+        return "window must be positive", None
     fixed_point = False
     for x, v in enumerate(vals):
         if v < 0:

@@ -349,7 +349,8 @@ def test_names_shared_by_classes_are_pinned():
     read. A new shared name is reviewed here before it joins the list."""
     package, _ = _package_and_readers()
     assert _shared_members(package) == [
-        "block_count", "elements", "from_json", "to_json", "values", "window"
+        "block_count", "elements", "from_json", "parts", "to_json", "values",
+        "window",
     ]
 
 

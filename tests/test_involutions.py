@@ -134,21 +134,23 @@ def test_exception_outside_the_window_is_refused(window, pairing, exceptions):
 def _document_reference(window, pairing, exceptions) -> str | None:
     """The first fault of an involution document, by the definition.
 
-    The declared n must be the pairing's length and positive, and the
-    exceptions distinct; then the pairing must stay in the window and
-    pair back; then each exception, ascending, must lie in the window and
-    be fixed, and no fixed point may go unlisted. Returns the ValueError
+    The declared n must be the pairing's length and positive; then the
+    pairing must stay in the window and pair back; then the exceptions
+    must be distinct, and each, ascending, must lie in the window and be
+    fixed, and no fixed point may go unlisted. Returns the ValueError
     message for the first fault, or None on acceptance.
     """
-    if len(pairing) != window or window <= 0:
-        return "pairing length must match a positive window"
-    if len(set(exceptions)) != len(exceptions):
-        return "duplicate exception"
+    if len(pairing) != window:
+        return f"n is {window}, but pairing has length {len(pairing)}"
+    if window <= 0:
+        return "window must be positive"
     for x, y in enumerate(pairing):
         if not 0 <= y < window:
             return f"pairing value {y} outside the window"
         if pairing[y] != x:
             return f"pairing is not self-inverse at {x}"
+    if len(set(exceptions)) != len(exceptions):
+        return "duplicate exception"
     for e in sorted(exceptions):
         if not 0 <= e < window:
             return f"exception {e} outside the window"

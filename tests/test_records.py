@@ -77,8 +77,44 @@ def _subclasses(cls: type) -> set[type]:
 
 
 def test_every_record_has_a_sample():
-    ours = {c for c in _subclasses(Record) if c.__module__.startswith("freeset_lab.")}
+    # WindowRecord holds no field of its own, so there is no record of it
+    ours = {
+        c
+        for c in _subclasses(Record)
+        if c.__module__.startswith("freeset_lab.") and c._fields
+    }
     assert {type(r) for r in SAMPLES} == ours
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (FiniteFunction((1, 2, 0)), "values"),
+        (Coloring((0, 1, 2)), "colors"),
+        (PartitionIntoParts((0, 1, 0)), "parts"),
+        (Involution((1, 0, 2)), "pairing"),
+    ],
+    ids=lambda r: type(r).__name__ if isinstance(r, Record) else r,
+)
+def test_window_documents_keep_one_rule(record, field):
+    """The four window records read {"n": N, field: [...]} alike, and each
+    fault gives the same text in all four, naming the field."""
+    cls = type(record)
+    doc = record.to_json()
+    assert list(doc)[:2] == ["n", field] and cls.from_json(doc) == record
+
+    def refusal(n, items):
+        with pytest.raises(ValueError) as exc:
+            cls.from_json({**doc, "n": n, field: items})
+        return str(exc.value)
+
+    items = doc[field]
+    assert refusal(4, items) == f"n is 4, but {field} has length 3"
+    assert refusal(2, items) == f"n is 2, but {field} has length 3"
+    assert refusal(0, []) == "window must be positive"
+    assert refusal(True, items) == "n is true, not an integer"
+    with pytest.raises(ValueError, match="^window must be positive$"):
+        cls(())
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
