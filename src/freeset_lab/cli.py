@@ -10,15 +10,16 @@ includes a negative count or bound (`free --threshold`, `--min-size`,
 `dominates --n`, `ed member --k`) and a size past a cap, such as a
 batch of more than 10^7 points or more than 10^5 instances. Verdicts
 are always recomputed from scratch; nothing trusts a constructor's own
-claim. Batch mode runs seeded instances one after another and reports
-them in index order, so identical seeds give byte-identical reports up
-to the timing field. Each command is one entry of `_TABLE`, which holds
-its help text, handlers and options, and from which every parser, every
+claim. Batch mode runs its op's leaf on seeded functions one after
+another and reports them in index order: each instance's `ok` is the
+leaf's verdict, and identical seeds give byte-identical reports up to
+the timing field. Each command is one entry of `_TABLE`, which holds its
+help text, handlers and options, and from which every parser, every
 `op` name and `COMMANDS` are derived. A call builds the argument
 parsers of its own command alone. The table names each leaf's handler,
-and `_BATCH_ROWS` each batch op's row builder, by module and function;
-a call imports only the module its handler is in, so it compiles no
-other layer's handlers.
+and `_BATCH_VERDICTS` each batch op's leaf verdict, by module and
+function; a call imports only the module that holds what it runs, so it
+compiles no other layer's handlers.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Callable, Optional, Sequence, TextIO
 # handlers here need; every other handler lives in its layer's module.
 from .funcgraph import (
     MAX_MATERIALIZED_POSITIONS,
+    FiniteFunction,
     _load_fn,
     _load_set,
     image_overlap,
@@ -55,7 +57,10 @@ MAX_BATCH_COUNT = 100_000
 
 
 def _run_orbits(args) -> dict:
-    fn = _load_fn(args.fn)
+    return _orbits(_load_fn(args.fn))
+
+
+def _orbits(fn: FiniteFunction) -> dict:
     orbits = orbit_decomposition(fn)
     complaints = verify_orbits(fn, orbits)
     result = {"orbits": [{"kind": o.kind, "nodes": list(o.nodes)} for o in orbits]}
@@ -81,24 +86,24 @@ def _run_free(args) -> dict:
 
 
 # === batch mode ===
-# One row builder per --op choice, named as "module.function": seed and
-# size in, the row's verdict and counts out.
+# op: ("module.function" of its leaf's verdict function, whether the
+# seeded draw is an injection, the instance's counts read off the
+# verdict's result and violations). An instance's ok is the verdict's.
 
 
-def _orbits_row(seed: int, n: int) -> dict:
-    fn = random_fpf_function(seed, n, injective=True)
-    orbits = orbit_decomposition(fn)
-    complaints = verify_orbits(fn, orbits)
-    kinds = [o.kind for o in orbits]
-    cycles, paths = kinds.count("cycle"), kinds.count("path")
-    return {"ok": not complaints, "cycles": cycles, "paths": paths}
+def _orbit_counts(result: dict, violations: list) -> dict:
+    kinds = [o["kind"] for o in result["orbits"]]
+    return {"cycles": kinds.count("cycle"), "paths": kinds.count("path")}
 
 
-_BATCH_ROWS = {
-    "involutions-decompose": "involutions._decompose_row",
-    "katetov": "freesets._katetov_row",
-    "orbits": "cli._orbits_row",
-    "escape": "partitions._escape_row",
+_BATCH_VERDICTS = {
+    "involutions-decompose": ("involutions._inv_decompose", True, lambda r, v: {
+        "case": r["case"], "uncovered": len(r["uncovered"])}),
+    "katetov": ("freesets._katetov", False, lambda r, v: {
+        "classes": len(set(r["colors"])), "violations": len(v)}),
+    "orbits": ("cli._orbits", True, _orbit_counts),
+    "escape": ("partitions._part_escape", True, lambda r, v: {
+        "blocks": len(r["endpoints"]) - 1}),
 }
 
 
@@ -115,11 +120,13 @@ def _run_batch(args) -> dict:
         raise ValueError(
             f"batch of {count} instances is past the cap of {MAX_BATCH_COUNT}"
         )
-    row = _resolve(_BATCH_ROWS[args.op])
-    instances = [
-        {"index": i, "seed": args.seed + i, **row(args.seed + i, args.n)}
-        for i in range(count)
-    ]
+    path, injective, counts = _BATCH_VERDICTS[args.op]
+    verdict = _resolve(path)
+    instances = []
+    for i in range(count):
+        leaf = verdict(random_fpf_function(args.seed + i, args.n, injective))
+        row = {"index": i, "seed": args.seed + i, "ok": not leaf["violations"]}
+        instances.append({**row, **counts(leaf["result"], leaf["violations"])})
     violations = [{"index": r["index"]} for r in instances if not r["ok"]]
     result = {
         "op": args.op,
@@ -230,7 +237,7 @@ _TABLE = {
             "--coloring": _REQ_LIST, "--min-size": _ZERO}),
     }),
     "batch": ("seeded instance sweeps", ("cli._run_batch", {
-        "--op": {"required": True, "choices": tuple(_BATCH_ROWS)},
+        "--op": {"required": True, "choices": tuple(_BATCH_VERDICTS)},
         "--seed": _REQ_INT, "--count": _REQ_INT, "--n": _REQ_INT})),
 }
 

@@ -16,7 +16,7 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from .funcgraph import FiniteFunction, Subset, WindowRecord
-from .funcgraph import _load_doc, _load_fn, image_overlap, random_fpf_function
+from .funcgraph import _load_doc, _load_fn, image_overlap
 
 EXACT_WINDOW_CAP = 24
 
@@ -30,9 +30,9 @@ class Coloring(WindowRecord):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for x, c in enumerate(self.colors):
-            if c not in (0, 1, 2):
-                raise ValueError(f"color {c} at {x} is not in {{0, 1, 2}}")
+        if not {0, 1, 2}.issuperset(self.colors):
+            x = next(x for x, c in enumerate(self.colors) if c not in (0, 1, 2))
+            raise ValueError(f"color {self.colors[x]} at {x} is not in {{0, 1, 2}}")
 
     def color_class(self, i: int) -> Subset:
         return Subset.of(
@@ -95,11 +95,12 @@ def verify_coloring(
     """
     if coloring.window != fn.window:
         raise ValueError("coloring window does not match function window")
-    bad = []
-    for x, y in fn.in_window_edges():
-        if coloring.colors[x] == coloring.colors[y]:
-            bad.append((x, y))
-    return tuple(bad)
+    colors = coloring.colors
+    n = len(colors)
+    # (x, f(x)) is an in-window edge exactly when f(x) < n
+    return tuple(
+        (x, y) for x, y in enumerate(fn.values) if y < n and colors[x] == colors[y]
+    )
 
 
 def _family_adjacency(family: Sequence[FiniteFunction], window: int) -> list[int]:
@@ -307,14 +308,21 @@ def verify_unsplit(
     return violations
 
 
-# === CLI handlers and batch row, named in cli._TABLE and cli._BATCH_ROWS ===
+# === CLI handlers and batch verdict, named in cli._TABLE and cli._BATCH_VERDICTS ===
 
 
 def _run_katetov(args) -> dict:
-    fn = _load_fn(args.fn)
+    return _katetov(_load_fn(args.fn))
+
+
+def _katetov(fn: FiniteFunction) -> dict:
     coloring = katetov_partition(fn)
     result = coloring.to_json()
-    result["classes"] = [list(coloring.color_class(i).elements) for i in range(3)]
+    # the color classes in one pass, each ascending as color_class gives it
+    classes = [[], [], []]
+    for x, c in enumerate(coloring.colors):
+        classes[c].append(x)
+    result["classes"] = classes
     if coloring.window != fn.window:
         # verify_coloring reads a color at both ends of every edge of f
         return {"result": result, "violations": [{"reason": "window"}]}
@@ -350,14 +358,3 @@ def _run_oracle_unsplit(args) -> dict:
     subset, choice = found
     result = {"set": list(subset.elements), "choice": list(choice)}
     return {"result": result, "violations": violations}
-
-
-def _katetov_row(seed: int, n: int) -> dict:
-    fn = random_fpf_function(seed, n)
-    coloring = katetov_partition(fn)
-    bad = verify_coloring(coloring, fn)
-    return {
-        "ok": not bad,
-        "classes": len(set(coloring.colors)),
-        "violations": len(bad),
-    }

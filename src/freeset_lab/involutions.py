@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, WindowRecord, json_fields
-from .funcgraph import _load_doc, _load_fn, json_ints, random_fpf_function
+from .funcgraph import _load_doc, _load_fn, json_ints
 
 if TYPE_CHECKING:
     from .partitions import IntervalPartition
@@ -320,11 +320,14 @@ def combine_on_blocks(
     return Subset.of(window, chosen), _complete(pairing)
 
 
-# === CLI handlers and batch row, named in cli._TABLE and cli._BATCH_ROWS ===
+# === CLI handlers and batch verdict, named in cli._TABLE and cli._BATCH_VERDICTS ===
 
 
 def _run_inv_decompose(args) -> dict:
-    fn = _load_fn(args.fn)
+    return _inv_decompose(_load_fn(args.fn))
+
+
+def _inv_decompose(fn: FiniteFunction) -> dict:
     res = decompose_into_involutions(fn)
     ok, unexplained = verify_decomposition(fn, res)
     violations = [list(e) for e in unexplained]
@@ -367,10 +370,3 @@ def _run_inv_combine(args) -> dict:
         {"point": a, "reason": "completion"} for a, b in pairs if combined.pairing[a] != b
     ]
     return {"result": result, "violations": violations}
-
-
-def _decompose_row(seed: int, n: int) -> dict:
-    fn = random_fpf_function(seed, n, injective=True)
-    res = decompose_into_involutions(fn)
-    ok, _ = verify_decomposition(fn, res)
-    return {"ok": ok, "case": res.case, "uncovered": len(res.uncovered_edges)}

@@ -17,7 +17,7 @@ from itertools import accumulate, zip_longest
 from typing import Optional
 
 from .funcgraph import FiniteFunction, Record, Subset, WindowRecord, json_fields
-from .funcgraph import _load_doc, _load_fn, _load_set, json_ints, random_fpf_function
+from .funcgraph import _load_doc, _load_fn, _load_set, json_ints
 
 
 class IntervalPartition(Record):
@@ -236,7 +236,7 @@ def verify_localization(
     return tuple(bad)
 
 
-# === CLI handlers and batch row, named in cli._TABLE and cli._BATCH_ROWS ===
+# === CLI handlers and batch verdict, named in cli._TABLE and cli._BATCH_VERDICTS ===
 
 
 def _run_part_fp(args) -> dict:
@@ -255,7 +255,10 @@ def _run_part_fp(args) -> dict:
 
 
 def _run_part_escape(args) -> dict:
-    fn = _load_fn(args.fn)
+    return _part_escape(_load_fn(args.fn))
+
+
+def _part_escape(fn: FiniteFunction) -> dict:
     partition = escape_intervals(fn)
     bad = verify_escape(partition, fn)
     return {
@@ -286,10 +289,3 @@ def _run_dominates(args) -> dict:
         [] if count == 0 else [{"count": count, "last_block": last}]
     )
     return {"result": result, "violations": violations}
-
-
-def _escape_row(seed: int, n: int) -> dict:
-    fn = random_fpf_function(seed, n, injective=True)
-    partition = escape_intervals(fn)
-    bad = verify_escape(partition, fn)
-    return {"ok": not bad, "blocks": partition.block_count}

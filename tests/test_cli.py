@@ -535,6 +535,7 @@ _real_ed_blocks = boundedfam.build_ed_blocks
 _real_block_system = boundedfam.build_block_system
 _real_bad_set = boundedfam.bad_set
 _real_katetov = freesets.katetov_partition
+_real_decompose = involutions.decompose_into_involutions
 _real_shadow_set = boundedfam.shadow_set
 
 
@@ -592,6 +593,14 @@ def _part_fp_one_point_more(partition):
 
 def _coloring_one_point_more(fn):
     return freesets.Coloring((*_real_katetov(fn).colors, 0))
+
+
+def _consecutive_pairings(fn):
+    # (0, 1), (2, 3), ... with an odd window's last point fixed, four
+    # times over, under the input's true case
+    pairing = tuple(x ^ 1 if x ^ 1 < fn.window else x for x in range(fn.window))
+    parts = (involutions.Involution(pairing),) * 4
+    return involutions.DecompositionResult(parts, (), _real_decompose(fn).case)
 
 
 def _shadow_fills_i0(system, fn, n):
@@ -829,6 +838,24 @@ _BROKEN = {
         freesets, "katetov_partition",
         lambda fn: freesets.Coloring((0,) * fn.window),
     ),
+    # each instance is the katetov leaf, which compares windows first
+    "batch: katetov longer window": (
+        ["--op", "katetov", "--seed", "1", "--count", "2", "--n", "9"],
+        freesets, "katetov_partition", _coloring_one_point_more,
+    ),
+    "batch: involutions-decompose": (
+        ["--op", "involutions-decompose", "--seed", "1", "--count", "2", "--n", "9"],
+        involutions, "decompose_into_involutions", _consecutive_pairings,
+    ),
+    "batch: orbits": (
+        ["--op", "orbits", "--seed", "1", "--count", "2", "--n", "9"],
+        cli, "orbit_decomposition", lambda fn: (),
+    ),
+    "batch: escape": (
+        ["--op", "escape", "--seed", "1", "--count", "2", "--n", "9"],
+        partitions, "escape_intervals",
+        lambda fn: partitions.IntervalPartition(tuple(range(fn.window + 1))),
+    ),
 }
 
 # The leaves without a _BROKEN row: each constructs nothing and evaluates
@@ -847,6 +874,8 @@ def test_a_broken_constructor_fails_its_leaf(capsys, monkeypatch, key):
     code, doc, _ = _run(capsys, *leaf, *argv)
     assert code == 1 and doc["ok"] is False
     assert [v for v in doc["violations"] if v not in true["violations"]]
+    # a batch fails each of its instances, not the whole run
+    assert not any(row["ok"] for row in doc.get("instances", []))
 
 
 def test_every_leaf_has_a_broken_row_or_waits_for_one():
@@ -862,11 +891,12 @@ def test_every_leaf_has_a_broken_row_or_waits_for_one():
 
 
 def _named_functions() -> list[str]:
-    """Every "module.function" that a _TABLE leaf or a batch row names."""
+    """Every "module.function" that a _TABLE leaf or a batch op names."""
     leaves = []
     for _, entry in cli._TABLE.values():
         leaves += [entry] if isinstance(entry, tuple) else entry.values()
-    return [handler for handler, _ in leaves] + list(cli._BATCH_ROWS.values())
+    verdicts = [path for path, _, _ in cli._BATCH_VERDICTS.values()]
+    return [handler for handler, _ in leaves] + verdicts
 
 
 def test_every_entry_resolves_to_a_function_of_its_module():
@@ -878,17 +908,20 @@ def test_every_entry_resolves_to_a_function_of_its_module():
         assert function.__name__ == name, path
 
 
-def test_every_handler_and_row_builder_is_named_once():
+def test_every_handler_and_batch_verdict_is_named_once():
     # the public-name reachability check skips private names, so an
-    # orphaned handler would go unseen without this
+    # orphaned handler would go unseen without this; a batch verdict `_X`
+    # is the body its leaf's handler `_run_X` calls
     package = Path(freeset_lab.__file__).parent
-    defined = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef)
-        and re.fullmatch(r"_run_\w+|_\w+_row", node.name)
-    ]
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defined += [
+            f"{path.stem}.{name}"
+            for name in names
+            if re.fullmatch(r"_run_\w+", name) or f"_run{name}" in names
+        ]
     assert sorted(_named_functions()) == sorted(defined)
 
 
@@ -1028,7 +1061,7 @@ def test_every_leaf_and_batch_op_has_a_pinned_report():
     leaves = {" ".join(path) for path, _ in _leaves(cli._build_parser())}
     assert {key.split(":")[0] for key in _PINNED} == leaves
     ops = {argv[1] for key, (argv, _) in _PINNED.items() if key.startswith("batch")}
-    assert ops == set(cli._BATCH_ROWS)
+    assert ops == set(cli._BATCH_VERDICTS)
 
 
 def _matrix(bound="1", entry="1") -> str:

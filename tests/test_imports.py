@@ -457,6 +457,18 @@ _LOADS = {
         ["batch", "--op", "orbits", "--seed", "1", "--count", "2", "--n", "8"],
         [_CLI],
     ),
+    "batch-katetov": (
+        ["batch", "--op", "katetov", "--seed", "1", "--count", "2", "--n", "8"],
+        [["freeset_lab.cli", "freeset_lab.freesets", "freeset_lab.funcgraph"]],
+    ),
+    "batch-involutions-decompose": (
+        ["batch", "--op", "involutions-decompose", "--seed", "1", "--count", "2", "--n", "8"],
+        [[*_CLI, "freeset_lab.involutions"]],
+    ),
+    "batch-escape": (
+        ["batch", "--op", "escape", "--seed", "1", "--count", "2", "--n", "8"],
+        [[*_CLI, "freeset_lab.partitions"]],
+    ),
     "involutions-decompose": (
         ["involutions", "decompose", "--fn", _FN],
         [[*_CLI, "freeset_lab.involutions"]],
