@@ -5,9 +5,9 @@ in A. Every fixed-point-free function admits a partition of its window
 into three free classes: 2-color along the chains of the functional graph
 and spend the third color only where an odd cycle closes. This module
 builds that partition, searches for large free sets under whole families
-of functions (exhaustively on small windows, greedily above), and finds
-sets that a family of colorings cannot split. A coloring is a window
-record of its colors.
+of functions (by one take-or-skip search on small windows, greedily
+above), and finds sets that a family of colorings cannot split. A
+coloring is a window record of its colors.
 """
 
 from __future__ import annotations
@@ -118,29 +118,6 @@ def _family_adjacency(family: Sequence[FiniteFunction], window: int) -> list[int
     return adj
 
 
-def _mis_size(avail: int, adj: list[int]) -> int:
-    if avail == 0:
-        return 0
-    pick = -1
-    pick_deg = -1
-    m = avail
-    while m:
-        b = m & -m
-        i = b.bit_length() - 1
-        m ^= b
-        d = (adj[i] & avail).bit_count()
-        if d <= 1:
-            # isolated or pendant vertices belong to some maximum set
-            return 1 + _mis_size(avail & ~adj[i] & ~b, adj)
-        if d > pick_deg:
-            pick_deg = d
-            pick = i
-    bit = 1 << pick
-    taken = 1 + _mis_size(avail & ~adj[pick] & ~bit, adj)
-    skipped = _mis_size(avail & ~bit, adj)
-    return taken if taken >= skipped else skipped
-
-
 def max_free_subset(
     family: Sequence[FiniteFunction], window: int, mode: str = "exact"
 ) -> Subset:
@@ -148,9 +125,15 @@ def max_free_subset(
 
     Exact mode returns a maximum-cardinality free set, lexicographically
     smallest among the optima, and refuses windows above EXACT_WINDOW_CAP.
-    Greedy mode scans the window in increasing order and keeps every point
-    that does not close an edge with the points already kept; the result
-    is maximal under inclusion but not necessarily maximum.
+    It is one depth-first search over the union graph of the family's
+    in-window edges. It takes the lowest undecided point before it skips
+    it, so it meets the optima in lexicographic order, and keeps a set
+    only when it is strictly larger than the best so far. A branch that
+    can at most tie is dropped, and a point with at most one undecided
+    neighbour is taken without a skip branch. Greedy mode scans the
+    window in increasing order and keeps every point that does not close
+    an edge with the points already kept; the result is maximal under
+    inclusion but not necessarily maximum.
     """
     if window <= 0:
         raise ValueError("window must be positive")
@@ -179,25 +162,25 @@ def max_free_subset(
     if window > EXACT_WINDOW_CAP:
         raise ValueError(f"exact mode capped at window {EXACT_WINDOW_CAP}")
     adj = _family_adjacency(family, window)
-    full = (1 << window) - 1
-    best = _mis_size(full, adj)
-    # rebuild the lexicographically smallest optimum greedily
-    chosen = []
-    avail = full
-    remaining = best
-    for v in range(window):
-        bit = 1 << v
-        if not avail & bit:
-            continue
-        if 1 + _mis_size(avail & ~adj[v] & ~bit, adj) == remaining:
-            chosen.append(v)
-            avail &= ~adj[v] & ~bit
-            remaining -= 1
-            if remaining == 0:
+    best: tuple[int, ...] = ()
+
+    def extend(chosen: tuple[int, ...], avail: int) -> None:
+        # avail: the undecided points, all above chosen[-1], none adjacent to chosen
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        # a branch that can at most tie comes later in lexicographic order
+        while len(chosen) + avail.bit_count() > len(best):
+            v = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            extend(chosen + (v,), avail & ~adj[v])
+            if (avail & adj[v]).bit_count() <= 1:
+                # trading v's one undecided neighbour for v keeps the size
+                # and comes first, so skipping v finds nothing better
                 break
-        else:
-            avail &= ~bit
-    return Subset(window, tuple(chosen))
+
+    extend((), (1 << window) - 1)
+    return Subset(window, best)
 
 
 def is_maximal_free(

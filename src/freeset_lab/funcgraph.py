@@ -253,7 +253,13 @@ def _load_fn(text: str) -> FiniteFunction:
 
 
 def _load_set(text: str, window: int) -> Subset:
-    return Subset.of(window, json_ints(_load_doc(text), "set"))
+    """A --set document: its elements in any order, none repeated."""
+    seen: set[int] = set()
+    for e in json_ints(_load_doc(text), "set"):
+        if e in seen:
+            raise ValueError(f"set repeats element {e}")
+        seen.add(e)
+    return Subset.of(window, seen)
 
 
 class Subset(Record):

@@ -342,6 +342,38 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ["ed", "member", "--depth", "2", "--set", "[]", "--k", "-1"],
             "--k is -1, must be at least 0",
         ),
+        (
+            ["free", "--set", "[2, 0, 2]", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+            "set repeats element 2",
+        ),
+        (
+            [
+                "partition",
+                "localize",
+                "--fn",
+                '{"n": 4, "values": [1, 2, 3, 0]}',
+                "--set",
+                "[1, 3, 1]",
+            ],
+            "set repeats element 1",
+        ),
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1"], ["1", "0"]]}',
+                "--set",
+                "[0, 0]",
+                "--eps",
+                "1",
+            ],
+            "set repeats element 0",
+        ),
+        (
+            ["ed", "member", "--depth", "2", "--set", "[1, 1]", "--k", "1"],
+            "set repeats element 1",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -367,6 +399,10 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "parts-count",
         "dominates-negative-window",
         "member-negative-k",
+        "free-repeated-element",
+        "localize-repeated-element",
+        "check-repeated-element",
+        "member-repeated-element",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):

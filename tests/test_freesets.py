@@ -2,7 +2,9 @@
 
 Oracles: an exhaustive scan over all 3^N colorings certifies that three
 classes always suffice on small windows, a 2^N subset sweep certifies
-max_free_subset, and a direct bucket rebuild certifies find_unsplit_set.
+max_free_subset (exact mode on every map of [0, N) into [0, N], N <= 5,
+and every pair of them, N <= 3), and a direct bucket rebuild certifies
+find_unsplit_set.
 Every single-point edit of their output over every fixed-point-free map
 of [0, N), N <= 5, checks verify_coloring and is_maximal_free against
 their definitions. All frozen values below were produced by those
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeset_lab.freesets import (
+    EXACT_WINDOW_CAP,
     Coloring,
     find_unsplit_set,
     is_maximal_free,
@@ -54,20 +57,20 @@ def _min_colors_oracle(fn) -> int:
     return 4
 
 
-def _max_free_oracle(family, n) -> tuple[int, tuple[int, ...]]:
-    """Largest free set by 2^n sweep; lexicographically smallest winner."""
-    best = ()
+def _max_free_oracle(family, n) -> tuple[int, ...]:
+    """The largest free set by a 2^n bitmask sweep, the lexicographically
+    smallest winning; an edge is the mask of its two ends."""
+    edges = [
+        1 << x | 1 << y for fn in family for x, y in enumerate(fn.values[:n]) if y < n
+    ]
+    best: tuple[int, ...] = ()
     for mask in range(1 << n):
-        elems = tuple(i for i in range(n) if mask >> i & 1)
-        ok = True
-        for fn in family:
-            a = Subset(n, elems) if elems else None
-            if a is not None and image_overlap(a, fn).elements:
-                ok = False
-                break
-        if ok and (len(elems) > len(best) or (len(elems) == len(best) and elems < best)):
+        if any(mask & e == e for e in edges):
+            continue
+        elems = tuple(x for x in range(n) if mask >> x & 1)
+        if (-len(elems), elems) < (-len(best), best):
             best = elems
-    return len(best), best
+    return best
 
 
 # === katetov partition ===
@@ -192,15 +195,74 @@ def test_exact_matches_subset_sweep():
             random_fpf_function(seed, 9, injective=True),
             random_fpf_function(seed + 1000, 9),
         ]
-        size, elems = _max_free_oracle(fam, 9)
         got = max_free_subset(fam, 9, mode="exact")
-        assert len(got.elements) == size
-        assert got.elements == elems
+        assert got.elements == _max_free_oracle(fam, 9)
 
 
 def test_exact_empty_family_takes_everything():
     got = max_free_subset([], 5, mode="exact")
     assert got.elements == (0, 1, 2, 3, 4)
+
+
+def _maps_with_exits(n: int) -> list[FiniteFunction]:
+    """Every fixed-point-free map of [0, n) into [0, n]; the value n exits."""
+    return [
+        FiniteFunction(values)
+        for values in product(range(n + 1), repeat=n)
+        if all(x != v for x, v in enumerate(values))
+    ]
+
+
+def test_exact_is_the_first_maximum_on_every_small_map():
+    checked = 0
+    for n in range(1, 6):
+        for fn in _maps_with_exits(n):
+            got = max_free_subset([fn], n, mode="exact").elements
+            assert got == _max_free_oracle([fn], n), fn.values
+            checked += 1
+    assert checked == 3413
+
+
+def test_exact_is_the_first_maximum_on_every_small_pair():
+    checked = 0
+    for n in range(1, 4):
+        maps = _maps_with_exits(n)
+        for f, g in product(maps, repeat=2):
+            got = max_free_subset([f, g], n, mode="exact").elements
+            assert got == _max_free_oracle([f, g], n), (f.values, g.values)
+            checked += 1
+    assert checked == 746
+
+
+def _cap_function(rule) -> FiniteFunction:
+    return FiniteFunction(tuple(rule(x) for x in range(EXACT_WINDOW_CAP)))
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    [
+        # one free point per triangle, the first of each
+        ([_cap_function(lambda x: x // 3 * 3 + (x + 1) % 3)], range(0, 24, 3)),
+        # together the path 0 - 1 - ... - 23, first free at its even points
+        (
+            [_cap_function(lambda x: x ^ 1), _cap_function(lambda x: x + 1)],
+            range(0, 24, 2),
+        ),
+        # a 4-cycle and its diagonals make each block of four a K4
+        (
+            [
+                _cap_function(lambda x: x // 4 * 4 + (x + 1) % 4),
+                _cap_function(lambda x: x ^ 2),
+            ],
+            range(0, 24, 4),
+        ),
+        ([], range(24)),
+    ],
+    ids=["disjoint-triangles", "matching-and-shift", "disjoint-k4s", "empty-family"],
+)
+def test_exact_known_families_at_the_cap(family, expected):
+    got = max_free_subset(family, EXACT_WINDOW_CAP, mode="exact")
+    assert got.elements == tuple(expected)
 
 
 def test_greedy_is_free_and_maximal():

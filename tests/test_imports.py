@@ -360,7 +360,6 @@ _FREESETS_CONSTRUCTORS = {
     "max_free_subset",
     "katetov_partition",
     "_family_adjacency",
-    "_mis_size",
     "find_unsplit_set",
 }
 _BLOCK_CONSTRUCTORS = {

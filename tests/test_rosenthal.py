@@ -318,14 +318,37 @@ def test_exact_search_finds_max_and_lex_min():
     assert find_fragmenting_set(_EDGE, Fraction(1, 2), 1, "exact").elements == (0, 1)
 
 
+def _block_cycles(dim: int, c: int) -> FiniteFunction:
+    """The permutation of [0, dim) that cycles each block of c consecutive
+    points; a last point left alone joins the block before it."""
+    starts = list(range(0, dim, c))
+    if dim - starts[-1] == 1:
+        starts.pop()
+    values = [0] * dim
+    for lo, hi in zip(starts, [*starts[1:], dim]):
+        for x in range(lo, hi):
+            values[x] = x + 1 if x + 1 < hi else lo
+    return FiniteFunction(values)
+
+
 def test_exact_search_at_eps_one_is_the_exact_max_free_set():
     # at ε = 1 a function's 0-1 matrix fragments exactly on its free sets,
     # so both exact searches must return the same lex-smallest optimum
-    for dim in (*range(10, 15), EXACT_DIM_CAP):
-        for seed in range(4):
-            fn = random_fpf_function(seed, dim, injective=seed % 2 == 0)
-            got = find_fragmenting_set(function_to_matrix(fn), Fraction(1), 1, "exact")
-            assert got.elements == max_free_subset([fn], dim, "exact").elements
+    functions = [
+        random_fpf_function(seed, dim, injective=seed % 2 == 0)
+        for dim in (*range(10, 16), EXACT_DIM_CAP)
+        for seed in range(4)
+    ]
+    # ties everywhere: 3-cycles, 2-cycles and the shift x -> x + 1
+    for dim in range(10, 16):
+        functions += [
+            _block_cycles(dim, 3),
+            _block_cycles(dim, 2),
+            FiniteFunction(range(1, dim + 1)),
+        ]
+    for fn in functions:
+        got = find_fragmenting_set(function_to_matrix(fn), Fraction(1), 1, "exact")
+        assert got.elements == max_free_subset([fn], fn.window, "exact").elements
 
 
 def test_all_epsilon_matrix_has_no_pair():
