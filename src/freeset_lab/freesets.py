@@ -325,7 +325,8 @@ def _run_oracle_freeset(args) -> dict:
         hit = image_overlap(subset, fn).elements
         if hit:
             violations.append({"function": i, "intersection": list(hit)})
-    if not is_maximal_free(subset, family, args.n):
+    # a set that is not free is never maximal free: its hits say why
+    if not violations and not is_maximal_free(subset, family, args.n):
         violations.append({"reason": "not maximal under inclusion"})
     return {"result": result, "violations": violations}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, lcm
 from operator import add
 from typing import Optional
@@ -196,17 +197,6 @@ def function_to_matrix(fn: FiniteFunction) -> RosenthalMatrix:
     return RosenthalMatrix(n, n, entries, one)
 
 
-def _join(column: list, v: int, chosen: list[int], sums: list, own: list) -> tuple:
-    """The search state once index v joins, given every row's entry in column
-    v: the chosen indices, each chosen row summed over the other chosen
-    columns, every row over all of them."""
-    return (
-        chosen + [v],
-        [s + column[k] for k, s in zip(chosen, sums)] + [own[v]],
-        list(map(add, own, column)),
-    )
-
-
 def find_fragmenting_set(
     matrix: RosenthalMatrix,
     eps: Fraction,
@@ -217,8 +207,12 @@ def find_fragmenting_set(
 
     Exact mode maximizes cardinality over all subsets of [0, dim) by
     depth-first search, pruning on the fact that subsets of fragmenting
-    sets fragment; it returns the lexicographically smallest maximum set,
-    or None when even the best falls short of min_size. Greedy mode grows
+    sets fragment, and on the room left in each row that joins: after v,
+    no more candidates can join than row v's smallest entries among them
+    that keep its sum below eps, nor more than one fewer than could join
+    before v. A branch is dropped only when it can at most tie, so the
+    search returns the lexicographically smallest maximum set, or None
+    when even the best falls short of min_size. Greedy mode grows
     the set by repeatedly adding the index whose addition keeps the
     largest off-diagonal row sum smallest (ties to the lowest index),
     stopping when nothing fits below eps; every running row sum stays
@@ -229,14 +223,15 @@ def find_fragmenting_set(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    # own[u]: row u summed over the chosen columns other than u; a row at
+    # or past dim is never in a fragmenting set, so only the square is read
     dim = matrix.dim
     if mode == "greedy":
-        rows = matrix.entries
-        state: tuple = ([], [], [Fraction(0)] * dim)
+        rows = matrix.entries[:dim]
+        chosen, own = [], [_ZERO] * dim
         while True:
-            chosen, sums, own = state
             scores = [
-                (max([own[v], *(s + rows[k][v] for k, s in zip(chosen, sums))]), v)
+                (max([own[v], *(own[k] + rows[k][v] for k in chosen)]), v)
                 for v in range(dim)
                 if v not in chosen
             ]
@@ -244,39 +239,50 @@ def find_fragmenting_set(
             if not joinable:
                 break
             v = min(joinable)[1]
-            state = _join([row[v] for row in rows], v, *state)
-        best = state[0]
+            column = [row[v] for row in rows]
+            column[v] = _ZERO
+            own = list(map(add, own, column))
+            chosen.append(v)
+        best = chosen
     elif mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     elif dim > EXACT_DIM_CAP:
         raise ValueError(f"exact mode capped at dimension {EXACT_DIM_CAP}")
     else:
         # integer row k, scaled by L, sums below eps * L iff below ceil(eps * L)
-        rows = matrix.scaled
+        rows = matrix.scaled[:dim]
         limits = [ceil(eps * scale) for scale in matrix.scales[:dim]]
         best = []
 
-        def extend(chosen, sums, own, fits: int) -> None:
-            # fits: the indices past chosen[-1] that can still join, as bits
+        def extend(chosen, own, fits: int, cap: int) -> None:
+            # fits: the indices past chosen[-1] that can still join, as bits;
+            # cap: no more than that many of them join together
             nonlocal best
             if len(chosen) > len(best):
                 best = chosen
             # a branch that can at most tie comes later in lexicographic order
-            while len(chosen) + fits.bit_count() > len(best):
+            while len(chosen) + min(fits.bit_count(), cap) > len(best):
                 v = (fits & -fits).bit_length() - 1
                 fits &= fits - 1
                 column = [row.get(v, 0) for row in rows]
-                chosen_v, sums_v, own_v = state = _join(column, v, chosen, sums, own)
-                slack = [(rows[k].get, limits[k] - s) for k, s in zip(chosen_v, sums_v)]
-                extend(*state, sum(
+                column[v] = 0
+                own_v = list(map(add, own, column))
+                chosen_v = chosen + [v]
+                slack = [(rows[k].get, limits[k] - own_v[k]) for k in chosen_v]
+                fits_v = sum(
                     1 << u
                     for u in range(v + 1, dim)
                     if fits >> u & 1
                     and own_v[u] < limits[u]
                     and all(entry(u, 0) < t for entry, t in slack)
-                ))
+                )
+                # row v stays below its limit over its smallest entries first,
+                # and a set extending this branch, plus v, extends the parent
+                entries = sorted(e for u, e in rows[v].items() if fits_v >> u & 1)
+                over = sum(t >= limits[v] - own_v[v] for t in accumulate(entries))
+                extend(chosen_v, own_v, fits_v, min(fits_v.bit_count() - over, cap - 1))
 
-        extend([], [], [0] * dim, (1 << dim) - 1)
+        extend([], [0] * dim, (1 << dim) - 1, dim)
     if len(best) < min_size:
         return None
     return Subset(dim, tuple(sorted(best)))

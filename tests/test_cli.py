@@ -161,6 +161,7 @@ def test_non_integer_input_exits_two(capsys, argv, error):
 
 
 _PART1 = '{"n": 1, "pairing": [0], "exceptions": [0]}'
+_PART4 = '{"n": 4, "pairing": [1, 0, 3, 2], "exceptions": []}'
 _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
 
 
@@ -374,6 +375,202 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ["ed", "member", "--depth", "2", "--set", "[1, 1]", "--k", "1"],
             "set repeats element 1",
         ),
+        (
+            ["batch", "--op", "orbits", "--seed", "1", "--count", "0", "--n", "5"],
+            "count must be positive",
+        ),
+        (
+            ["batch", "--op", "orbits", "--seed", "1", "--count", "2", "--n", "0"],
+            "window must have at least 1 point",
+        ),
+        (
+            ["blocks", "build", "--g", "1", "--depth", "1"],
+            "constant bound must be at least 2",
+        ),
+        (["blocks", "build", "--g", "[]", "--depth", "1"], "empty growth function"),
+        (
+            ["blocks", "build", "--g", "[2, 1]", "--depth", "1"],
+            "bound 1 at 1 is below 2",
+        ),
+        (
+            ["blocks", "build", "--g", "[3, 2]", "--depth", "1"],
+            "bounds must be nondecreasing",
+        ),
+        (["blocks", "build", "--g", "2", "--depth", "0"], "depth must be positive"),
+        (
+            ["blocks", "build", "--g", "[2, 2, 2]", "--depth", "0"],
+            "depth must be positive",
+        ),
+        (
+            ["blocks", "build", "--g", "2", "--depth", "40"],
+            "interval prefix too large to materialize",
+        ),
+        (["ed", "build", "--depth", "-1"], "depth must be nonnegative"),
+        (["ed", "build", "--depth", "-1", "--fin"], "depth must be nonnegative"),
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 0, "n": 2, "row_bound": "1", "entries": []}',
+                "--set",
+                "[]",
+                "--eps",
+                "1",
+            ],
+            "matrix dimensions must be positive",
+        ),
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1"]]}',
+                "--set",
+                "[]",
+                "--eps",
+                "1",
+            ],
+            "row count mismatch",
+        ),
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1"], ["1"]]}',
+                "--set",
+                "[]",
+                "--eps",
+                "1",
+            ],
+            "row 1 has wrong length",
+        ),
+        (
+            [
+                "rosenthal",
+                "search",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1"], ["1", "0"]]}',
+                "--eps",
+                "0",
+            ],
+            "eps must be positive",
+        ),
+        (
+            ["oracle", "unsplit", "--coloring", '{"n": 3, "colors": [0, 1, 3]}'],
+            "color 3 at 2 is not in {0, 1, 2}",
+        ),
+        (
+            ["oracle", "freeset", "--n", "0", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+            "window must be positive",
+        ),
+        (
+            ["free", "--set", '{"a": 1}', "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+            "set must be a JSON array of integers",
+        ),
+        (
+            [
+                "dominates",
+                "--i",
+                '{"endpoints": [0]}',
+                "--j",
+                '{"endpoints": [0, 5]}',
+                "--n",
+                "5",
+            ],
+            "need at least one block",
+        ),
+        (
+            [
+                "dominates",
+                "--i",
+                '{"endpoints": [0, 3]}',
+                "--j",
+                '{"endpoints": [0, 5]}',
+                "--n",
+                "5",
+            ],
+            "both partitions must cover the window",
+        ),
+        (
+            ["partition", "fp", "--partition", '{"n": 2, "parts": [0, -1]}'],
+            "part indices must be nonnegative",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART4] * 3,
+                "--blocks",
+                '{"endpoints": [0, 3]}',
+                "--colors",
+                "[0]",
+            ],
+            "need exactly four parts",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART4] * 3,
+                "--part",
+                '{"n": 2, "pairing": [1, 0], "exceptions": []}',
+                "--blocks",
+                '{"endpoints": [0, 1]}',
+                "--colors",
+                "[0]",
+            ],
+            "parts disagree on the window",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART4] * 4,
+                "--blocks",
+                '{"endpoints": [0, 5]}',
+                "--colors",
+                "[0]",
+            ],
+            "blocks extend past the window",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART4] * 4,
+                "--blocks",
+                '{"endpoints": [0, 3]}',
+                "--colors",
+                "[0, 1]",
+            ],
+            "one color per block required",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART4] * 4,
+                "--blocks",
+                '{"endpoints": [0, 2]}',
+                "--colors",
+                "[0]",
+            ],
+            "block [0, 2) has even size",
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART4] * 4,
+                "--blocks",
+                '{"endpoints": [0, 3]}',
+                "--colors",
+                "[4]",
+            ],
+            "color 4 is not a part index",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -403,6 +600,33 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "localize-repeated-element",
         "check-repeated-element",
         "member-repeated-element",
+        "batch-zero-count",
+        "batch-empty-window",
+        "g-constant-one",
+        "g-empty",
+        "g-below-two",
+        "g-decreasing",
+        "blocks-zero-depth",
+        "blocks-zero-depth-array",
+        "blocks-prefix-too-large",
+        "ed-negative-depth",
+        "ed-fin-negative-depth",
+        "matrix-zero-rows",
+        "matrix-row-count",
+        "matrix-row-length",
+        "search-zero-eps",
+        "unsplit-color-past-window",
+        "freeset-empty-window",
+        "free-set-object",
+        "dominates-no-block",
+        "dominates-short-cover",
+        "parts-negative",
+        "combine-three-parts",
+        "combine-window-mismatch",
+        "combine-blocks-past-window",
+        "combine-color-count",
+        "combine-even-block",
+        "combine-color-not-a-part",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
@@ -573,6 +797,7 @@ _real_bad_set = boundedfam.bad_set
 _real_katetov = freesets.katetov_partition
 _real_decompose = involutions.decompose_into_involutions
 _real_shadow_set = boundedfam.shadow_set
+_real_meeting = boundedfam.meeting_function
 
 
 def _empty_d(parts, blocks, colors):
@@ -661,6 +886,25 @@ def _unit_masses_halved(depth):
     return boundedfam.MeasuredBlocks(real.sizes, tuple(m / 2 for m in real.unit_masses))
 
 
+def _meeting_flipped(system, shadows):
+    # g = 2: each value swaps with the other one below the bound
+    return tuple(1 - v for v in _real_meeting(system, shadows))
+
+
+def _all_of_block_2(blocks, fn, n):
+    if n != 2:
+        return _real_bad_set(blocks, fn, n)
+    elements = tuple(range(blocks.starts[2], blocks.starts[3]))
+    return boundedfam.BadSetBlock(elements, len(elements) * blocks.unit_masses[2])
+
+
+def _one_block_more(depth):
+    real = _real_ed_blocks(depth)
+    return boundedfam.MeasuredBlocks(
+        (*real.sizes, real.sizes[-1]), (*real.unit_masses, real.unit_masses[-1])
+    )
+
+
 _G10 = '{"n": 10, "values": [2, 2, 3, 5, 5, 6, 8, 8, 9, 5]}'
 _SPLIT = ['{"n": 4, "colors": [0, 1, 0, 1]}', '{"n": 4, "colors": [0, 1, 1, 0]}']
 # the points 0 and 2 share the color vector (0, 0), and no other vector
@@ -704,6 +948,12 @@ _BROKEN = {
         freesets, "find_unsplit_set",
         lambda colorings, min_size: (Subset(4, (1,)), (1, 1)),
     ),
+    # every bucket has at most 2 points, so none meets --min-size 3
+    "oracle unsplit: below min-size": (
+        ["--coloring", _UNSPLIT[0], "--coloring", _UNSPLIT[1], "--min-size", "3"],
+        freesets, "find_unsplit_set",
+        lambda colorings, min_size: (Subset(4, (0, 2)), (0, 0)),
+    ),
     "oracle unsplit: no set": (
         ["--coloring", _UNSPLIT[0], "--coloring", _UNSPLIT[1]],
         freesets, "find_unsplit_set", lambda colorings, min_size: None,
@@ -730,6 +980,14 @@ _BROKEN = {
         involutions, "combine_on_blocks", _leftovers_out_of_order,
     ),
     # a correct completion of the parts' 7 points, then a pair past them
+    # D = {0, 1} is right, but 0 and 1 pair with 2 and 3, not each other
+    "involutions combine: pairing": (
+        [*["--part", _PARTS7] * 4, "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
+        involutions, "combine_on_blocks",
+        lambda parts, blocks, colors: (
+            Subset(7, (0, 1)), involutions.Involution((2, 3, 0, 1, 5, 4, 6))
+        ),
+    ),
     "involutions combine: longer window": (
         [*["--part", _PARTS7] * 4, "--blocks", '{"endpoints": [0, 3]}', "--colors", "[0]"],
         involutions, "combine_on_blocks", _two_points_more,
@@ -747,6 +1005,11 @@ _BROKEN = {
     "oracle freeset": (
         ["--n", "4", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
         freesets, "max_free_subset", lambda family, n, mode: Subset(n, ()),
+    ),
+    # 0 -> 1 inside the set: one fault, named by its intersection alone
+    "oracle freeset: not free": (
+        ["--n", "4", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+        freesets, "max_free_subset", lambda family, n, mode: Subset(n, (0, 1)),
     ),
     "oracle freeset: shorter window": (
         ["--n", "4", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
@@ -782,6 +1045,11 @@ _BROKEN = {
     "ed badset: massless": (
         ["--depth", "2", "--fn", json.dumps({"n": 15, "values": list(range(1, 16))})],
         boundedfam, "bad_set", _massless_bad_set,
+    ),
+    # block 2 holds 12 points of mass 1/3 each
+    "ed badset: all of block 2": (
+        ["--depth", "2", "--fn", json.dumps({"n": 15, "values": list(range(1, 16))})],
+        boundedfam, "bad_set", _all_of_block_2,
     ),
     # the function covers the 16 points, so every bad set can be built
     "ed badset: last block one too big": (
@@ -856,10 +1124,26 @@ _BROKEN = {
         ["--depth", "3"],
         boundedfam, "build_ed_blocks", _last_block_one_too_big,
     ),
+    "ed build: one block more": (
+        ["--depth", "3"],
+        boundedfam, "build_ed_blocks", _one_block_more,
+    ),
     # counting measure gives every point mass 1
     "ed build: fin": (
         ["--depth", "3", "--fin"],
         boundedfam, "ed_fin_blocks", _fin_masses_doubled,
+    ),
+    # I_0 = [1, 2) does not start at 0, and I_1 = [2, 7) runs past g
+    "blocks build: shifted": (
+        ["--g", "2", "--depth", "2"],
+        boundedfam, "build_block_system",
+        lambda g, depth: boundedfam.BlockSystem(g, (1, 2, 7), (2, 32)),
+    ),
+    # g is 2 on the 5 positions of I_1, so F(1) = 32
+    "blocks build: F off by one": (
+        ["--g", "2", "--depth", "2"],
+        boundedfam, "build_block_system",
+        lambda g, depth: boundedfam.BlockSystem(g, (0, 1, 6), (2, 33)),
     ),
     "blocks verify": (
         ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
@@ -868,6 +1152,11 @@ _BROKEN = {
     "blocks verify: over the bound": (
         ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
         boundedfam, "shadow_set", _shadow_fills_i0,
+    ),
+    # S_f(1) is the all-zero tuple on I_1, which an all-one I_1 misses
+    "blocks verify: meeting miss": (
+        ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
+        boundedfam, "meeting_function", _meeting_flipped,
     ),
     "batch": (
         ["--op", "katetov", "--seed", "1", "--count", "2", "--n", "9"],
@@ -894,6 +1183,28 @@ _BROKEN = {
     ),
 }
 
+# the violations a _BROKEN row's wrong output adds, for the rows that pin them
+_ADDED = {
+    "oracle unsplit: below min-size": [{"size": 2, "reason": "below --min-size"}],
+    # a set that is not free is not also reported as not maximal
+    "oracle freeset: not free": [{"function": 0, "intersection": [1]}],
+    "involutions combine: pairing": [
+        {"point": 0, "reason": "pairing"},
+        {"point": 1, "reason": "pairing"},
+        {"point": 2, "reason": "completion"},
+    ],
+    "ed build: one block more": [{"blocks": 5, "reason": "block count"}],
+    "blocks build: shifted": [{"reason": "intervals off g"}],
+    "blocks build: F off by one": [{"block": 1, "reason": "tuple count mismatch"}],
+    "blocks verify: meeting miss": [
+        {"block": 1, "element": 2, "reason": "meeting miss"}
+    ],
+    "ed badset: all of block 2": [
+        {"block": 2, "mass": "4"},
+        {"block": 2, "reason": "bad set mismatch"},
+    ],
+}
+
 # The leaves without a _BROKEN row: each constructs nothing and evaluates
 # its definition once, so there is no constructor to break. A new leaf
 # joins one list or the other.
@@ -909,7 +1220,8 @@ def test_a_broken_constructor_fails_its_leaf(capsys, monkeypatch, key):
     monkeypatch.setattr(layer, constructor, wrong)
     code, doc, _ = _run(capsys, *leaf, *argv)
     assert code == 1 and doc["ok"] is False
-    assert [v for v in doc["violations"] if v not in true["violations"]]
+    added = [v for v in doc["violations"] if v not in true["violations"]]
+    assert added and added == _ADDED.get(key, added)
     # a batch fails each of its instances, not the whole run
     assert not any(row["ok"] for row in doc.get("instances", []))
 
@@ -1460,6 +1772,32 @@ def test_rosenthal_search_none_is_ok(capsys):
     )
     assert code == 0
     assert doc["result"]["set"] is None
+
+
+def test_rosenthal_check_names_the_heavy_row(capsys):
+    code, doc, _ = _run(
+        capsys,
+        "rosenthal",
+        "check",
+        "--matrix",
+        '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1"], ["1", "0"]]}',
+        "--set",
+        "[0, 1]",
+        "--eps",
+        "1",
+    )
+    assert code == 1
+    assert doc["result"] == {"fragments": False, "eps": "1"}
+    assert doc["violations"] == [{"row": 0, "sum": "1"}]
+
+
+def test_oracle_unsplit_with_every_bucket_too_small_is_ok(capsys):
+    coloring = '{"n": 3, "colors": [0, 1, 2]}'
+    argv = ["oracle", "unsplit", "--coloring", coloring, "--min-size", "2"]
+    code, doc, _ = _run(capsys, *argv)
+    assert code == 0
+    assert doc["result"] == {"set": None}
+    assert doc["violations"] == []
 
 
 def test_partition_escape_with_a_far_exit_value_is_quick(capsys):

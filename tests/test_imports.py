@@ -402,7 +402,7 @@ _SEPARATION = {
         "_check_measured": _BLOCK_CONSTRUCTORS,
     },
     "rosenthal": {
-        "verify_fragmentation": {"find_fragmenting_set", "_join"},
+        "verify_fragmentation": {"find_fragmenting_set"},
     },
 }
 

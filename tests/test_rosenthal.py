@@ -9,6 +9,7 @@ never by their own bookkeeping.
 from __future__ import annotations
 
 import ast
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -276,7 +277,24 @@ def _search_cases():
     cases.append((_EDGE, Fraction(1, 2)))
     for seed in range(4):
         cases += [(m, eps) for m in _rectangular(seed) for eps in (Fraction(1, 4), one)]
+    # ties everywhere: uniform and block-diagonal matrices, where the room
+    # left in each joining row closes most branches
+    for dim, size, entry in product(range(3, 11), (2, 3, 4, 10), ("1/9", "1/4", "1/3")):
+        m = _blocks(dim, size, Fraction(entry))
+        cases += [(m, eps) for eps in (Fraction(1, 2), one)]
     return cases
+
+
+def _blocks(dim, size, entry):
+    """entry off the diagonal of each block of size consecutive indices (the
+    last block may be shorter), 0 elsewhere; one block of at least dim
+    indices is the uniform matrix."""
+    zero = Fraction(0)
+    entries = tuple(
+        tuple(entry if j != k and j // size == k // size else zero for j in range(dim))
+        for k in range(dim)
+    )
+    return RosenthalMatrix(dim, dim, entries, max(1, entry * (size - 1)))
 
 
 def _rectangular(seed):
@@ -349,6 +367,16 @@ def test_exact_search_at_eps_one_is_the_exact_max_free_set():
     for fn in functions:
         got = find_fragmenting_set(function_to_matrix(fn), Fraction(1), 1, "exact")
         assert got.elements == max_free_subset([fn], fn.window, "exact").elements
+
+
+def test_exact_search_on_the_uniform_matrix_at_the_cap_is_quick():
+    # every 11 of the 22 indices fragment at ε = 1/2, and no 12 do; a bound
+    # of taken plus candidates alone expands every 11-set, for seconds
+    m = _blocks(EXACT_DIM_CAP, EXACT_DIM_CAP, Fraction(1, EXACT_DIM_CAP - 1))
+    start = time.perf_counter()
+    got = find_fragmenting_set(m, Fraction(1, 2), 1, "exact")
+    assert time.perf_counter() - start < 1.0
+    assert got.elements == tuple(range(11))
 
 
 def test_all_epsilon_matrix_has_no_pair():
