@@ -16,7 +16,6 @@ import re
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, lcm
-from operator import add
 from typing import Optional
 
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int
@@ -29,7 +28,7 @@ EXACT_DIM_CAP = 22
 # millions.
 MAX_DIGITS = 4300
 _PAST_MAX_DIGITS = 10**MAX_DIGITS
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
 _DIGIT_RUN = re.compile(r"\d+")
 _ZERO = Fraction(0)
 
@@ -40,14 +39,17 @@ def parse_fraction(text: str) -> Fraction:
     Malformed text, a zero denominator included, raises ValueError, and so
     does a value whose numerator or denominator has more than MAX_DIGITS
     digits; an exponent or a run of digits past the cap is refused before
-    any work.
+    any work. Underscores and inner spaces are refused, as Python 3.10's
+    Fraction refuses them and later versions accept them.
     """
+    if "_" in text or len(text.split()) != 1:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     exponent = _EXPONENT.search(text)
     if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
+        digits = exponent[1].lstrip("0")
         if len(digits) > 4 or int(digits or "0") > MAX_DIGITS:
             raise ValueError(f"exponent in {text!r} is past the cap of {MAX_DIGITS}")
-    runs = _DIGIT_RUN.findall(text.replace("_", ""))
+    runs = _DIGIT_RUN.findall(text)
     if max(map(len, runs), default=0) <= MAX_DIGITS:
         try:
             value = Fraction(text)
@@ -205,58 +207,69 @@ def find_fragmenting_set(
 ) -> Optional[Subset]:
     """Search for a fragmenting set of size at least min_size.
 
-    Exact mode maximizes cardinality over all subsets of [0, dim) by
+    Both modes hold own[u], row u summed over the chosen columns other than
+    u, and fits, the indices that can still join; when v joins, its column
+    is added to own and fits loses every index that no longer fits below
+    eps. Exact mode maximizes cardinality over all subsets of [0, dim) by
     depth-first search, pruning on the fact that subsets of fragmenting
     sets fragment, and on the room left in each row that joins: after v,
     no more candidates can join than row v's smallest entries among them
     that keep its sum below eps, nor more than one fewer than could join
     before v. A branch is dropped only when it can at most tie, so the
     search returns the lexicographically smallest maximum set, or None
-    when even the best falls short of min_size. Greedy mode grows
-    the set by repeatedly adding the index whose addition keeps the
-    largest off-diagonal row sum smallest (ties to the lowest index),
-    stopping when nothing fits below eps; every running row sum stays
-    below eps, so the set fragments by construction and is left to
-    verify_fragmentation to check. A finite window may simply have
-    no fragmenting set of the requested size; None is an answer, not an
-    error.
+    when even the best falls short of min_size. Greedy mode joins, while
+    fits is not empty, the index whose addition keeps the largest
+    off-diagonal row sum smallest (ties to the lowest index); every
+    running row sum stays below eps, so the set fragments by construction
+    and is left to verify_fragmentation to check. A finite window may
+    simply have no fragmenting set of the requested size; None is an
+    answer, not an error.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    # own[u]: row u summed over the chosen columns other than u; a row at
-    # or past dim is never in a fragmenting set, so only the square is read
-    dim = matrix.dim
-    if mode == "greedy":
-        rows = matrix.entries[:dim]
-        chosen, own = [], [_ZERO] * dim
-        while True:
-            scores = [
-                (max([own[v], *(own[k] + rows[k][v] for k in chosen)]), v)
-                for v in range(dim)
-                if v not in chosen
-            ]
-            joinable = [pick for pick in scores if pick[0] < eps]
-            if not joinable:
-                break
-            v = min(joinable)[1]
-            column = [row[v] for row in rows]
-            column[v] = _ZERO
-            own = list(map(add, own, column))
-            chosen.append(v)
-        best = chosen
-    elif mode != "exact":
+    if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    elif dim > EXACT_DIM_CAP:
+    # a row at or past dim is never in a fragmenting set: only the square is read
+    dim = matrix.dim
+    if mode == "exact" and dim > EXACT_DIM_CAP:
         raise ValueError(f"exact mode capped at dimension {EXACT_DIM_CAP}")
+    # integer row k, scaled by L, sums below eps * L iff below ceil(eps * L)
+    rows, scales = matrix.scaled[:dim], matrix.scales[:dim]
+    limits = [ceil(eps * scale) for scale in scales]
+    # into[v]: the rows other than v with an entry in column v, and the entry
+    into = [
+        [(k, row[v]) for k, row in enumerate(rows) if v in row and k != v]
+        for v in range(dim)
+    ]
+
+    def join(chosen, own, fits: int, v: int):
+        # an index stops fitting when its own row reaches its limit, or when
+        # its entry in v's row or a chosen row is at least that row's slack
+        own, gone, chosen = own.copy(), 1 << v, [*chosen, v]
+        for k, e in into[v]:
+            own[k] += e
+            gone |= (own[k] >= limits[k]) << k
+        for k in chosen:
+            slack = limits[k] - own[k]
+            gone |= sum(1 << u for u, e in rows[k].items() if e >= slack)
+        return chosen, own, fits & ~gone
+
+    if mode == "greedy":
+        chosen, own, fits = [], [0] * dim, (1 << dim) - 1
+
+        def score(u: int) -> Fraction:
+            grown = (Fraction(own[k] + rows[k].get(u, 0), scales[k]) for k in chosen)
+            return max([Fraction(own[u], scales[u]), *grown])
+
+        while fits:
+            v = min((u for u in range(dim) if fits >> u & 1), key=score)
+            chosen, own, fits = join(chosen, own, fits, v)
+        best = chosen
     else:
-        # integer row k, scaled by L, sums below eps * L iff below ceil(eps * L)
-        rows = matrix.scaled[:dim]
-        limits = [ceil(eps * scale) for scale in matrix.scales[:dim]]
         best = []
 
         def extend(chosen, own, fits: int, cap: int) -> None:
-            # fits: the indices past chosen[-1] that can still join, as bits;
-            # cap: no more than that many of them join together
+            # every index in fits is past chosen[-1]; at most cap of them join
             nonlocal best
             if len(chosen) > len(best):
                 best = chosen
@@ -264,18 +277,7 @@ def find_fragmenting_set(
             while len(chosen) + min(fits.bit_count(), cap) > len(best):
                 v = (fits & -fits).bit_length() - 1
                 fits &= fits - 1
-                column = [row.get(v, 0) for row in rows]
-                column[v] = 0
-                own_v = list(map(add, own, column))
-                chosen_v = chosen + [v]
-                slack = [(rows[k].get, limits[k] - own_v[k]) for k in chosen_v]
-                fits_v = sum(
-                    1 << u
-                    for u in range(v + 1, dim)
-                    if fits >> u & 1
-                    and own_v[u] < limits[u]
-                    and all(entry(u, 0) < t for entry, t in slack)
-                )
+                chosen_v, own_v, fits_v = join(chosen, own, fits, v)
                 # row v stays below its limit over its smallest entries first,
                 # and a set extending this branch, plus v, extends the parent
                 entries = sorted(e for u, e in rows[v].items() if fits_v >> u & 1)

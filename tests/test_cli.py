@@ -571,6 +571,19 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ],
             "color 4 is not a part index",
         ),
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "entries": [["0", "1_0/40"], ["0", "0"]]}',
+                "--set",
+                "[0, 1]",
+                "--eps",
+                "1 /2",
+            ],
+            "Invalid literal for Fraction: '1_0/40'",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -627,6 +640,7 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "combine-color-count",
         "combine-even-block",
         "combine-color-not-a-part",
+        "matrix-underscore",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):

@@ -100,7 +100,6 @@ def test_rows_past_the_integer_cap_are_refused(row, bound):
     [
         "1e4301",
         "1e-4301",
-        "1E+1_0000",
         " 5e99999999999 ",
         "2E+4300",
         "1e-4300",
@@ -109,6 +108,14 @@ def test_rows_past_the_integer_cap_are_refused(row, bound):
 )
 def test_exponent_past_the_cap_is_refused(text):
     with pytest.raises(ValueError, match="past the cap of 4300"):
+        parse_fraction(text)
+
+
+# Fraction reads underscores from Python 3.11 on and spaces around "/" from
+# 3.12 on; 3.10 refuses both, so every version must
+@pytest.mark.parametrize("text", ["1_0", "1 /2", "1/ 2", "1_0/0", "1E+1_0000"])
+def test_underscores_and_inner_spaces_are_refused(text):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
         parse_fraction(text)
 
 
@@ -433,6 +440,40 @@ def test_greedy_search_on_rational_matrices_is_certified():
             assert verify_fragmentation(m, got, eps).ok
 
 
+def _greedy_reference(matrix, eps):
+    """Greedy's rule from its docstring, in Fractions over matrix.entries:
+    join the index whose addition keeps the largest off-diagonal row sum
+    over the set smallest, ties to the lowest index, while that sum stays
+    below eps. own[k] is row k over the chosen columns other than k."""
+    rows = matrix.entries
+    chosen, own = [], [Fraction(0)] * matrix.dim
+    while True:
+        scores = [
+            (max([own[v], *(own[k] + rows[k][v] for k in chosen)]), v)
+            for v in range(matrix.dim)
+            if v not in chosen
+        ]
+        joinable = [pick for pick in scores if pick[0] < eps]
+        if not joinable:
+            return tuple(sorted(chosen))
+        v = min(joinable)[1]
+        own = [o + (rows[k][v] if k != v else 0) for k, o in enumerate(own)]
+        chosen.append(v)
+
+
+def test_greedy_search_joins_what_its_rule_picks():
+    epsilons = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+    cases = _search_cases()
+    for dim in range(6, 21):
+        cases += [(_rational_matrix(dim, dim), eps) for eps in epsilons]
+    for dim in range(5, 41):
+        fn = random_fpf_function(dim, dim, injective=dim % 2 == 0)
+        cases.append((function_to_matrix(fn), Fraction(1)))
+    for m, eps in cases:
+        got = find_fragmenting_set(m, eps, 0, "greedy")
+        assert got.elements == _greedy_reference(m, eps)
+
+
 def _named_in(function: str) -> tuple[set, set]:
     """The module-level functions of rosenthal that `function` names, and
     the attributes it reads off `matrix`."""
@@ -451,6 +492,12 @@ def _named_in(function: str) -> tuple[set, set]:
 def test_verifier_shares_no_code_with_the_searches():
     # the verifier certifies both search modes from the entries alone
     assert _named_in("verify_fragmentation") == (set(), {"entries"})
+
+
+def test_searches_read_only_the_scaled_rows():
+    # both modes search the integer rows of the dim x dim square
+    read = {"dim", "scaled", "scales"}
+    assert _named_in("find_fragmenting_set") == (set(), read)
 
 
 def test_exact_refuses_oversized_instance():
