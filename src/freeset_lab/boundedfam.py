@@ -477,13 +477,12 @@ def selector_free_check(
         bad_union.update(b.elements)
     kept = [x for x in selector.elements if x not in bad_union]
     kept_set = set(kept)
-    prefix = blocks.starts[-1]
+    # kept points lie in the prefix, one a block, and f fixes none: edges cross
     cross = []
     for x in kept:
         y = fn.values[x]
-        if y < prefix and y in kept_set:
-            if blocks.block_of_point(x) != blocks.block_of_point(y):
-                cross.append((x, y))
+        if y in kept_set:
+            cross.append((x, y))
     return SelectorReport(tuple(cross))
 
 
@@ -538,10 +537,9 @@ def _run_blocks_verify(args) -> dict:
     shadows = [shadow_set(system, fn, n) for n in range(system.depth)]
     # |S_f(n)| <= 2 * start(J_n), taken from the system, whose check above
     # has made |I_n| = 2 * start(J_n) + 1
-    over = [
-        n for n, s in enumerate(shadows) if len(s.elements) > 2 * system.j_starts[n]
-    ]
-    violations += [{"block": n, "reason": "shadow bound"} for n in over]
+    for n, s in enumerate(shadows):
+        if len(s.elements) > 2 * system.j_starts[n]:
+            violations.append({"block": n, "reason": "shadow bound"})
     for n in verify_shadows(system.j_starts, fn, shadows):
         violations.append({"block": n, "reason": "shadow set mismatch"})
     claim = verify_freeness_claim(system, fn, h)
@@ -551,13 +549,18 @@ def _run_blocks_verify(args) -> dict:
         "certified": [list(c) for c in claim.certified],
         "shadow_sizes": [len(s.elements) for s in shadows],
     }
-    if over:
-        # a shadow set past its bound leaves I_n no spare position to meet it
+    if violations:
+        # the meeting function is built only on shadow sets that passed
         return {"result": result, "violations": violations}
     ell = meeting_function(system, shadows)
-    for n, e in verify_meeting(system, shadows, ell):
-        violations.append({"block": n, "element": e, "reason": "meeting miss"})
     result["meeting"] = list(ell)
+    try:
+        missed = verify_meeting(system, shadows, ell)
+    except ValueError:
+        # a wrong length or a value outside [0, g(i)): no meeting function
+        return {"result": result, "violations": [{"reason": "meeting shape"}]}
+    for n, e in missed:
+        violations.append({"block": n, "element": e, "reason": "meeting miss"})
     return {"result": result, "violations": violations}
 
 

@@ -275,10 +275,10 @@ class Subset(Record):
             raise ValueError("window must be positive")
         prev = -1
         for e in self.elements:
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing")
             if e < 0 or e >= window:
                 raise ValueError(f"element {e} outside window [0, {window})")
+            if e <= prev:
+                raise ValueError("elements must be strictly increasing")
             prev = e
 
     @classmethod
@@ -325,8 +325,7 @@ def orbit_decomposition(fn: FiniteFunction) -> tuple[Orbit, ...]:
     seen = [False] * n
     orbits: list[Orbit] = []
     for start in range(n):
-        if seen[start]:
-            continue
+        # walks follow f, so none reaches a head: it has no in-window preimage
         if pre[start] == -1:
             # path: walk forward until the function exits the window
             nodes = [start]

@@ -138,26 +138,6 @@ def _complete(
     return Involution(tuple(pairing))
 
 
-def _walk(
-    values: tuple[int, ...],
-    state: bytearray,
-    parts: Sequence[list[int | None]],
-    x: int,
-) -> None:
-    """Pair edge t of the path from head x in parts[t % 4], marking nodes walked.
-
-    Stops when the next node leaves the window.
-    """
-    n = len(values)
-    y, t = values[x], 0
-    while y < n:
-        state[y] = 2
-        p = parts[t]
-        p[x] = y
-        p[y] = x
-        x, y, t = y, values[y], (t + 1) & 3
-
-
 def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     """Cover the function's in-window edges with four involutions.
 
@@ -189,9 +169,16 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
                 state[y] = 1
     pairings: list[list[int | None]] = [[None] * n for _ in range(3)]
     p0, p1, p2 = pairings
+    path = (p0, p1, p0, p2)
     head = state.find(0)
     while head != -1:
-        _walk(values, state, (p0, p1, p0, p2), head)
+        x, y, t = head, values[head], 0
+        while y < n:
+            state[y] = 2
+            p = path[t]
+            p[x] = y
+            p[y] = x
+            x, y, t = y, values[y], (t + 1) & 3
         head = state.find(0, head + 1)
     firsts: list[int] = []
     lasts: list[int] = []

@@ -584,6 +584,31 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ],
             "Invalid literal for Fraction: '1_0/40'",
         ),
+        (
+            ["free", "--set", "[-1]", "--fn", '{"n": 4, "values": [1, 2, 3, 0]}'],
+            "element -1 outside window [0, 4)",
+        ),
+        # the coded prefix of g = 2 at depth 2 is [0, 34), and the measured
+        # one at depth 2 is [0, 15); 0 and 1 both map to 2
+        (
+            ["blocks", "verify", "--g", "2", "--depth", "2", "--h", "[0, 0, 0, 0, 0, 0]",
+             "--fn", json.dumps({"n": 10, "values": list(range(1, 11))})],
+            "function window does not cover the coded prefix",
+        ),
+        (
+            ["blocks", "verify", "--g", "2", "--depth", "2", "--h", "[0, 0, 0, 0, 0, 0]",
+             "--fn", json.dumps({"n": 34, "values": [2, *range(2, 35)]})],
+            "shadow sets need an injective function",
+        ),
+        (
+            ["ed", "badset", "--depth", "2", "--fn", '{"n": 5, "values": [1, 2, 3, 4, 5]}'],
+            "function window does not cover the coded prefix",
+        ),
+        (
+            ["ed", "badset", "--depth", "2",
+             "--fn", json.dumps({"n": 15, "values": [2, *range(2, 16)]})],
+            "shadow sets need an injective function",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -641,6 +666,11 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "combine-even-block",
         "combine-color-not-a-part",
         "matrix-underscore",
+        "free-negative-element",
+        "blocks-verify-short-function",
+        "blocks-verify-not-injective",
+        "ed-badset-short-function",
+        "ed-badset-not-injective",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
@@ -713,6 +743,13 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
             _BATCH + ["--count", "100001", "--n", "1"],
             "batch of 100001 instances is past the cap of 100000",
         ),
+        # the zero matrix, on which every index joins a greedy search
+        (
+            ["rosenthal", "search", "--mode", "greedy", "--eps", "1", "--matrix",
+             json.dumps({"k": 151, "n": 151, "row_bound": "1",
+                         "entries": [[0] * 151] * 151})],
+            "greedy mode capped at dimension 150",
+        ),
     ],
     ids=[
         "part-label",
@@ -728,6 +765,7 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
         "batch-count",
         "batch-n",
         "batch-instances",
+        "greedy-dim",
     ],
 )
 def test_oversized_input_is_refused_before_the_work(capsys, argv, error):
@@ -882,6 +920,13 @@ def _shadow_fills_i0(system, fn, n):
     # |I_0| = 1 point of J_0 = [0, 2): past the bound 2 * start(J_0) = 0
     if n == 0:
         return boundedfam.ShadowSet((0,), 0, 1)
+    return _real_shadow_set(system, fn, n)
+
+
+def _shadow_past_block_1(system, fn, n):
+    # J_1 = [2, 34): its first point past the block in place of S_f(1)
+    if n == 1:
+        return boundedfam.ShadowSet((system.j_starts[2],), 4, 5)
     return _real_shadow_set(system, fn, n)
 
 
@@ -1167,6 +1212,22 @@ _BROKEN = {
         ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
         boundedfam, "shadow_set", _shadow_fills_i0,
     ),
+    # a faulty constructor is a violation, and no meeting function is built on it
+    "blocks verify: point past its block": (
+        ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
+        boundedfam, "shadow_set", _shadow_past_block_1,
+    ),
+    "blocks verify: meeting one value short": (
+        ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
+        boundedfam, "meeting_function",
+        lambda system, shadows: _real_meeting(system, shadows)[:-1],
+    ),
+    # g = 2 bounds every value below 2
+    "blocks verify: meeting value at g": (
+        ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
+        boundedfam, "meeting_function",
+        lambda system, shadows: (2, *_real_meeting(system, shadows)[1:]),
+    ),
     # S_f(1) is the all-zero tuple on I_1, which an all-one I_1 misses
     "blocks verify: meeting miss": (
         ["--g", "2", "--depth", "2", "--fn", _SUCC34, "--h", json.dumps([0] * 6)],
@@ -1213,6 +1274,11 @@ _ADDED = {
     "blocks verify: meeting miss": [
         {"block": 1, "element": 2, "reason": "meeting miss"}
     ],
+    "blocks verify: point past its block": [
+        {"block": 1, "reason": "shadow set mismatch"}
+    ],
+    "blocks verify: meeting one value short": [{"reason": "meeting shape"}],
+    "blocks verify: meeting value at g": [{"reason": "meeting shape"}],
     "ed badset: all of block 2": [
         {"block": 2, "mass": "4"},
         {"block": 2, "reason": "bad set mismatch"},
