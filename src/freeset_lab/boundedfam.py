@@ -621,6 +621,9 @@ def _run_ed_member(args) -> dict:
     if bound < 0:
         # masses are never negative, so no set could be a member
         raise ValueError(f"--k is {bound}, must be at least 0")
+    if args.fin and args.depth == 0:
+        # --fin's block 0 is empty, so at depth 0 no window holds a --set
+        raise ValueError("--depth 0 under --fin has no point for --set")
     blocks = ed_fin_blocks(args.depth) if args.fin else build_ed_blocks(args.depth)
     violations = _check_measured(blocks, args.depth, args.fin)
     if violations:

@@ -17,8 +17,8 @@ import json
 from operator import eq
 from typing import Callable, Iterable, Iterator, Sequence
 
-# Most points any one call may hold in memory: a batch's seeded functions
-# together, or a block system's materialized positions.
+# Most points one call may draw or hold: a batch's drawn points in total,
+# its work, and a constant growth function's or the --fin blocks' positions.
 MAX_MATERIALIZED_POSITIONS = 10_000_000
 
 _MASK64 = (1 << 64) - 1
@@ -317,38 +317,38 @@ def orbit_decomposition(fn: FiniteFunction) -> tuple[Orbit, ...]:
     """
     if not fn.injective_on_window:
         raise ValueError("orbit decomposition needs an injective function")
-    n = fn.window
-    pre = [-1] * n
-    for x, v in enumerate(fn.values):
+    n, values = fn.window, fn.values
+    # 0: no in-window preimage (a path head); 1: not walked yet; 2: walked
+    state = bytearray(n)
+    for v in values:
         if v < n:
-            pre[v] = x
-    seen = [False] * n
+            state[v] = 1
     orbits: list[Orbit] = []
-    for start in range(n):
-        # walks follow f, so none reaches a head: it has no in-window preimage
-        if pre[start] == -1:
-            # path: walk forward until the function exits the window
-            nodes = [start]
-            seen[start] = True
-            x = start
-            while fn.values[x] < n:
-                x = fn.values[x]
-                nodes.append(x)
-                seen[x] = True
-            orbits.append(Orbit("path", tuple(nodes)))
-    for start in range(n):
-        if seen[start]:
-            continue
+    # walks follow f, so none reaches a head: it has no in-window preimage
+    head = state.find(0)
+    while head != -1:
+        # path: walk forward until the function exits the window
+        nodes = [head]
+        x = head
+        while values[x] < n:
+            x = values[x]
+            nodes.append(x)
+            state[x] = 2
+        orbits.append(Orbit("path", tuple(nodes)))
+        head = state.find(0, head + 1)
+    start = state.find(1)
+    while start != -1:
         # remaining components are cycles: every node has a preimage
         nodes = [start]
-        seen[start] = True
-        x = fn.values[start]
+        state[start] = 2
+        x = values[start]
         while x != start:
             nodes.append(x)
-            seen[x] = True
-            x = fn.values[x]
+            state[x] = 2
+            x = values[x]
         # the scan ascends, so start is the cycle's least node
         orbits.append(Orbit("cycle", tuple(nodes)))
+        start = state.find(1, start + 1)
     orbits.sort(key=lambda o: o.nodes[0])
     return tuple(orbits)
 

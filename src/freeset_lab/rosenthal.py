@@ -213,21 +213,20 @@ def find_fragmenting_set(
     Both modes hold own[u], row u summed over the chosen columns other than
     u, and fits, the indices that can still join; when v joins, its column
     is added to own and fits loses every index that no longer fits below
-    eps. Exact mode maximizes cardinality over all subsets of [0, dim) by
-    depth-first search, pruning on the fact that subsets of fragmenting
-    sets fragment, and on the room left in each row that joins: after v,
-    no more candidates can join than row v's smallest entries among them
-    that keep its sum below eps, nor more than one fewer than could join
-    before v. A branch is dropped only when it can at most tie, so the
-    search returns the lexicographically smallest maximum set, or None
-    when even the best falls short of min_size. Greedy mode joins, while
-    fits is not empty, the index whose addition keeps the largest
-    off-diagonal row sum smallest (ties to the lowest index); every
-    running row sum stays below eps, so the set fragments by construction
-    and is left to verify_fragmentation to check. A finite window may
-    simply have no fragmenting set of the requested size; None is an
-    answer, not an error. A dim past EXACT_DIM_CAP in exact mode, or past
-    GREEDY_DIM_CAP in greedy mode, raises ValueError.
+    eps, rescanning only the chosen rows that lost slack: v's and those
+    with an entry in column v. Exact mode maximizes cardinality over all
+    subsets of [0, dim) by depth-first search, pruning on the fact that
+    subsets of fragmenting sets fragment and, before v joins, on the room
+    in row v: no more candidates can join after v than row v's smallest
+    entries among them that keep its sum below eps. A branch that can at
+    most tie is dropped, so the search returns the lexicographically
+    smallest maximum set, or None (an answer, not an error) when even the
+    best falls short of min_size. Greedy mode joins, while fits is not
+    empty, the index whose addition keeps the largest off-diagonal row sum
+    smallest (ties to the lowest index); every running row sum stays below
+    eps, so the set fragments by construction, for verify_fragmentation to
+    check. A dim past EXACT_DIM_CAP in exact mode, or past GREEDY_DIM_CAP
+    in greedy mode, raises ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -249,15 +248,15 @@ def find_fragmenting_set(
 
     def join(chosen, own, fits: int, v: int):
         # an index stops fitting when its own row reaches its limit, or when
-        # its entry in v's row or a chosen row is at least that row's slack
-        own, gone, chosen = own.copy(), 1 << v, [*chosen, v]
+        # its entry in a chosen row is at least that row's slack
+        own, gone = own.copy(), 1 << v
         for k, e in into[v]:
             own[k] += e
             gone |= (own[k] >= limits[k]) << k
-        for k in chosen:
+        for k in [v, *(k for k in chosen if v in rows[k])]:
             slack = limits[k] - own[k]
             gone |= sum(1 << u for u, e in rows[k].items() if e >= slack)
-        return chosen, own, fits & ~gone
+        return [*chosen, v], own, fits & ~gone
 
     if mode == "greedy":
         chosen, own, fits = [], [0] * dim, (1 << dim) - 1
@@ -273,23 +272,23 @@ def find_fragmenting_set(
     else:
         best = []
 
-        def extend(chosen, own, fits: int, cap: int) -> None:
-            # every index in fits is past chosen[-1]; at most cap of them join
+        def extend(chosen, own, fits: int) -> None:
+            # every index in fits is past chosen[-1]
             nonlocal best
             if len(chosen) > len(best):
                 best = chosen
             # a branch that can at most tie comes later in lexicographic order
-            while len(chosen) + min(fits.bit_count(), cap) > len(best):
+            while len(chosen) + fits.bit_count() > len(best):
                 v = (fits & -fits).bit_length() - 1
                 fits &= fits - 1
-                chosen_v, own_v, fits_v = join(chosen, own, fits, v)
                 # row v stays below its limit over its smallest entries first,
-                # and a set extending this branch, plus v, extends the parent
-                entries = sorted(e for u, e in rows[v].items() if fits_v >> u & 1)
-                over = sum(t >= limits[v] - own_v[v] for t in accumulate(entries))
-                extend(chosen_v, own_v, fits_v, min(fits_v.bit_count() - over, cap - 1))
+                # so at most fits.bit_count() - over more indices join after v
+                entries = sorted(e for u, e in rows[v].items() if fits >> u & 1)
+                over = sum(t >= limits[v] - own[v] for t in accumulate(entries))
+                if len(chosen) + 1 + fits.bit_count() - over > len(best):
+                    extend(*join(chosen, own, fits, v))
 
-        extend([], [0] * dim, (1 << dim) - 1, dim)
+        extend([], [0] * dim, (1 << dim) - 1)
     if len(best) < min_size:
         return None
     return Subset(dim, tuple(sorted(best)))

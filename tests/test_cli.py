@@ -408,6 +408,10 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         (["ed", "build", "--depth", "-1"], "depth must be nonnegative"),
         (["ed", "build", "--depth", "-1", "--fin"], "depth must be nonnegative"),
         (
+            ["ed", "member", "--fin", "--depth", "0", "--set", "[]", "--k", "0"],
+            "--depth 0 under --fin has no point for --set",
+        ),
+        (
             [
                 "rosenthal",
                 "check",
@@ -649,6 +653,7 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "blocks-prefix-too-large",
         "ed-negative-depth",
         "ed-fin-negative-depth",
+        "member-fin-zero-depth",
         "matrix-zero-rows",
         "matrix-row-count",
         "matrix-row-length",

@@ -289,6 +289,12 @@ def _search_cases():
     for dim, size, entry in product(range(3, 11), (2, 3, 4, 10), ("1/9", "1/4", "1/3")):
         m = _blocks(dim, size, Fraction(entry))
         cases += [(m, eps) for eps in (Fraction(1, 2), one)]
+    # the same blocks spread over the window: the chosen rows with an entry
+    # in a column are not contiguous, and ties cross blocks
+    shapes = product((6, 8, 9), (2, 3, 4), ("1/4", "1/3"))
+    for seed, (dim, size, entry) in enumerate(shapes):
+        m = _interleaved(dim, size, Fraction(entry), seed)
+        cases += [(m, eps) for eps in (Fraction(1, 2), one, Fraction(3, 2))]
     return cases
 
 
@@ -302,6 +308,16 @@ def _blocks(dim, size, entry):
         for k in range(dim)
     )
     return RosenthalMatrix(dim, dim, entries, max(1, entry * (size - 1)))
+
+
+def _interleaved(dim, size, entry, seed):
+    """_blocks(dim, size, entry) relabelled by a seeded shuffle, so that
+    each block's indices lie apart from one another."""
+    perm = list(range(dim))
+    Lcg64(seed).shuffle(perm)
+    m = _blocks(dim, size, entry)
+    entries = tuple(tuple(m.entries[p][q] for q in perm) for p in perm)
+    return RosenthalMatrix(dim, dim, entries, m.row_bound)
 
 
 def _rectangular(seed):
