@@ -31,7 +31,7 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence
 
 # funcgraph is the one layer every subcommand uses, and the only one the
 # handlers here need; every other handler lives in its layer's module.
@@ -288,13 +288,15 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _out_file(args: argparse.Namespace) -> Optional[TextIO]:
+def _check_out(args: argparse.Namespace) -> None:
     """--out, opened only once the arguments parse, so a usage error leaves
-    the file as it was; an unwritable path is a usage error of its own."""
+    the file as it was; an unwritable path is a usage error of its own.
+    Append mode truncates nothing, so an input that --out names is read
+    whole; the report replaces it after the handler returns."""
     if args.out is None:
-        return None
+        return
     try:
-        return open(args.out, "w", encoding="utf-8")
+        open(args.out, "a", encoding="utf-8").close()
     except OSError as exc:
         args.out_parser.error(f"argument --out: {exc}")
 
@@ -306,7 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        out = _out_file(args)
+        _check_out(args)
     except SystemExit as exc:
         return 2 if exc.code else 0
     started = time.perf_counter()
@@ -324,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report["elapsed_seconds"] = time.perf_counter() - started
     text = _dumps(report)
     print(text)
-    if out is not None:
-        with out:
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as out:
             out.write(text + "\n")
     return code

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .funcgraph import FiniteFunction, Subset, WindowRecord
 from .funcgraph import _load_doc, _load_fn, image_overlap
 
+# worst measured at the cap (random families, 8 triangles): 511 nodes, 0.2 ms
 EXACT_WINDOW_CAP = 24
 
 

@@ -236,14 +236,25 @@ def json_ints(items: object, what: str) -> tuple[int, ...]:
     return tuple(items)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key raises ValueError naming it,
+    where json alone would keep the last value silently."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"document repeats key {json.dumps(key)}")
+        doc[key] = value
+    return doc
+
+
 def _load_doc(text: str):
     """Inline JSON if it looks like JSON, otherwise a path to a JSON file."""
     stripped = text.strip()
     try:
         if stripped.startswith(("{", "[")):
-            return json.loads(stripped)
+            return json.loads(stripped, object_pairs_hook=_unique_keys)
         with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
 
@@ -307,48 +318,53 @@ class Orbit(Record):
     nodes: tuple[int, ...]
 
 
-def orbit_decomposition(fn: FiniteFunction) -> tuple[Orbit, ...]:
-    """The orbits of an injective window function, by ascending first node.
+def _walk_state(fn: FiniteFunction) -> bytearray:
+    """Where the orbit walks of an injective window function start.
 
-    Injectivity makes every in-window point have at most one preimage, so
-    each connected component is a cycle or a single path. Paths begin at
-    points with no in-window preimage or whose would-be preimage maps out
-    of the window; they end where the function leaves the window.
+    The walk rule of both orbit constructors: x is 0 when it has no
+    in-window preimage, a path head, and 1 otherwise. Paths are walked
+    first, from their heads, marking their points 2; walks follow f, so
+    none reaches a head. The points still 1 lie on cycles, and an
+    ascending scan meets each cycle first at its least node. A
+    permutation of the window has no head and gets all ones at once.
     """
-    if not fn.injective_on_window:
-        raise ValueError("orbit decomposition needs an injective function")
-    n, values = fn.window, fn.values
-    # 0: no in-window preimage (a path head); 1: not walked yet; 2: walked
+    values = fn.values
+    n = len(values)
+    if max(values) < n:
+        return bytearray(b"\x01") * n
     state = bytearray(n)
     for v in values:
         if v < n:
             state[v] = 1
+    return state
+
+
+def orbit_decomposition(fn: FiniteFunction) -> tuple[Orbit, ...]:
+    """The orbits of an injective window function, by ascending first node.
+
+    Injectivity makes every in-window point have at most one preimage, so
+    each connected component is a cycle or a single path. One loop walks
+    the paths and then the cycles from the starts _walk_state marks; each
+    walk stops where f leaves the window or returns to its start.
+    """
+    if not fn.injective_on_window:
+        raise ValueError("orbit decomposition needs an injective function")
+    n, values = fn.window, fn.values
+    state = _walk_state(fn)
     orbits: list[Orbit] = []
-    # walks follow f, so none reaches a head: it has no in-window preimage
-    head = state.find(0)
-    while head != -1:
-        # path: walk forward until the function exits the window
-        nodes = [head]
-        x = head
-        while values[x] < n:
-            x = values[x]
-            nodes.append(x)
-            state[x] = 2
-        orbits.append(Orbit("path", tuple(nodes)))
-        head = state.find(0, head + 1)
-    start = state.find(1)
-    while start != -1:
-        # remaining components are cycles: every node has a preimage
-        nodes = [start]
-        state[start] = 2
-        x = values[start]
-        while x != start:
-            nodes.append(x)
-            state[x] = 2
-            x = values[x]
-        # the scan ascends, so start is the cycle's least node
-        orbits.append(Orbit("cycle", tuple(nodes)))
-        start = state.find(1, start + 1)
+    for mark, kind in ((0, "path"), (1, "cycle")):
+        start = state.find(mark)
+        while start != -1:
+            # a path never returns to its head, which has no in-window preimage
+            nodes = [start]
+            state[start] = 2
+            x = values[start]
+            while x < n and x != start:
+                nodes.append(x)
+                state[x] = 2
+                x = values[x]
+            orbits.append(Orbit(kind, tuple(nodes)))
+            start = state.find(mark, start + 1)
     orbits.sort(key=lambda o: o.nodes[0])
     return tuple(orbits)
 

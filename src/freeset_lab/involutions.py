@@ -2,9 +2,9 @@
 
 Every fixed-point-free injective function on a window can have its graph
 covered by four fixed-point-free involutions, each orbit on its own.
-Each path is walked from its head (the point with no in-window
-preimage), then each cycle from its least node, and edge t of the walk,
-from its t-th node to the next, goes straight into one part:
+The paths and then the cycles are walked from the starts that
+funcgraph._walk_state marks, and edge t of a walk, from its t-th node
+to the next, goes straight into one part:
 
 * a path sends even t to part 0, t = 1 mod 4 to part 1 and t = 3 mod 4
   to part 2, so no two edges of one part share a node;
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, WindowRecord, json_fields
-from .funcgraph import _load_doc, _load_fn, json_ints
+from .funcgraph import _load_doc, _load_fn, _walk_state, json_ints
 
 if TYPE_CHECKING:
     from .partitions import IntervalPartition
@@ -141,36 +141,28 @@ def _complete(
 def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     """Cover the function's in-window edges with four involutions.
 
-    One walk per orbit, paths from their heads and then cycles from
-    their least node, writes edge t of the orbit straight into a part's
-    pairing: paths by t mod 4 into parts 0, 1, 0, 2; cycles by the
-    parity of t into parts 0 and 1, two edges a step, with an odd
-    cycle's closing edge in part 2. The ascending scan reaches every
-    cycle first at its least node. The fourth part gets no edge: it
-    pairs the window consecutively, 0 with 1, 2 with 3 and so on, with
-    n - 1 the exception when n is odd. Parts 0 to 2 then pair their
-    leftovers; with no path, the walk has already listed those of parts
-    0 and 1, the two ends of each odd cycle. case comes from its closed
-    form: 2 when the window is odd and every value lies inside it.
+    One walk per orbit, from the starts _walk_state marks, writes edge t
+    of the orbit straight into a part's pairing: paths by t mod 4 into
+    parts 0, 1, 0, 2; cycles by the parity of t into parts 0 and 1, two
+    edges a step, with an odd cycle's closing edge in part 2. The fourth
+    part gets no edge: it pairs the window consecutively, 0 with 1, 2
+    with 3 and so on, with n - 1 the exception when n is odd. Parts 0 to
+    2 then pair their leftovers; with no path, the walk has already
+    listed those of parts 0 and 1, the two ends of each odd cycle. case
+    comes from its closed form: 2 when the window is odd and every value
+    lies inside it.
     """
     if not fn.injective_on_window:
         raise ValueError("decomposition needs an injective function")
     values = fn.values
     n = len(values)
-    permutes = max(values) < n
-    # 0: no in-window preimage (a path head); 1: not walked yet; 2: walked.
-    # An injection that keeps every value in the window has no head.
-    if permutes:
-        state = bytearray(b"\x01") * n
-    else:
-        state = bytearray(n)
-        for y in values:
-            if y < n:
-                state[y] = 1
+    state = _walk_state(fn)
     pairings: list[list[int | None]] = [[None] * n for _ in range(3)]
     p0, p1, p2 = pairings
     path = (p0, p1, p0, p2)
     head = state.find(0)
+    # an injection without a head keeps every value in the window
+    permutes = head == -1
     while head != -1:
         x, y, t = head, values[head], 0
         while y < n:

@@ -21,9 +21,12 @@ from typing import Optional
 from .funcgraph import FiniteFunction, Record, Subset, json_fields, json_int
 from .funcgraph import _load_doc, _load_set
 
+# worst known case at the cap, blocks 8/8/6 (entries 1/7, eps 1/2): 0.2 s
 EXACT_DIM_CAP = 22
 # greedy `rosenthal search` on the zero matrix, where every index joins,
-# takes about 0.8 s at dim 150 and 1.7 s at dim 200 (2-core x86-64)
+# takes about 0.8 s at dim 150 and 1.7 s at dim 200 (2-core x86-64). The
+# cap bounds only the dimension: a dim-150 matrix whose row scales run to
+# hundreds of digits still takes 10-17 s.
 GREEDY_DIM_CAP = 150
 # Python prints no int of more than 4300 digits, so no numerator or
 # denominator may have more. Exponents and digit runs past the cap are

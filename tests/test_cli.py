@@ -613,6 +613,40 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
              "--fn", json.dumps({"n": 15, "values": [2, *range(2, 16)]})],
             "shadow sets need an injective function",
         ),
+        # json alone keeps the last of two equal keys
+        (
+            ["orbits", "--fn", '{"n": 3, "n": 2, "values": [1, 0]}'],
+            'document repeats key "n"',
+        ),
+        (
+            [
+                "rosenthal",
+                "check",
+                "--matrix",
+                '{"k": 2, "n": 2, "row_bound": "1", "row_bound": "100",'
+                ' "entries": [["0", "5"], ["5", "0"]]}',
+                "--set",
+                "[0]",
+                "--eps",
+                "1",
+            ],
+            'document repeats key "row_bound"',
+        ),
+        (
+            [
+                "involutions",
+                "combine",
+                *["--part", _PART4] * 3,
+                "--part",
+                '{"n": 4, "pairing": [0, 1, 2, 3], "pairing": [1, 0, 3, 2],'
+                ' "exceptions": []}',
+                "--blocks",
+                '{"endpoints": [0, 4]}',
+                "--colors",
+                "[0]",
+            ],
+            'document repeats key "pairing"',
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -676,6 +710,9 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "blocks-verify-not-injective",
         "ed-badset-short-function",
         "ed-badset-not-injective",
+        "function-repeated-key",
+        "matrix-repeated-key",
+        "involution-repeated-key",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
@@ -802,6 +839,15 @@ def test_usage_error_leaves_the_out_file_untouched(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--fn" in captured.err
+
+
+def test_out_naming_an_input_reads_it_before_the_report_replaces_it(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 2, "values": [1, 0]}', encoding="utf-8")
+    assert main(["orbits", "--fn", str(path), "--out", str(path)]) == 0
+    report = capsys.readouterr().out
+    assert path.read_text(encoding="utf-8") == report
+    assert json.loads(report)["result"]["orbits"] == [{"kind": "cycle", "nodes": [0, 1]}]
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):

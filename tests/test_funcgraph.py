@@ -20,6 +20,7 @@ from freeset_lab.funcgraph import (
     Lcg64,
     Orbit,
     Subset,
+    _walk_state,
     image_overlap,
     orbit_decomposition,
     random_fpf_function,
@@ -297,6 +298,23 @@ def test_verify_orbits_accepts_exactly_the_definition_under_single_edits():
         "orbit # has unknown kind loop",
         "orbits do not cover the window",
     }
+
+
+def test_walk_state_marks_exactly_the_points_without_an_in_window_preimage():
+    # every fixed-point-free injection of [0, N) into [0, N + 1), N <= 5
+    functions = permuting = 0
+    for n in range(1, 6):
+        for values in permutations(range(n + 1), n):
+            if any(x == v for x, v in enumerate(values)):
+                continue
+            image = set(values)
+            state = _walk_state(FiniteFunction(values))
+            assert list(state) == [int(x in image) for x in range(n)], values
+            if max(values) < n:
+                assert 0 not in state
+                permuting += 1
+            functions += 1
+    assert functions == 377 and permuting == 56
 
 
 def test_orbit_rejects_non_injective():

@@ -366,7 +366,7 @@ _BLOCK_CONSTRUCTORS = {
     "build_block_system", "constant_growth", "build_ed_blocks", "ed_fin_blocks"
 }
 _SEPARATION = {
-    "funcgraph": {"verify_orbits": {"orbit_decomposition"}},
+    "funcgraph": {"verify_orbits": {"orbit_decomposition", "_walk_state"}},
     "freesets": {
         "is_maximal_free": _FREESETS_CONSTRUCTORS,
         "verify_coloring": _FREESETS_CONSTRUCTORS,
