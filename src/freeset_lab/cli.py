@@ -10,16 +10,17 @@ includes a negative count or bound (`free --threshold`, `--min-size`,
 `dominates --n`, `ed member --k`) and a size past a cap, such as a
 batch of more than 10^7 points or more than 10^5 instances. Verdicts
 are always recomputed from scratch; nothing trusts a constructor's own
-claim. Batch mode runs its op's leaf on seeded functions one after
-another and reports them in index order: each instance's `ok` is the
-leaf's verdict, and identical seeds give byte-identical reports up to
-the timing field. Each command is one entry of `_TABLE`, which holds its
-help text, handlers and options, and from which every parser, every
-`op` name and `COMMANDS` are derived. A call builds the argument
-parsers of its own command alone. The table names each leaf's handler,
-and `_BATCH_VERDICTS` each batch op's leaf verdict, by module and
-function; a call imports only the module that holds what it runs, so it
-compiles no other layer's handlers.
+claim. A leaf whose only option is `--fn` is called with the loaded
+function, and a batch op runs such a leaf's handler on seeded functions
+one after another and reports them in index order: each instance's
+`ok` is the handler's verdict, and identical seeds give byte-identical
+reports up to the timing field. Each command is one entry of `_TABLE`,
+which holds its help text, handlers and options, and from which every
+parser, every `op` name and `COMMANDS` are derived. A call builds the
+argument parsers of its own command alone. The table names each leaf's
+handler, and `_BATCH_VERDICTS` the handler each batch op runs, by
+module and function; a call imports only the module that holds what it
+runs, so it compiles no other layer's handlers.
 """
 
 from __future__ import annotations
@@ -56,11 +57,7 @@ MAX_BATCH_COUNT = 100_000
 # and "violations"; main sets "ok" exactly when the violations are empty.
 
 
-def _run_orbits(args) -> dict:
-    return _orbits(_load_fn(args.fn))
-
-
-def _orbits(fn: FiniteFunction) -> dict:
+def _run_orbits(fn: FiniteFunction) -> dict:
     orbits = orbit_decomposition(fn)
     complaints = verify_orbits(fn, orbits)
     result = {"orbits": [{"kind": o.kind, "nodes": list(o.nodes)} for o in orbits]}
@@ -86,9 +83,10 @@ def _run_free(args) -> dict:
 
 
 # === batch mode ===
-# op: ("module.function" of its leaf's verdict function, whether the
-# seeded draw is an injection, the instance's counts read off the
-# verdict's result and violations). An instance's ok is the verdict's.
+# op: ("module.function" of the handler of a leaf whose only option is
+# --fn, whether the seeded draw is an injection, the instance's counts
+# read off the handler's result and violations). A batch op runs that
+# handler on each drawn function; an instance's ok is the handler's.
 
 
 def _orbit_counts(result: dict, violations: list) -> dict:
@@ -97,12 +95,12 @@ def _orbit_counts(result: dict, violations: list) -> dict:
 
 
 _BATCH_VERDICTS = {
-    "involutions-decompose": ("involutions._inv_decompose", True, lambda r, v: {
+    "involutions-decompose": ("involutions._run_inv_decompose", True, lambda r, v: {
         "case": r["case"], "uncovered": len(r["uncovered"])}),
-    "katetov": ("freesets._katetov", False, lambda r, v: {
+    "katetov": ("freesets._run_katetov", False, lambda r, v: {
         "classes": len(set(r["colors"])), "violations": len(v)}),
-    "orbits": ("cli._orbits", True, _orbit_counts),
-    "escape": ("partitions._part_escape", True, lambda r, v: {
+    "orbits": ("cli._run_orbits", True, _orbit_counts),
+    "escape": ("partitions._run_part_escape", True, lambda r, v: {
         "blocks": len(r["endpoints"]) - 1}),
 }
 
@@ -257,7 +255,8 @@ def _add_leaf(p: argparse.ArgumentParser, leaf: tuple, op: str) -> None:
     p.add_argument("--out", help="also write the report to this path")
     for flag, keywords in options.items():
         p.add_argument(flag, **keywords)
-    p.set_defaults(handler=handler, op=op, out_parser=p)
+    on_fn = list(options) == ["--fn"]  # its handler takes the loaded --fn
+    p.set_defaults(handler=handler, op=op, on_fn=on_fn, out_parser=p)
 
 
 def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -313,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code else 0
     started = time.perf_counter()
     try:
-        payload = _resolve(args.handler)(args)
+        payload = _resolve(args.handler)(_load_fn(args.fn) if args.on_fn else args)
     except (ValueError, OSError) as exc:
         payload, code = {"error": str(exc) or type(exc).__name__}, 2
     except Exception as exc:

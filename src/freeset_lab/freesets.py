@@ -292,14 +292,10 @@ def verify_unsplit(
     return violations
 
 
-# === CLI handlers and batch verdict, named in cli._TABLE and cli._BATCH_VERDICTS ===
+# === CLI handlers, named in cli._TABLE; those of --fn-only leaves are batch ops ===
 
 
-def _run_katetov(args) -> dict:
-    return _katetov(_load_fn(args.fn))
-
-
-def _katetov(fn: FiniteFunction) -> dict:
+def _run_katetov(fn: FiniteFunction) -> dict:
     coloring = katetov_partition(fn)
     result = coloring.to_json()
     # the color classes in one pass, each ascending as color_class gives it

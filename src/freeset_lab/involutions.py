@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, WindowRecord, json_fields
-from .funcgraph import _load_doc, _load_fn, _walk_state, json_ints
+from .funcgraph import _load_doc, _walk_state, json_ints
 
 if TYPE_CHECKING:
     from .partitions import IntervalPartition
@@ -299,14 +299,10 @@ def combine_on_blocks(
     return Subset.of(window, chosen), _complete(pairing)
 
 
-# === CLI handlers and batch verdict, named in cli._TABLE and cli._BATCH_VERDICTS ===
+# === CLI handlers, named in cli._TABLE; those of --fn-only leaves are batch ops ===
 
 
-def _run_inv_decompose(args) -> dict:
-    return _inv_decompose(_load_fn(args.fn))
-
-
-def _inv_decompose(fn: FiniteFunction) -> dict:
+def _run_inv_decompose(fn: FiniteFunction) -> dict:
     res = decompose_into_involutions(fn)
     ok, unexplained = verify_decomposition(fn, res)
     violations = [list(e) for e in unexplained]

@@ -236,7 +236,7 @@ def verify_localization(
     return tuple(bad)
 
 
-# === CLI handlers and batch verdict, named in cli._TABLE and cli._BATCH_VERDICTS ===
+# === CLI handlers, named in cli._TABLE; those of --fn-only leaves are batch ops ===
 
 
 def _run_part_fp(args) -> dict:
@@ -254,11 +254,7 @@ def _run_part_fp(args) -> dict:
     return {"result": fn.to_json(), "violations": violations}
 
 
-def _run_part_escape(args) -> dict:
-    return _part_escape(_load_fn(args.fn))
-
-
-def _part_escape(fn: FiniteFunction) -> dict:
+def _run_part_escape(fn: FiniteFunction) -> dict:
     partition = escape_intervals(fn)
     bad = verify_escape(partition, fn)
     return {

@@ -647,6 +647,18 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
             ],
             'document repeats key "pairing"',
         ),
+        (
+            ["katetov", "--fn", '{"n": 3, "values": [0, 2, 1]}'],
+            "function has a fixed point",
+        ),
+        (
+            ["involutions", "decompose", "--fn", '{"n": 2, "values": [1, true]}'],
+            "values[1] is true, not an integer",
+        ),
+        (
+            ["partition", "escape", "--fn", '{"n": 3, "values": [1, 0]}'],
+            "n is 3, but values has length 2",
+        ),
     ],
     ids=[
         "coloring-entries",
@@ -713,6 +725,9 @@ _SUCC34 = json.dumps({"n": 34, "values": list(range(1, 35))})
         "function-repeated-key",
         "matrix-repeated-key",
         "involution-repeated-key",
+        "katetov-fixed-point",
+        "decompose-bool-value",
+        "escape-length-mismatch",
     ],
 )
 def test_malformed_document_exits_two_naming_the_field(capsys, argv, error):
@@ -1357,12 +1372,20 @@ def test_a_broken_constructor_fails_its_leaf(capsys, monkeypatch, key):
     assert not any(row["ok"] for row in doc.get("instances", []))
 
 
+def _table_leaves() -> dict[str, tuple]:
+    """Every _TABLE leaf, by its command path: (handler, options)."""
+    leaves = {}
+    for name, (_, entry) in cli._TABLE.items():
+        if isinstance(entry, tuple):
+            leaves[name] = entry
+            continue
+        for sub, leaf in entry.items():
+            leaves[f"{name} {sub}"] = leaf
+    return leaves
+
+
 def test_every_leaf_has_a_broken_row_or_waits_for_one():
-    leaves = [
-        name if isinstance(entry, tuple) else f"{name} {sub}"
-        for name, (_, entry) in cli._TABLE.items()
-        for sub in ([None] if isinstance(entry, tuple) else entry)
-    ]
+    leaves = list(_table_leaves())
     rows = {key.split(":")[0] for key in _BROKEN}
     assert len(leaves) == 19
     assert not rows & set(_NO_BROKEN_ROW)
@@ -1371,11 +1394,8 @@ def test_every_leaf_has_a_broken_row_or_waits_for_one():
 
 def _named_functions() -> list[str]:
     """Every "module.function" that a _TABLE leaf or a batch op names."""
-    leaves = []
-    for _, entry in cli._TABLE.values():
-        leaves += [entry] if isinstance(entry, tuple) else entry.values()
     verdicts = [path for path, _, _ in cli._BATCH_VERDICTS.values()]
-    return [handler for handler, _ in leaves] + verdicts
+    return [handler for handler, _ in _table_leaves().values()] + verdicts
 
 
 def test_every_entry_resolves_to_a_function_of_its_module():
@@ -1389,19 +1409,25 @@ def test_every_entry_resolves_to_a_function_of_its_module():
 
 def test_every_handler_and_batch_verdict_is_named_once():
     # the public-name reachability check skips private names, so an
-    # orphaned handler would go unseen without this; a batch verdict `_X`
-    # is the body its leaf's handler `_run_X` calls
+    # orphaned handler would go unseen without this
     package = Path(freeset_lab.__file__).parent
     defined = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
         defined += [
-            f"{path.stem}.{name}"
-            for name in names
-            if re.fullmatch(r"_run_\w+", name) or f"_run{name}" in names
+            f"{path.stem}.{node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and re.fullmatch(r"_run_\w+", node.name)
         ]
-    assert sorted(_named_functions()) == sorted(defined)
+    leaves = _table_leaves().values()
+    assert sorted(handler for handler, _ in leaves) == sorted(defined)
+    # main calls a leaf whose only option is --fn with the loaded function,
+    # so batch can call the same handler with a drawn one
+    on_fn = {handler for handler, options in leaves if list(options) == ["--fn"]}
+    verdicts = [path for path, _, _ in cli._BATCH_VERDICTS.values()]
+    assert len(set(verdicts)) == len(verdicts)
+    assert set(verdicts) <= on_fn
 
 
 # === pinned reports ===
@@ -1638,6 +1664,21 @@ def test_batch_report_carries_instances(capsys):
     assert [row["seed"] for row in doc["instances"]] == list(range(5, 11))
     assert doc["result"]["passed"] == 6
     assert list(doc)[-1] == "elapsed_seconds"
+
+
+@pytest.mark.parametrize("op", list(cli._BATCH_VERDICTS))
+@pytest.mark.parametrize("n", [1, 9, 64])
+def test_a_batch_row_is_its_leafs_report(capsys, op, n):
+    path, injective, counts = cli._BATCH_VERDICTS[op]
+    leaf = next(k for k, (h, _) in _table_leaves().items() if h == path).split()
+    argv = ["--op", op, "--seed", "0", "--count", "8", "--n", str(n)]
+    _, batch, _ = _run(capsys, "batch", *argv)
+    for seed in (0, 7):
+        fn = json.dumps(random_fpf_function(seed, n, injective).to_json())
+        _, doc, _ = _run(capsys, *leaf, "--fn", fn)
+        row = {"index": seed, "seed": seed, "ok": doc["ok"]}
+        row.update(counts(doc["result"], doc["violations"]))
+        assert batch["instances"][seed] == row, (op, n, seed)
 
 
 def test_out_flag_duplicates_stdout(tmp_path, capsys):
