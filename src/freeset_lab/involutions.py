@@ -16,7 +16,9 @@ Orbits are disjoint, so the per-orbit pairs never collide and every
 in-window edge is covered. Leftover points of parts 0 to 2 are paired
 canonically, lowest first, with at most one exception when the window
 is odd. No edge goes to part 3, so it is that canonical pairing of the
-whole window, built directly.
+whole window: the window's consecutive pairing, which depends on the
+window alone and is built and validated once per window by _window, a
+bounded cache of the last few windows at about 48 bytes a point each.
 
 An involution is a window record of its pairing, and its exceptions,
 the points it fixes, follow from that pairing. A partial pairing marks a
@@ -29,6 +31,8 @@ exactly when the window is.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 from .funcgraph import FiniteFunction, Record, Subset, WindowRecord, json_fields
@@ -138,6 +142,25 @@ def _complete(
     return Involution(tuple(pairing))
 
 
+@lru_cache(maxsize=4)
+def _window(n: int) -> tuple[tuple[int, ...], Involution]:
+    """The points of the window [0, n) and its consecutive pairing.
+
+    The pairing swaps 0 with 1, 2 with 3 and so on, and fixes n - 1 when
+    n is odd. Both are built once per window, the pairing from slices of
+    the points tuple, so it and every part that takes points from the
+    tuple share their ints: about 48 bytes a point for each of at most
+    maxsize windows. A caller that cycles through k windows needs
+    maxsize >= k, since a smaller LRU misses every call.
+    """
+    points = tuple(range(n))
+    even = n - n % 2
+    pairing = list(points)
+    pairing[0:even:2] = points[1:even:2]
+    pairing[1:even:2] = points[0:even:2]
+    return points, Involution(tuple(pairing))
+
+
 def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     """Cover the function's in-window edges with four involutions.
 
@@ -145,12 +168,15 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     of the orbit straight into a part's pairing: paths by t mod 4 into
     parts 0, 1, 0, 2; cycles by the parity of t into parts 0 and 1, two
     edges a step, with an odd cycle's closing edge in part 2. The fourth
-    part gets no edge: it pairs the window consecutively, 0 with 1, 2
-    with 3 and so on, with n - 1 the exception when n is odd. Parts 0 to
-    2 then pair their leftovers; with no path, the walk has already
-    listed those of parts 0 and 1, the two ends of each odd cycle. case
-    comes from its closed form: 2 when the window is odd and every value
-    lies inside it.
+    part gets no edge: it is the window's consecutive pairing, 0 with 1,
+    2 with 3 and so on, with n - 1 the exception when n is odd, built
+    once per window and shared by every call at that window (_window
+    caches the last few windows, about 48 bytes a point each). Parts 0
+    to 2 then pair their leftovers. With no path, the walk has already
+    named them: the two ends of each odd cycle are those of parts 0 and
+    1, and every other point is part 2's, read off the cached points.
+    case comes from its closed form: 2 when the window is odd and every
+    value lies inside it.
     """
     if not fn.injective_on_window:
         raise ValueError("decomposition needs an injective function")
@@ -203,16 +229,22 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
             p1[x] = y
         start = state.find(1, start + 1)
     case = 2 if n % 2 and permutes else 1
-    even = n - n % 2
-    p3 = list(range(n))
-    p3[0:even:2] = range(1, even, 2)
-    p3[1:even:2] = range(0, even, 2)
-    fourth = Involution(tuple(p3))
+    points, fourth = _window(n)
     if permutes:
         # with no path, parts 0 and 1 leave free only a_k and a_0 of each
-        # odd cycle a_0 .. a_k, so their leftovers need no scan
+        # odd cycle a_0 .. a_k, and part 2 every other point, so no
+        # leftovers need a scan
+        free = bytearray(b"\1") * n
+        for x in firsts + lasts:
+            free[x] = 0
         lasts.sort()
-        parts = (_complete(p0, lasts), _complete(p1, firsts), _complete(p2), fourth)
+        leftovers = list(compress(points, free))
+        parts = (
+            _complete(p0, lasts),
+            _complete(p1, firsts),
+            _complete(p2, leftovers),
+            fourth,
+        )
     else:
         parts = (*map(_complete, pairings), fourth)
     return DecompositionResult(parts, (), case)

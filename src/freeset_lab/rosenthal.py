@@ -24,10 +24,15 @@ from .funcgraph import _load_doc, _load_set
 # worst known case at the cap, blocks 8/8/6 (entries 1/7, eps 1/2): 0.2 s
 EXACT_DIM_CAP = 22
 # greedy `rosenthal search` on the zero matrix, where every index joins,
-# takes about 0.8 s at dim 150 and 1.7 s at dim 200 (2-core x86-64). The
-# cap bounds only the dimension: a dim-150 matrix whose row scales run to
-# hundreds of digits still takes 10-17 s.
+# takes about 0.8 s at dim 150 and 1.7 s at dim 200 (2-core x86-64).
 GREEDY_DIM_CAP = 150
+# Greedy scores build and compare fractions as wide as a row's scale or
+# its scaled sum, so wide rows slow it too: at dim 150 with every index
+# joining, 0.8 s at 8 bits a row, 1.0 s at 64, 2.3 s at 256 and 11 s with
+# denominators up to 10**6 (2061-bit scales). dim times the widest row's
+# bits is capped where dim 150 takes 64 bits, about 1 s; every smaller
+# dim at the cap took less (0.35 s at dim 100, 96 bits).
+GREEDY_BITS_CAP = GREEDY_DIM_CAP * 64
 # Python prints no int of more than 4300 digits, so no numerator or
 # denominator may have more. Exponents and digit runs past the cap are
 # refused before Fraction builds 10**e, which takes seconds for e in the
@@ -228,8 +233,9 @@ def find_fragmenting_set(
     empty, the index whose addition keeps the largest off-diagonal row sum
     smallest (ties to the lowest index); every running row sum stays below
     eps, so the set fragments by construction, for verify_fragmentation to
-    check. A dim past EXACT_DIM_CAP in exact mode, or past GREEDY_DIM_CAP
-    in greedy mode, raises ValueError.
+    check. A dim past EXACT_DIM_CAP in exact mode raises ValueError, and
+    so does greedy mode past GREEDY_DIM_CAP or when dim times the bits of
+    the widest row, its scale or its scaled sum, is past GREEDY_BITS_CAP.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -242,6 +248,13 @@ def find_fragmenting_set(
         raise ValueError(f"{mode} mode capped at dimension {cap}")
     # integer row k, scaled by L, sums below eps * L iff below ceil(eps * L)
     rows, scales = matrix.scaled[:dim], matrix.scales[:dim]
+    if mode == "greedy":
+        bits = max(max(s, sum(r.values())).bit_length() for s, r in zip(scales, rows))
+        if dim * bits > GREEDY_BITS_CAP:
+            raise ValueError(
+                f"greedy mode capped at {GREEDY_BITS_CAP} for dimension times row"
+                f" bits, not {dim} x {bits}"
+            )
     limits = [ceil(eps * scale) for scale in scales]
     # into[v]: the rows other than v with an entry in column v, and the entry
     into = [

@@ -807,6 +807,13 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
                          "entries": [[0] * 151] * 151})],
             "greedy mode capped at dimension 150",
         ),
+        # one entry whose scale, 2**960, takes row 0 one bit past the cap at dim 10
+        (
+            ["rosenthal", "search", "--mode", "greedy", "--eps", "1", "--matrix",
+             json.dumps({"k": 10, "n": 10, "row_bound": "1",
+                         "entries": [[0, f"1/{2**960}", *[0] * 8]] + [[0] * 10] * 9})],
+            "greedy mode capped at 9600 for dimension times row bits, not 10 x 961",
+        ),
     ],
     ids=[
         "part-label",
@@ -823,6 +830,7 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
         "batch-n",
         "batch-instances",
         "greedy-dim",
+        "greedy-row-bits",
     ],
 )
 def test_oversized_input_is_refused_before_the_work(capsys, argv, error):
@@ -1679,6 +1687,20 @@ def test_a_batch_row_is_its_leafs_report(capsys, op, n):
         row = {"index": seed, "seed": seed, "ok": doc["ok"]}
         row.update(counts(doc["result"], doc["violations"]))
         assert batch["instances"][seed] == row, (op, n, seed)
+
+
+@pytest.mark.parametrize("n", ["9", "10"])
+def test_a_warm_window_cache_leaves_the_batch_report_unchanged(capsys, n):
+    # a fresh process always starts cold, so only an in-process rerun
+    # exercises the cached fourth part
+    argv = ["batch", "--op", "involutions-decompose", "--seed", "5", "--count", "6"]
+    involutions._window.cache_clear()
+    _, _, cold = _run(capsys, *argv, "--n", n)
+    hits = involutions._window.cache_info().hits
+    _, _, warm = _run(capsys, *argv, "--n", n)
+    # every instance of the warm run takes its fourth part from the cache
+    assert involutions._window.cache_info().hits == hits + 6
+    assert TIMING.sub("", warm) == TIMING.sub("", cold)
 
 
 def test_out_flag_duplicates_stdout(tmp_path, capsys):

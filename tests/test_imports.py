@@ -373,7 +373,7 @@ _SEPARATION = {
         "verify_unsplit": _FREESETS_CONSTRUCTORS,
     },
     "involutions": {
-        "verify_decomposition": {"_complete", "decompose_into_involutions"},
+        "verify_decomposition": {"_complete", "_window", "decompose_into_involutions"},
         # the handler calls combine_on_blocks, but checks its completion
         # without the helper that builds it
         "_run_inv_combine": {"_complete"},

@@ -476,6 +476,41 @@ def test_every_small_injection_matches_the_references():
     assert 0 < rejected < edits
 
 
+def test_the_window_cache_changes_no_cover():
+    # every injection of the small windows and seeded derangements at
+    # 7..40, decomposed first each with a cold cache, then again in a
+    # scrambled order of windows that comes back to each after 39 others,
+    # long after the LRU has evicted it
+    maxsize = involutions._window.cache_info().maxsize
+    inputs = {n: list(_injections(n)) for n in range(1, 7)}
+    inputs.update(
+        (n, [_random_derangement(seed, n) for seed in range(3)]) for n in range(7, 41)
+    )
+    cold = {}
+    for fns in inputs.values():
+        for fn in fns:
+            involutions._window.cache_clear()
+            cold[fn.values] = decompose_into_involutions(fn)
+    for n in [1 + 7 * i % 40 for i in range(80)]:
+        misses = involutions._window.cache_info().misses
+        fourth = None
+        for fn in inputs[n]:
+            res = decompose_into_involutions(fn)
+            assert res == cold[fn.values]
+            assert res.to_json() == cold[fn.values].to_json()
+            assert verify_decomposition(fn, res) == (True, ())
+            # part 3 by its definition: x <-> x ^ 1, and n - 1 fixed when n is odd
+            even = n - n % 2
+            assert res.parts[3].pairing == (*(x ^ 1 for x in range(even)), *range(even, n))
+            # one window, one fourth-part object
+            if fourth is None:
+                fourth = res.parts[3]
+            assert res.parts[3] is fourth
+            assert involutions._window.cache_info().currsize <= maxsize
+        # every window was evicted since its last visit
+        assert involutions._window.cache_info().misses == misses + 1, n
+
+
 def test_verifier_rejects_a_partial_cover_of_a_path():
     # x+1 on N = 8: pairing consecutive points covers only the even-start
     # edges, and the result claims nothing is left over

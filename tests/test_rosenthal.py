@@ -29,6 +29,7 @@ from freeset_lab.funcgraph import (
 )
 from freeset_lab.rosenthal import (
     EXACT_DIM_CAP,
+    GREEDY_BITS_CAP,
     Fragmentation,
     RosenthalMatrix,
     find_fragmenting_set,
@@ -488,6 +489,26 @@ def test_greedy_search_joins_what_its_rule_picks():
     for m, eps in cases:
         got = find_fragmenting_set(m, eps, 0, "greedy")
         assert got.elements == _greedy_reference(m, eps)
+
+
+@pytest.mark.parametrize(
+    "wide", [lambda k: Fraction(1, 2**k), lambda k: Fraction(2**k)], ids=["scale", "sum"]
+)
+def test_greedy_search_is_capped_by_dimension_times_row_bits(wide):
+    # row 0 holds one entry, whose scale or scaled sum 2**k has k + 1 bits;
+    # at dim 10 a row may take a tenth of the cap
+    dim = 10
+    k = GREEDY_BITS_CAP // dim - 1
+    under, past = (
+        _matrix([[0, e, *[0] * (dim - 2)]] + [[0] * dim] * (dim - 1), max(e, 1))
+        for e in (wide(k), wide(k + 1))
+    )
+    got = find_fragmenting_set(under, Fraction(1), 0, "greedy")
+    assert got.elements == _greedy_reference(under, Fraction(1))
+    with pytest.raises(ValueError, match=f"capped at {GREEDY_BITS_CAP} .* not 10 x {k + 2}"):
+        find_fragmenting_set(past, Fraction(1), 0, "greedy")
+    # exact mode is bounded by its dimension cap alone
+    assert find_fragmenting_set(past, Fraction(1), 0, "exact") is not None
 
 
 def _named_in(function: str) -> tuple[set, set]:
