@@ -17,8 +17,10 @@ in-window edge is covered. Leftover points of parts 0 to 2 are paired
 canonically, lowest first, with at most one exception when the window
 is odd. No edge goes to part 3, so it is that canonical pairing of the
 whole window: the window's consecutive pairing, which depends on the
-window alone and is built and validated once per window by _window, a
-bounded cache of the last few windows at about 48 bytes a point each.
+window alone. _window builds and validates it once per window and
+caches it, with the window's points, for the last four windows of up to
+65,536 points, at about 48 bytes a point each; a larger window builds
+them per call.
 
 An involution is a window record of its pairing, and its exceptions,
 the points it fixes, follow from that pairing. A partial pairing marks a
@@ -142,15 +144,21 @@ def _complete(
     return Involution(tuple(pairing))
 
 
+# windows of up to this many points keep their points and consecutive
+# pairing in _window's cache; larger ones build them per call
+_CACHED_WINDOW_CAP = 1 << 16
+
+
 @lru_cache(maxsize=4)
 def _window(n: int) -> tuple[tuple[int, ...], Involution]:
     """The points of the window [0, n) and its consecutive pairing.
 
     The pairing swaps 0 with 1, 2 with 3 and so on, and fixes n - 1 when
-    n is odd. Both are built once per window, the pairing from slices of
-    the points tuple, so it and every part that takes points from the
-    tuple share their ints: about 48 bytes a point for each of at most
-    maxsize windows. A caller that cycles through k windows needs
+    n is odd. It is built from slices of the points tuple, so it and
+    every part that takes points from the tuple share their ints. The
+    cache keeps at most maxsize windows, each of at most
+    _CACHED_WINDOW_CAP points at about 48 bytes a point, so it holds at
+    most about 12.6 MB. A caller that cycles through k windows needs
     maxsize >= k, since a smaller LRU misses every call.
     """
     points = tuple(range(n))
@@ -171,10 +179,11 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
     part gets no edge: it is the window's consecutive pairing, 0 with 1,
     2 with 3 and so on, with n - 1 the exception when n is odd, built
     once per window and shared by every call at that window (_window
-    caches the last few windows, about 48 bytes a point each). Parts 0
-    to 2 then pair their leftovers. With no path, the walk has already
-    named them: the two ends of each odd cycle are those of parts 0 and
-    1, and every other point is part 2's, read off the cached points.
+    caches the last four windows of up to 65,536 points, about 48 bytes
+    a point each). Parts 0 to 2 then pair their leftovers. With no path,
+    the walk has already named them: the two ends of each odd cycle are
+    those of parts 0 and 1, and every other point is part 2's, read off
+    the window's points.
     case comes from its closed form: 2 when the window is odd and every
     value lies inside it.
     """
@@ -229,7 +238,8 @@ def decompose_into_involutions(fn: FiniteFunction) -> DecompositionResult:
             p1[x] = y
         start = state.find(1, start + 1)
     case = 2 if n % 2 and permutes else 1
-    points, fourth = _window(n)
+    # __wrapped__ is _window's builder without its cache
+    points, fourth = (_window if n <= _CACHED_WINDOW_CAP else _window.__wrapped__)(n)
     if permutes:
         # with no path, parts 0 and 1 leave free only a_k and a_0 of each
         # odd cycle a_0 .. a_k, and part 2 every other point, so no

@@ -26,13 +26,16 @@ EXACT_DIM_CAP = 22
 # greedy `rosenthal search` on the zero matrix, where every index joins,
 # takes about 0.8 s at dim 150 and 1.7 s at dim 200 (2-core x86-64).
 GREEDY_DIM_CAP = 150
-# Greedy scores build and compare fractions as wide as a row's scale or
-# its scaled sum, so wide rows slow it too: at dim 150 with every index
-# joining, 0.8 s at 8 bits a row, 1.0 s at 64, 2.3 s at 256 and 11 s with
-# denominators up to 10**6 (2061-bit scales). dim times the widest row's
-# bits is capped where dim 150 takes 64 bits, about 1 s; every smaller
-# dim at the cap took less (0.35 s at dim 100, 96 bits).
-GREEDY_BITS_CAP = GREEDY_DIM_CAP * 64
+# Greedy scores about dim**3 / 6 fractions, each as wide as a row's scale
+# or its scaled sum off the diagonal, so wide rows slow it too: at dim 150
+# with every index joining, 0.8 s at 8 bits a row, 1.0 s at 64, 2.3 s at
+# 256 and 11 s with denominators up to 10**6 (2061-bit scales). The cap is
+# on dim**3 times the widest row's bits, at 64 bits for dim 150. Rows the
+# fields allow are at most 14,284 bits wide, so every dim up to 24 passes.
+# Big-int work grows faster than the bits, so the worst case at the cap is
+# a small dim with the widest rows: in one session, dim 24-25 near 14,000
+# bits took 1.3-1.8 s and dim 150 at 64 bits 1.1-1.5 s (2-core x86-64).
+GREEDY_BITS_CAP = GREEDY_DIM_CAP**3 * 64
 # Python prints no int of more than 4300 digits, so no numerator or
 # denominator may have more. Exponents and digit runs past the cap are
 # refused before Fraction builds 10**e, which takes seconds for e in the
@@ -234,8 +237,9 @@ def find_fragmenting_set(
     smallest (ties to the lowest index); every running row sum stays below
     eps, so the set fragments by construction, for verify_fragmentation to
     check. A dim past EXACT_DIM_CAP in exact mode raises ValueError, and
-    so does greedy mode past GREEDY_DIM_CAP or when dim times the bits of
-    the widest row, its scale or its scaled sum, is past GREEDY_BITS_CAP.
+    so does greedy mode past GREEDY_DIM_CAP or when dim cubed times the
+    bits of the widest row, its scale or its scaled sum over the square's
+    off-diagonal columns, is past GREEDY_BITS_CAP.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -249,11 +253,16 @@ def find_fragmenting_set(
     # integer row k, scaled by L, sums below eps * L iff below ceil(eps * L)
     rows, scales = matrix.scaled[:dim], matrix.scales[:dim]
     if mode == "greedy":
-        bits = max(max(s, sum(r.values())).bit_length() for s, r in zip(scales, rows))
-        if dim * bits > GREEDY_BITS_CAP:
+        # scores hold only a row's entries off its diagonal and inside the square
+        widest = max(
+            max(scale, sum(e for j, e in row.items() if j != k and j < dim))
+            for k, (scale, row) in enumerate(zip(scales, rows))
+        )
+        bits = widest.bit_length()
+        if dim**3 * bits > GREEDY_BITS_CAP:
             raise ValueError(
-                f"greedy mode capped at {GREEDY_BITS_CAP} for dimension times row"
-                f" bits, not {dim} x {bits}"
+                f"greedy mode capped at {GREEDY_BITS_CAP} for dimension cubed times"
+                f" row bits, not {dim}**3 x {bits}"
             )
     limits = [ceil(eps * scale) for scale in scales]
     # into[v]: the rows other than v with an entry in column v, and the entry

@@ -807,12 +807,13 @@ _BATCH = ["batch", "--op", "katetov", "--seed", "1"]
                          "entries": [[0] * 151] * 151})],
             "greedy mode capped at dimension 150",
         ),
-        # one entry whose scale, 2**960, takes row 0 one bit past the cap at dim 10
+        # one entry whose scale, 2**13824, takes row 0 one bit past the cap at dim 25
         (
             ["rosenthal", "search", "--mode", "greedy", "--eps", "1", "--matrix",
-             json.dumps({"k": 10, "n": 10, "row_bound": "1",
-                         "entries": [[0, f"1/{2**960}", *[0] * 8]] + [[0] * 10] * 9})],
-            "greedy mode capped at 9600 for dimension times row bits, not 10 x 961",
+             json.dumps({"k": 25, "n": 25, "row_bound": "1",
+                         "entries": [[0, f"1/{2**13824}", *[0] * 23]] + [[0] * 25] * 24})],
+            "greedy mode capped at 216000000 for dimension cubed times row bits,"
+            " not 25**3 x 13825",
         ),
     ],
     ids=[

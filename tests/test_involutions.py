@@ -511,6 +511,20 @@ def test_the_window_cache_changes_no_cover():
         assert involutions._window.cache_info().misses == misses + 1, n
 
 
+def test_a_window_past_the_cache_cap_builds_its_pairing_per_call():
+    # the cache holds only windows of up to _CACHED_WINDOW_CAP points, so
+    # what it keeps alive stays bounded
+    n = involutions._CACHED_WINDOW_CAP + 1
+    fn = _random_derangement(3, n)
+    involutions._window.cache_clear()
+    first, second = decompose_into_involutions(fn), decompose_into_involutions(fn)
+    assert involutions._window.cache_info().currsize == 0
+    assert first.parts[3] is not second.parts[3]
+    assert first == second
+    assert first.parts[3].pairing == (*(x ^ 1 for x in range(n - 1)), n - 1)
+    assert verify_decomposition(fn, first) == (True, ())
+
+
 def test_verifier_rejects_a_partial_cover_of_a_path():
     # x+1 on N = 8: pairing consecutive points covers only the even-start
     # edges, and the result claims nothing is left over

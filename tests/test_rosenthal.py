@@ -9,6 +9,7 @@ never by their own bookkeeping.
 from __future__ import annotations
 
 import ast
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -494,21 +495,34 @@ def test_greedy_search_joins_what_its_rule_picks():
 @pytest.mark.parametrize(
     "wide", [lambda k: Fraction(1, 2**k), lambda k: Fraction(2**k)], ids=["scale", "sum"]
 )
-def test_greedy_search_is_capped_by_dimension_times_row_bits(wide):
+def test_greedy_search_is_capped_by_dimension_cubed_times_row_bits(wide):
     # row 0 holds one entry, whose scale or scaled sum 2**k has k + 1 bits;
-    # at dim 10 a row may take a tenth of the cap
-    dim = 10
-    k = GREEDY_BITS_CAP // dim - 1
+    # dim 25 is the least dim a row the fields allow can pass the cap at
+    dim = 25
+    k = GREEDY_BITS_CAP // dim**3 - 1
     under, past = (
         _matrix([[0, e, *[0] * (dim - 2)]] + [[0] * dim] * (dim - 1), max(e, 1))
         for e in (wide(k), wide(k + 1))
     )
     got = find_fragmenting_set(under, Fraction(1), 0, "greedy")
     assert got.elements == _greedy_reference(under, Fraction(1))
-    with pytest.raises(ValueError, match=f"capped at {GREEDY_BITS_CAP} .* not 10 x {k + 2}"):
+    with pytest.raises(ValueError, match=re.escape(f"not 25**3 x {k + 2}")):
         find_fragmenting_set(past, Fraction(1), 0, "greedy")
-    # exact mode is bounded by its dimension cap alone
-    assert find_fragmenting_set(past, Fraction(1), 0, "exact") is not None
+
+
+def test_greedy_search_takes_the_widest_rows_at_small_dims():
+    # every row's scale has 14,284 bits, the most a field allows, and dim 10
+    # is far under the cap
+    dim, scale = 10, 2**14283
+    entries = [[Fraction(j + 1, scale) * (j != k) for j in range(dim)] for k in range(dim)]
+    m = _matrix(entries)
+    assert max(m.scales).bit_length() == 14284
+    got = find_fragmenting_set(m, Fraction(1), 0, "greedy")
+    assert got.elements == _greedy_reference(m, Fraction(1)) == tuple(range(dim))
+    # a diagonal entry never enters a score, so its width is not counted
+    wide = [[Fraction(2**14000) if j == k == 0 else 0 for j in range(25)] for k in range(25)]
+    got = find_fragmenting_set(_matrix(wide, 2**14000), Fraction(1), 0, "greedy")
+    assert got.elements == tuple(range(25))
 
 
 def _named_in(function: str) -> tuple[set, set]:
